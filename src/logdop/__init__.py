@@ -38,8 +38,6 @@ from .linalg import (
     AbelianPGroup,
     IntegerMatrix,
     cokernel_invariants,
-    element_order_in_cokernel,
-    kernel_lattice_basis,
     quotient_by_cyclic,
     smith_normal_form,
 )
@@ -65,13 +63,11 @@ __all__ = [
     "coeff_a",
     "coeff_a_level",
     "cokernel_invariants",
-    "element_order_in_cokernel",
     "exponent_lower_bound",
     "graded_piece_dim",
     "h1_filtered",
     "h1_tensor",
     "is_global_section",
-    "kernel_lattice_basis",
     "lattice_order_check",
     "level_descent_diagnostic",
     "lift_by_schedule",

@@ -211,11 +211,8 @@ class OperatorSection:
 
 @dataclass
 class LaurentOperator:
-    """One-chart operator with integer Laurent powers; intermediate only.
-
-    Coefficients are ints (Fractions are accepted but must clear before any
-    residue extraction; a residual denominator is an invariant violation).
-    """
+    """One-chart operator with integer Laurent powers and integer
+    coefficients; intermediate only."""
 
     chart: str
     coeffs: dict = field(default_factory=dict)  # (power i, order k) -> coeff
@@ -236,17 +233,6 @@ class LaurentOperator:
     @property
     def is_regular(self) -> bool:
         return self.min_power() >= 0
-
-    def integer_coeffs(self) -> dict:
-        out = {}
-        for key, c in self.coeffs.items():
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise InvariantViolation(
-                        f"residual denominator {c} at {key} in {self.chart}-chart")
-                c = c.numerator
-            out[key] = c
-        return out
 
 
 def transform_term(chart: str, i: int, k: int, p: int, m: int,

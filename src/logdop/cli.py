@@ -119,7 +119,7 @@ def cmd_appendix(args) -> int:
                       f"[{comparison.status()}]", file=sys.stderr)
         return EXIT_OK if comparison.accepted else EXIT_FAILED
 
-    report = verify_appendix(threads=args.threads)
+    report = verify_appendix()
     if args.format == "json":
         text = serialize.dump_json(serialize.appendix_report_to_doc(report))
     else:
@@ -134,7 +134,7 @@ def cmd_appendix(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, seed=args.seed, threads=args.threads)
+    results = run_suites(names, seed=args.seed)
     failed = False
     for result in results:
         print(result.summary())
@@ -317,14 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, help="single-row mode: prime")
     sp.add_argument("--d", type=int, help="single-row mode: degree")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--threads", type=int, default=1)
     common(sp)
     sp.set_defaults(func=cmd_appendix)
 
     sp = sub.add_parser("verify", help="run property suites")
     sp.add_argument("--suite", choices=tuple(SUITES) + ("all",), required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("lift", help="lift a vanishing-data tensor section")

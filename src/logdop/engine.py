@@ -8,6 +8,13 @@ guaranteed-torsion exponent floor((p-1)(d+1)/(p+1)), the graded line-bundle
 dimensions max(0, 2d-i(p+1)+1) that account for the kernel-lattice index, the
 summand count against the mod-p rank, and the level-lowering valuation
 diagnostics built on v_p(d!/q_d!).
+
+Invariant factors always come from the untracked Smith form
+(cokernel_invariants); a tracked CokernelSolver is built only where its
+transforms are read (the kernel lattice here, sections and corrections in
+lifting).  The level diagnostic needs no transform either: a class c of
+order p^e has ord(lam c) = p^max(0, e - v_p(lam)), so the pushed and
+scheduled orders of a maximal-order class follow from the group exponent.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt, log
+from math import isqrt, log
 
 from .calculus import q_level, standard_operator_basis, symbol
 from .errors import InvariantViolation
@@ -23,6 +30,7 @@ from .linalg import (
     AbelianPGroup,
     CokernelSolver,
     IntegerMatrix,
+    cokernel_invariants,
     det,
     is_prime,
     rank_mod_p,
@@ -72,7 +80,11 @@ def graded_piece_dim(p: int, d: int, i: int) -> int:
 
 @lru_cache(maxsize=None)
 def degree_solver(p: int, d: int, m: int = 0) -> CokernelSolver:
-    """Cached solver for the degree-d tensor local-data map."""
+    """Cached tracked solver for the degree-d tensor local-data map.
+
+    Only for callers that read its transforms (kernel bases); the group
+    itself is h1_tensor's.
+    """
     mat, moduli = q_d_matrix(p, d, m)
     return CokernelSolver(mat, moduli, p)
 
@@ -100,7 +112,7 @@ def h1_tensor(p: int, d: int, m: int = 0) -> AbelianPGroup:
         stored = _disk_cache.get(p, d, m)
         if stored is not None:
             return AbelianPGroup(p, stored)
-    group = degree_solver(p, d, m).invariants()
+    group = cokernel_invariants(*q_d_matrix(p, d, m), p)
     if _disk_cache is not None:
         _disk_cache.put(p, d, m, group.exponents)
     return group
@@ -160,15 +172,6 @@ def _assert_symbol_basis(ops, p: int, d: int, m: int) -> None:
             raise InvariantViolation(f"order-{k} symbols do not form a lattice basis")
 
 
-@lru_cache(maxsize=None)
-def filtered_solver(p: int, d: int, m: int = 0) -> CokernelSolver:
-    """Cached solver for the degree <= d map on the (d+1)^2 operator basis."""
-    ops = standard_operator_basis(p, d, m)
-    _assert_symbol_basis(ops, p, d, m)
-    mat, moduli = operator_matrix(ops, p, d)
-    return CokernelSolver(mat, moduli, p)
-
-
 def verify_splitting(p: int, d: int, m: int = 0) -> bool:
     """Direct degree <= d cokernel == direct sum of the degree summands.
 
@@ -176,9 +179,10 @@ def verify_splitting(p: int, d: int, m: int = 0) -> bool:
     order <= d global sections and compares its cokernel, computed in one
     shot, with the degree-by-degree answer assembled from h1_tensor.
     """
-    direct = filtered_solver(p, d, m).invariants()
-    assembled = h1_filtered(p, d, m).total
-    return direct == assembled
+    ops = standard_operator_basis(p, d, m)
+    _assert_symbol_basis(ops, p, d, m)
+    direct = cokernel_invariants(*operator_matrix(ops, p, d), p)
+    return direct == h1_filtered(p, d, m).total
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +210,7 @@ def lattice_order_check(p: int, d: int) -> bool:
         account of the vanishing-conditions lattice.
     """
     idx = kernel_index_vp(p, d)
-    group = h1_tensor(p, d)
+    group = h1_tensor(p, d, 0)
     total_vp = (p + 1) * d * (d + 1) // 2
     graded = sum(graded_piece_dim(p, d, i) for i in range(1, d + 1))
     return idx + group.order_vp == total_vp and idx == d * (2 * d + 1) - graded
@@ -221,7 +225,7 @@ def summand_count_check(p: int, d: int) -> bool:
     """
     mat, _ = q_d_matrix(p, d)
     expected = (p + 1) * d - rank_mod_p(mat, p)
-    return h1_tensor(p, d).num_factors == expected
+    return h1_tensor(p, d, 0).num_factors == expected
 
 
 @dataclass(frozen=True)
@@ -265,10 +269,13 @@ SCHEDULES = {
 class LevelRow:
     """One degree of the level-lowering diagnostic.
 
+    c_d is a class of maximal order p^{max_exponent} in the degree-d group.
     ``scheduled_exponent`` is the order exponent of (d!/q_d!) p^{n_d} c_d,
     the scheduled class pushed to level m; ``pushed_exponent`` drops the
-    p^{n_d} damping and tracks the bare transition image (d!/q_d!) c_d.  The
-    analytic lower bound applies to the scheduled quantity and carries a
+    p^{n_d} damping and tracks the bare transition image (d!/q_d!) c_d.
+    Since ord(lam c) = p^max(0, e - v_p(lam)) for c of order p^e, they are
+    max(0, max_exponent - vp_transition) and max(0, pushed - schedule_n).
+    The analytic lower bound applies to the scheduled quantity and carries a
     log_p(d) term, so bound_satisfied is decided by exact power comparison.
     """
 
@@ -324,10 +331,12 @@ def level_descent_diagnostic(p: int, m: int, d_max: int,
                              schedule: str = "sqrt") -> LevelDiagnostic:
     """Track orders of maximal-torsion classes pushed from level 0 to level m.
 
-    For each d a Smith-form witness c_d generating a maximal cyclic summand of
-    the degree-d group is scaled by the transition factor d!/q_d! and by the
-    schedule damping p^{n_d}; exact order exponents come from the cached
-    cokernel solver.  The bound column is the analytic expression
+    For each d a class c_d of maximal order p^e in the degree-d group (e its
+    group exponent) is scaled by the transition factor lam = d!/q_d! and by
+    the schedule damping p^{n_d}.  Scaling by lam lowers an order exponent by
+    v_p(lam) and stops at 0, so the exact order exponents are
+    max(0, e - v_p(lam)) and max(0, e - v_p(lam) - n_d); no class or
+    transform is materialized.  The bound column is the analytic expression
     ((p^2-3p)/(p^2-1) + 1/((p-1)p^m)) d - n_d - log_p(d) - 2.
     """
     if not is_prime(p):
@@ -340,15 +349,11 @@ def level_descent_diagnostic(p: int, m: int, d_max: int,
     coeff = Fraction(p * p - 3 * p, p * p - 1) + Fraction(1, (p - 1) * p ** m)
     rows = []
     for d in range(1, d_max + 1):
-        solver = degree_solver(p, d, 0)
-        witness, max_exp = solver.max_order_witness()
-        q = q_level(d, p, m)
-        lam = factorial(d) // factorial(q)
+        max_exp = h1_tensor(p, d, 0).max_exponent
         n_d = n_of(d)
-        scheduled = solver.element_order_exponent(
-            [lam * p ** n_d * w for w in witness])
-        pushed = solver.element_order_exponent([lam * w for w in witness])
-        vp_lam = legendre_vp(d, p) - legendre_vp(q, p)
+        vp_lam = legendre_vp(d, p) - legendre_vp(q_level(d, p, m), p)
+        pushed = max(0, max_exp - vp_lam)
+        scheduled = max(0, pushed - n_d)
         r = coeff * d - n_d - 2
         nonneg = cmp_rational_logp(r, p, d) >= 0
         satisfied = (not nonneg) or cmp_rational_logp(

@@ -105,7 +105,7 @@ def schedule_multipliers(d: int) -> list:
 
 
 def _infinity_degree_clear(op: OperatorSection, k: int) -> bool:
-    coeffs = operator_to_laurent(op, CHART_Y).integer_coeffs()
+    coeffs = operator_to_laurent(op, CHART_Y).coeffs
     p = op.p
     for i in range(k):
         if coeffs.get((i, k), 0) % p ** (k - i):

@@ -2,8 +2,8 @@
 
 Everything here is exact: matrices hold arbitrary-precision Python ints and no
 operation reduces modulo anything unless its contract says so.  The central
-routine is a Smith normal form with tracked transforms (U, U^-1, V); on top of
-it sit the cokernel/kernel/element-order computations for maps
+routine is a Smith normal form, with or without its transforms (U, V); on
+top of it sit the cokernel/kernel/element-order computations for maps
 
     Z^cols  -->  Z/p^{m_1} (+) ... (+) Z/p^{m_R}
 
@@ -245,27 +245,24 @@ def _symmetric_quotient(a: int, piv: int) -> int:
     return q
 
 
-def _snf_core(rows, track_u: bool, track_v: bool):
+def _snf_core(rows, track: bool):
     """Diagonalize ``rows`` in place to Smith form.
 
     Pivoting picks the minimal-absolute-value nonzero entry of the remaining
     block to keep coefficient growth down (entries start around p^d and the
-    matrices are small but dense).  Returns (diag, U, Uinv, V, rank); the
-    transform lists are None when not tracked, else row-major list-of-lists
-    with U*input*V equal to the diagonalized matrix and Uinv = U^-1.
+    matrices are small but dense).  Returns (diag, U, V, rank); the transform
+    lists are None when not tracked, else row-major list-of-lists with
+    U*input*V equal to the diagonalized matrix.
     """
     R = len(rows)
     C = len(rows[0]) if R else 0
-    U = [[1 if i == j else 0 for j in range(R)] for i in range(R)] if track_u else None
-    Ui = [[1 if i == j else 0 for j in range(R)] for i in range(R)] if track_u else None
-    V = [[1 if i == j else 0 for j in range(C)] for i in range(C)] if track_v else None
+    U = [[1 if i == j else 0 for j in range(R)] for i in range(R)] if track else None
+    V = [[1 if i == j else 0 for j in range(C)] for i in range(C)] if track else None
 
     def row_swap(i, j):
         rows[i], rows[j] = rows[j], rows[i]
-        if track_u:
+        if track:
             U[i], U[j] = U[j], U[i]
-            for r in Ui:
-                r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, lam):
         # row_i += lam * row_j
@@ -273,26 +270,21 @@ def _snf_core(rows, track_u: bool, track_v: bool):
         for k in range(C):
             if rj[k]:
                 ri[k] += lam * rj[k]
-        if track_u:
+        if track:
             ui, uj = U[i], U[j]
             for k in range(R):
                 if uj[k]:
                     ui[k] += lam * uj[k]
-            for r in Ui:
-                if r[i]:
-                    r[j] -= lam * r[i]
 
     def row_negate(i):
         rows[i] = [-x for x in rows[i]]
-        if track_u:
+        if track:
             U[i] = [-x for x in U[i]]
-            for r in Ui:
-                r[i] = -r[i]
 
     def col_swap(i, j):
         for r in rows:
             r[i], r[j] = r[j], r[i]
-        if track_v:
+        if track:
             for r in V:
                 r[i], r[j] = r[j], r[i]
 
@@ -301,7 +293,7 @@ def _snf_core(rows, track_u: bool, track_v: bool):
         for r in rows:
             if r[j]:
                 r[i] += lam * r[j]
-        if track_v:
+        if track:
             for r in V:
                 if r[j]:
                     r[i] += lam * r[j]
@@ -376,7 +368,7 @@ def _snf_core(rows, track_u: bool, track_v: bool):
 
     diag = [rows[i][i] for i in range(limit)]
     rank = sum(1 for d in diag if d)
-    return diag, U, Ui, V, rank
+    return diag, U, V, rank
 
 
 def smith_normal_form(m: IntegerMatrix):
@@ -386,7 +378,7 @@ def smith_normal_form(m: IntegerMatrix):
     divides the next.  Total on all integer matrices.
     """
     rows = m.row_lists()
-    diag, U, _, V, _ = _snf_core(rows, track_u=True, track_v=True)
+    diag, U, V, _ = _snf_core(rows, track=True)
     d = IntegerMatrix.zero(m.rows, m.cols)
     for i, v in enumerate(diag):
         d.entries[i * m.cols + i] = v
@@ -414,38 +406,39 @@ def _augmented(m: IntegerMatrix, moduli, p):
     return rows
 
 
+def _moduli_smith_form(m: IntegerMatrix, moduli, p: int, track: bool):
+    """Smith form of [M | diag(p^{m_j})]: (diag, exponents, U, V).
+
+    ``exponents[i]`` is v_p of the i-th invariant factor (0 for a unit); every
+    factor must be a power of p, since the moduli block keeps full row rank.
+    """
+    diag, U, V, rank = _snf_core(_augmented(m, moduli, p), track)
+    if rank != m.rows:
+        raise InvariantViolation("augmented moduli matrix lost full row rank")
+    exps = []
+    for dval in diag:
+        e = vp(dval, p) if dval != 1 else 0
+        if p ** e != dval:
+            raise InvariantViolation(f"invariant factor {dval} is not a power of {p}")
+        exps.append(e)
+    return diag, exps, U, V
+
+
 class CokernelSolver:
-    """Smith-form workhorse for one map Z^cols -> (+)_j Z/p^{m_j}.
+    """Smith form with transforms U and V for one map Z^cols -> (+)_j Z/p^{m_j}.
 
     Diagonalizes the augmented matrix [M | diag(p^{m_j})] once and answers
-    invariant factors, element orders, congruence solves, kernel bases and
-    maximal-order witnesses from the cached transforms.  Immutable after
-    construction; safe to share across threads.
+    element orders and congruence solves from U, kernel bases from V.  Build
+    one only where a transform is read; invariant factors alone come from
+    cokernel_invariants.  Immutable after construction.
     """
 
     def __init__(self, m: IntegerMatrix, moduli, p: int):
         self.matrix = m
         self.moduli = tuple(moduli)
         self.p = p
-        rows = _augmented(m, self.moduli, p)
-        diag, U, Ui, V, rank = _snf_core(rows, track_u=True, track_v=True)
-        if rank != m.rows:
-            raise InvariantViolation("augmented moduli matrix lost full row rank")
-        self._diag = diag
-        self._u = U
-        self._uinv = Ui
-        self._v = V
-        exps = []
-        for dval in diag:
-            e = vp(dval, p) if dval != 1 else 0
-            if p ** e != dval:
-                raise InvariantViolation(f"invariant factor {dval} is not a power of {p}")
-            exps.append(e)
-        self._factor_exponents = exps
-
-    def invariants(self) -> AbelianPGroup:
-        """Cokernel ((+) Z/p^{m_j}) / im(M), unit factors dropped."""
-        return AbelianPGroup(self.p, tuple(e for e in self._factor_exponents if e))
+        self._diag, self._factor_exponents, self._u, self._v = \
+            _moduli_smith_form(m, self.moduli, p, track=True)
 
     def _u_times(self, c):
         return [sum(ur[k] * c[k] for k in range(len(c)) if c[k]) for ur in self._u]
@@ -485,44 +478,11 @@ class CokernelSolver:
         n = len(self._v)
         return [[self._v[i][j] for i in range(cols)] for j in range(r, n)]
 
-    def max_order_witness(self):
-        """(vector, exponent): a residue vector whose class attains the group exponent.
-
-        The vector is the U^-1 column at the largest invariant factor, reduced
-        into the moduli box; its class generates a maximal cyclic summand.
-        """
-        exps = self._factor_exponents
-        if not any(exps):
-            return [0] * len(self.moduli), 0
-        i_star = max(range(len(exps)), key=lambda i: exps[i])
-        w = [self._uinv[r][i_star] for r in range(len(self.moduli))]
-        w = [x % (self.p ** e) for x, e in zip(w, self.moduli)]
-        return w, exps[i_star]
-
 
 def cokernel_invariants(m: IntegerMatrix, moduli, p: int) -> AbelianPGroup:
-    """Invariant factors of ((+)_j Z/p^{m_j}) / im(M), via the augmented SNF."""
-    rows = _augmented(m, tuple(moduli), p)
-    diag, _, _, _, rank = _snf_core(rows, track_u=False, track_v=False)
-    if rank != m.rows:
-        raise InvariantViolation("augmented moduli matrix lost full row rank")
-    exps = []
-    for dval in diag:
-        if dval == 1:
-            continue
-        e = vp(dval, p)
-        if p ** e != dval:
-            raise InvariantViolation(f"invariant factor {dval} is not a power of {p}")
-        exps.append(e)
-    return AbelianPGroup(p, tuple(exps))
-
-
-def kernel_lattice_basis(m: IntegerMatrix, moduli, p: int):
-    return CokernelSolver(m, moduli, p).kernel_basis()
-
-
-def element_order_in_cokernel(m: IntegerMatrix, moduli, p: int, c) -> int:
-    return CokernelSolver(m, moduli, p).element_order_exponent(list(c))
+    """Invariant factors of ((+)_j Z/p^{m_j}) / im(M), via the untracked SNF."""
+    _, exps, _, _ = _moduli_smith_form(m, tuple(moduli), p, track=False)
+    return AbelianPGroup(p, tuple(e for e in exps if e))
 
 
 def quotient_by_cyclic(group: AbelianPGroup, a) -> AbelianPGroup:

@@ -20,7 +20,6 @@ from .calculus import (
     CHART_Y,
     OperatorSection,
     TensorSection,
-    is_global_section,
     operator_to_laurent,
 )
 from .linalg import IntegerMatrix, is_prime
@@ -152,8 +151,9 @@ def local_data_tensor(delta: TensorSection, lifts: PointLift = None) -> LocalDat
 def local_data_operator(op: OperatorSection, lifts: PointLift = None) -> LocalDataVector:
     """Full degree <= d local data of a global operator.
 
-    Requires is_global_section(op).  The operator is aggregated once per
-    chart; at infinity the (inf, k, i) entry is the y-chart coefficient of
+    Requires a global operator (is_global_section).  The operator is
+    aggregated once per chart, and the regularity check reads the same two
+    aggregates; at infinity the (inf, k, i) entry is the y-chart coefficient of
     y^i d_y^<k>, at a finite point the x-chart polynomial of each order is
     shifted by the lift and read off coefficientwise.  Divided-power bases at
     level m are identified with the level-0 coordinates, so residues land in
@@ -162,17 +162,17 @@ def local_data_operator(op: OperatorSection, lifts: PointLift = None) -> LocalDa
     p, d = op.p, op.d
     if lifts is None:
         lifts = PointLift.canonical(p)
-    if not is_global_section(op):
+    lx = operator_to_laurent(op, CHART_X)
+    ly = operator_to_laurent(op, CHART_Y)
+    if not (lx.is_regular and ly.is_regular):
         raise ValueError("operator is not a global section; local data undefined")
     entries = {}
     # aggregation already merged duplicate (i, k) keys, so plain set is safe
-    ly = operator_to_laurent(op, CHART_Y).integer_coeffs()
-    for (i, k), c in ly.items():
+    for (i, k), c in ly.coeffs.items():
         if 1 <= k <= d and i < k:
             _set_residue(entries, INF, k, i, c, p)
-    lx = operator_to_laurent(op, CHART_X).integer_coeffs()
     by_order = {}
-    for (n, k), c in lx.items():
+    for (n, k), c in lx.coeffs.items():
         if 1 <= k <= d:
             by_order.setdefault(k, []).append((n, c))
     for a in range(p):

@@ -115,19 +115,7 @@ class AppendixReport:
         return [c for c in self.comparisons if c.p == p]
 
 
-def verify_appendix(threads: int = 1) -> AppendixReport:
-    """Recompute all reference tables and compare row by row.
-
-    Cells are independent; with threads > 1 they are evaluated concurrently
-    and reassembled in canonical (p, d) order, so the report is byte-stable
-    for every thread count.
-    """
-    cells = [(p, d) for p, dmax in TABLE_RANGES for d in range(1, dmax + 1)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: compare_row(*c), cells))
-    else:
-        results = [compare_row(p, d) for p, d in cells]
-    return AppendixReport(tuple(results))
+def verify_appendix() -> AppendixReport:
+    """Recompute all reference tables and compare row by row, in (p, d) order."""
+    return AppendixReport(tuple(compare_row(p, d) for p, dmax in TABLE_RANGES
+                                for d in range(1, dmax + 1)))

@@ -30,11 +30,11 @@ from .errors import ScheduleFailure, TheoremViolation
 from .lifting import lift_by_schedule, lift_by_solve, sample_kernel_section
 from .linalg import (
     AbelianPGroup,
+    CokernelSolver,
     IntegerMatrix,
     cokernel_invariants,
     cyclic_quotient_dominates,
     det,
-    kernel_lattice_basis,
     mat_mul,
     quotient_by_cyclic,
     smith_normal_form,
@@ -219,7 +219,8 @@ def suite_linalg(seed: int = 0, full_sweep: bool = True) -> SuiteResult:
         m = IntegerMatrix(rows_n, cols_n,
                           [rng.randint(-p ** 3, p ** 3) for _ in range(rows_n * cols_n)])
         coker = cokernel_invariants(m, moduli, p)
-        index = abs(det(IntegerMatrix.from_rows(kernel_lattice_basis(m, moduli, p))))
+        basis = CokernelSolver(m, moduli, p).kernel_basis()
+        index = abs(det(IntegerMatrix.from_rows(basis)))
         result.record(index == p ** (sum(moduli) - coker.order_vp),
                       f"order identity fails on random cokernel #{k}")
 
@@ -381,13 +382,6 @@ SUITES = {
 }
 
 
-def run_suites(names, seed: int = 0, threads: int = 1) -> list:
-    """Run the named suites; independent suites may run on worker threads,
-    results always return in the requested order."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(SUITES[name], seed) for name in names]
-            return [f.result() for f in futures]
+def run_suites(names, seed: int = 0) -> list:
+    """Run the named suites in the requested order."""
     return [SUITES[name](seed) for name in names]

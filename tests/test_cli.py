@@ -123,12 +123,6 @@ def test_appendix_json_round_trips(capsys):
     assert sum(len(t["rows"]) for t in doc["tables"]) == 39
 
 
-def test_appendix_threads_deterministic(capsys):
-    one = run(capsys, "appendix", "--format", "json", "--threads", "1")
-    four = run(capsys, "appendix", "--format", "json", "--threads", "4")
-    assert one == four
-
-
 def test_appendix_single_row_bad_usage(capsys):
     code, _, err = run(capsys, "appendix", "--p", "7")
     assert code == 2

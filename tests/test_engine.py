@@ -1,10 +1,12 @@
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 
 import pytest
 
+from logdop.calculus import q_level
 from logdop.engine import (
     cmp_rational_logp,
+    degree_solver,
     exponent_lower_bound,
     graded_piece_dim,
     h1_filtered,
@@ -144,6 +146,15 @@ def test_order_checks_small_sweep():
             assert summand_count_check(p, d)
 
 
+def test_order_checks_reuse_the_filtered_groups():
+    # one lru entry per (p, d, m): the checks ask for the groups h1_filtered holds
+    h1_tensor.cache_clear()
+    h1_filtered(3, 4, 0)
+    assert lattice_order_check(3, 4)
+    assert summand_count_check(3, 4)
+    assert h1_tensor.cache_info().currsize == 4
+
+
 # ---------------------------------------------------------------------------
 # valuations and the level diagnostic
 # ---------------------------------------------------------------------------
@@ -210,6 +221,27 @@ def test_diagnostic_rejects_bad_inputs():
         level_descent_diagnostic(4, 1, 3, "sqrt")
     with pytest.raises(ValueError):
         level_descent_diagnostic(3, 1, 3, "cubic")
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (5, 1), (5, 2), (2, 2)])
+def test_diagnostic_orders_against_tracked_solver(p, m):
+    # independent oracle: element orders read through the tracked U of the
+    # degree-d solver, for the target basis vectors and their scaled images;
+    # at p = 2, m = 2 v_p(d!/q_d!) outruns the group exponent, so the pushed
+    # clamp at 0 is exercised as well as the scheduled one
+    diag = level_descent_diagnostic(p, m, 12, "sqrt")
+    for row in diag.rows:
+        d = row.d
+        solver = degree_solver(p, d, 0)
+        size = len(solver.moduli)
+        basis = [[int(i == j) for i in range(size)] for j in range(size)]
+        orders = [solver.element_order_exponent(e) for e in basis]
+        assert max(orders) == row.max_exponent
+        e = basis[orders.index(row.max_exponent)]
+        lam = factorial(d) // factorial(q_level(d, p, m))
+        assert solver.element_order_exponent([lam * x for x in e]) == row.pushed_exponent
+        damped = [lam * p ** row.schedule_n * x for x in e]
+        assert solver.element_order_exponent(damped) == row.scheduled_exponent
 
 
 def test_diagnostic_schedule_values():

@@ -11,9 +11,7 @@ from logdop.linalg import (
     cyclic_quotient_dominates,
     det,
     dominates,
-    element_order_in_cokernel,
     is_prime,
-    kernel_lattice_basis,
     mat_mul,
     quotient_by_cyclic,
     rank_mod_p,
@@ -185,7 +183,7 @@ def test_cokernel_order_identity_randoms():
         m = IntegerMatrix(rows_n, cols_n,
                           [rng.randint(-p ** 3, p ** 3) for _ in range(rows_n * cols_n)])
         coker = cokernel_invariants(m, moduli, p)
-        basis = kernel_lattice_basis(m, moduli, p)
+        basis = CokernelSolver(m, moduli, p).kernel_basis()
         assert len(basis) == cols_n
         index = abs(det(IntegerMatrix.from_rows(basis)))
         assert index * 1 == p ** (sum(moduli) - coker.order_vp)
@@ -193,13 +191,13 @@ def test_cokernel_order_identity_randoms():
 
 def test_kernel_lattice_zero_map():
     m = IntegerMatrix.zero(1, 3)
-    basis = kernel_lattice_basis(m, (2,), 5)
+    basis = CokernelSolver(m, (2,), 5).kernel_basis()
     assert abs(det(IntegerMatrix.from_rows(basis))) == 1
 
 
 def test_kernel_lattice_identity():
     m = IntegerMatrix.from_rows([[1]])
-    basis = kernel_lattice_basis(m, (1,), 2)
+    basis = CokernelSolver(m, (1,), 2).kernel_basis()
     assert abs(det(IntegerMatrix.from_rows(basis))) == 2
     v = basis[0]
     assert v[0] % 2 == 0
@@ -214,7 +212,7 @@ def test_kernel_vectors_are_in_kernel():
         moduli = tuple(rng.randint(1, 3) for _ in range(rows_n))
         rows = [[rng.randint(-20, 20) for _ in range(cols_n)] for _ in range(rows_n)]
         m = IntegerMatrix.from_rows(rows)
-        for v in kernel_lattice_basis(m, moduli, p):
+        for v in CokernelSolver(m, moduli, p).kernel_basis():
             for row, e in zip(rows, moduli):
                 assert sum(a * b for a, b in zip(row, v)) % p ** e == 0
 
@@ -225,9 +223,10 @@ def test_kernel_vectors_are_in_kernel():
 
 def test_element_order_trivial_cases():
     m = IntegerMatrix.zero(1, 1)
-    assert element_order_in_cokernel(m, (3,), 5, [0]) == 0
-    assert element_order_in_cokernel(m, (3,), 5, [1]) == 3
-    assert element_order_in_cokernel(m, (3,), 5, [25]) == 1
+    solver = CokernelSolver(m, (3,), 5)
+    assert solver.element_order_exponent([0]) == 0
+    assert solver.element_order_exponent([1]) == 3
+    assert solver.element_order_exponent([25]) == 1
 
 
 def test_element_order_against_brute_force():
@@ -240,24 +239,9 @@ def test_element_order_against_brute_force():
         rows = [[rng.randint(-6, 6) for _ in range(cols_n)] for _ in range(rows_n)]
         m = IntegerMatrix(rows_n, cols_n, [x for row in rows for x in row])
         c = [rng.randint(0, p ** e - 1) for e in moduli]
-        got = element_order_in_cokernel(m, moduli, p, c)
+        got = CokernelSolver(m, moduli, p).element_order_exponent(c)
         want = brute_order_in_cokernel(rows, moduli, p, c)
         assert got == want
-
-
-def test_max_order_witness_attains_group_exponent():
-    rng = random.Random(4242)
-    for _ in range(25):
-        p = rng.choice((2, 3, 5))
-        rows_n = rng.randint(1, 4)
-        cols_n = rng.randint(0, 3)
-        moduli = tuple(rng.randint(1, 3) for _ in range(rows_n))
-        m = IntegerMatrix(rows_n, cols_n,
-                          [rng.randint(-30, 30) for _ in range(rows_n * cols_n)])
-        solver = CokernelSolver(m, moduli, p)
-        w, e = solver.max_order_witness()
-        assert e == solver.invariants().max_exponent
-        assert solver.element_order_exponent(w) == e
 
 
 def test_solver_solve_round_trip():
