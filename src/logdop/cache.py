@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from .errors import SectionFormatError
@@ -13,6 +14,8 @@ class DiskCache:
 
     Files use the h1-group/1 format, so cache entries are plain interface
     documents; corrupt entries are reported, never silently recomputed.
+    Entries are written atomically, so an interrupted write leaves no
+    truncated entry behind.
     """
 
     def __init__(self, directory):
@@ -26,13 +29,24 @@ class DiskCache:
         path = self._path(p, d, m)
         if not path.exists():
             return None
-        doc = json.loads(path.read_text())
-        if doc.get("format") != "h1-group/1" or \
-                (doc.get("p"), doc.get("d"), doc.get("m")) != (p, d, m):
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError as exc:  # truncated, not JSON, or not UTF-8
+            raise SectionFormatError(f"corrupt cache entry {path}: {exc}") from exc
+        if not (isinstance(doc, dict) and doc.get("format") == "h1-group/1"
+                and (doc.get("p"), doc.get("d"), doc.get("m")) == (p, d, m)
+                and isinstance(doc.get("exponents"), list)
+                and all(type(n) is int and n >= 1 for n in doc["exponents"])):
             raise SectionFormatError(f"corrupt cache entry {path}")
-        return tuple(int(n) for n in doc["exponents"])
+        return tuple(doc["exponents"])
 
     def put(self, p: int, d: int, m: int, exponents) -> None:
         doc = {"format": "h1-group/1", "p": p, "d": d, "m": m,
                "exponents": list(exponents)}
-        self._path(p, d, m).write_text(json.dumps(doc, indent=1) + "\n")
+        path = self._path(p, d, m)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(doc, indent=1) + "\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .errors import InvariantViolation
@@ -55,25 +56,35 @@ def q_level(d: int, p: int, m: int) -> int:
     return d // p ** m
 
 
-def coeff_a_level(s: int, t: int, p: int, m: int) -> int:
-    """Level-m coefficient a^(m)_{s,t} = C(s-1,t-1) q_s!/q_t!.
+@lru_cache(maxsize=256)
+def _level_row(s: int, p: int, m: int) -> tuple:
+    """Row (a^(m)_{s,1}, ..., a^(m)_{s,s}), each entry checked once, here.
 
-    The equivalent rational form C(s,t)(s-1)!/(t-1)! * (q_s!/s!)/(q_t!/t!) is
-    evaluated exactly alongside; a mismatch or residual denominator signals an
-    implementation bug, never a data error.
+    Each integer C(s-1,t-1) q_s!/q_t! is compared with the equivalent rational
+    form C(s,t)(s-1)!/(t-1)! * (q_s!/s!)/(q_t!/t!); a mismatch or residual
+    denominator signals an implementation bug, never a data error.
     """
+    qs = q_level(s, p, m)
+    row = []
+    for t in range(1, s + 1):
+        qt = q_level(t, p, m)
+        value = comb(s - 1, t - 1) * factorial(qs) // factorial(qt)
+        rational = (Fraction(comb(s, t)) * factorial(s - 1) / factorial(t - 1)
+                    * Fraction(factorial(qs), factorial(s))
+                    / Fraction(factorial(qt), factorial(t)))
+        if rational.denominator != 1 or rational.numerator != value:
+            raise InvariantViolation(
+                f"a^({m})_{{{s},{t}}} at p={p} is not the integer {value}: {rational}")
+        row.append(value)
+    return tuple(row)
+
+
+def coeff_a_level(s: int, t: int, p: int, m: int) -> int:
+    """Level-m coefficient a^(m)_{s,t} = C(s-1,t-1) q_s!/q_t!, read from its
+    checked row."""
     if not 1 <= t <= s:
         raise ValueError(f"need 1 <= t <= s, got t={t}, s={s}")
-    qs = q_level(s, p, m)
-    qt = q_level(t, p, m)
-    value = comb(s - 1, t - 1) * factorial(qs) // factorial(qt)
-    rational = (Fraction(comb(s, t)) * factorial(s - 1) / factorial(t - 1)
-                * Fraction(factorial(qs), factorial(s))
-                / Fraction(factorial(qt), factorial(t)))
-    if rational.denominator != 1 or rational.numerator != value:
-        raise InvariantViolation(
-            f"a^({m})_{{{s},{t}}} at p={p} is not the integer {value}: {rational}")
-    return value
+    return _level_row(s, p, m)[t - 1]
 
 
 def _check_pm(p, m):
@@ -248,9 +259,10 @@ def transform_term(chart: str, i: int, k: int, p: int, m: int,
     if k == 0:
         out.add(-i, 0, coeff)
         return out
-    sign = -1 if k % 2 else 1
-    for t in range(1, k + 1):
-        out.add(k + t - i, t, sign * coeff_a_level(k, t, p, m) * coeff)
+    if coeff:
+        c = -coeff if k % 2 else coeff
+        out.coeffs = {(k + t - i, t): c * a
+                      for t, a in enumerate(_level_row(k, p, m), start=1)}
     return out
 
 

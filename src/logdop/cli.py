@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import serialize
@@ -34,26 +35,37 @@ DEFAULT_ROW_LIMIT = 5000
 ROW_LIMIT_ENV = "LOGDOP_ROW_LIMIT"
 
 
-def _row_limit(args) -> int:
-    if args.row_limit is not None:
-        return args.row_limit
-    return int(os.environ.get(ROW_LIMIT_ENV, DEFAULT_ROW_LIMIT))
-
-
-def _guard(p: int, d: int, args) -> bool:
+def _guard(p: int, d: int, args) -> int:
+    """EXIT_OK when the job fits the row limit, else the reported exit code."""
+    limit = args.row_limit
+    if limit is None:
+        value = os.environ.get(ROW_LIMIT_ENV, str(DEFAULT_ROW_LIMIT))
+        try:
+            limit = int(value)
+        except ValueError:
+            print(f"error: {ROW_LIMIT_ENV} = {value!r} is not an integer",
+                  file=sys.stderr)
+            return EXIT_USAGE
     rows = (p + 1) * d * (d + 1) // 2
-    limit = _row_limit(args)
     if rows > limit:
         print(f"error: job size {rows} skyscraper coordinates exceeds the row "
               f"limit {limit} (raise with --row-limit or {ROW_LIMIT_ENV})",
               file=sys.stderr)
-        return False
-    return True
+        return EXIT_RESOURCE
+    return EXIT_OK
 
 
 def _require_prime(p: int) -> bool:
     if not is_prime(p):
         print(f"error: p = {p} is not prime", file=sys.stderr)
+        return False
+    return True
+
+
+def _require_at_least(flag: str, value: int, low: int) -> bool:
+    if value < low:
+        print(f"error: {flag} {value} is out of range (need {flag} >= {low})",
+              file=sys.stderr)
         return False
     return True
 
@@ -75,10 +87,11 @@ def _install_cache(args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_h1(args) -> int:
-    if not _require_prime(args.p):
+    if not (_require_prime(args.p) and _require_at_least("--d", args.d, 1)
+            and _require_at_least("--level", args.level, 0)):
         return EXIT_USAGE
-    if not _guard(args.p, args.d, args):
-        return EXIT_RESOURCE
+    if code := _guard(args.p, args.d, args):
+        return code
     _install_cache(args)
     report = h1_filtered(args.p, args.d, args.level)
     if args.format == "json":
@@ -158,10 +171,11 @@ def cmd_lift(args) -> int:
         if args.p is None or args.d is None:
             print("error: --sample needs --p and --d", file=sys.stderr)
             return EXIT_USAGE
-        if not _require_prime(args.p):
+        if not (_require_prime(args.p) and _require_at_least("--d", args.d, 1)
+                and _require_at_least("--level", args.level, 0)):
             return EXIT_USAGE
-        if not _guard(args.p, args.d, args):
-            return EXIT_RESOURCE
+        if code := _guard(args.p, args.d, args):
+            return code
         delta = sample_kernel_section(args.p, args.d, seed=args.seed, m=args.level)
         _emit(serialize.dump_json(serialize.tensor_to_doc(delta)), args.out)
         return EXIT_OK
@@ -179,8 +193,8 @@ def cmd_lift(args) -> int:
         where = f" (line {exc.lineno}, column {exc.colno})" if exc.lineno else ""
         print(f"error: {args.input}: {exc}{where}", file=sys.stderr)
         return EXIT_USAGE
-    if not _guard(delta.p, delta.d, args):
-        return EXIT_RESOURCE
+    if code := _guard(delta.p, delta.d, args):
+        return code
 
     data = local_data_tensor(delta)
     if not data.is_zero:
@@ -193,9 +207,9 @@ def cmd_lift(args) -> int:
 
     try:
         if args.method == "schedule":
-            lift = lift_by_schedule(delta)
+            lift, check = lift_by_schedule(delta, return_local_data=True)
         else:
-            lift = lift_by_solve(delta)
+            lift, check = lift_by_solve(delta, return_local_data=True)
             if args.method == "both":
                 other = lift_by_schedule(delta)
                 diff = lift.minus(other)
@@ -211,7 +225,6 @@ def cmd_lift(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
 
-    check = local_data_operator(lift)
     if not check.is_zero:
         print("error: produced lift has residual local data", file=sys.stderr)
         return EXIT_FAILED
@@ -239,13 +252,13 @@ def cmd_data(args) -> int:
         tag = doc.get("format")
         if tag == serialize.FORMAT_TENSOR:
             section = serialize.tensor_from_doc(doc)
-            if not _guard(section.p, section.d, args):
-                return EXIT_RESOURCE
+            if code := _guard(section.p, section.d, args):
+                return code
             data = local_data_tensor(section)
         elif tag == serialize.FORMAT_OPERATOR:
             op = serialize.operator_from_doc(doc)
-            if not _guard(op.p, max(op.d, 1), args):
-                return EXIT_RESOURCE
+            if code := _guard(op.p, max(op.d, 1), args):
+                return code
             data = local_data_operator(op)
         else:
             print(f"error: {args.input}: cannot take local data of a "
@@ -266,10 +279,11 @@ def cmd_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_diagnose(args) -> int:
-    if not _require_prime(args.p):
+    if not (_require_prime(args.p) and _require_at_least("--m", args.m, 0)
+            and _require_at_least("--dmax", args.dmax, 1)):
         return EXIT_USAGE
-    if not _guard(args.p, args.dmax, args):
-        return EXIT_RESOURCE
+    if code := _guard(args.p, args.dmax, args):
+        return code
     _install_cache(args)
     diag = level_descent_diagnostic(args.p, args.m, args.dmax, args.schedule)
     if args.format == "json":
@@ -358,9 +372,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import: the handlers it binds are
+    # looked up then, and a process running many commands builds it once
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except SectionFormatError as exc:  # a corrupt --cache entry
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from functools import lru_cache
 
 from .calculus import (
     CHART_Y,
+    LaurentOperator,
     OperatorSection,
     TensorSection,
     coeff_a,
@@ -33,7 +34,12 @@ from .calculus import (
 from .errors import ScheduleFailure, TheoremViolation
 from .engine import degree_solver
 from .linalg import CokernelSolver
-from .localdata import local_data_operator, local_data_tensor, operator_matrix
+from .localdata import (
+    LocalDataVector,
+    local_data_operator,
+    local_data_tensor,
+    operator_matrix,
+)
 
 
 @lru_cache(maxsize=None)
@@ -69,8 +75,12 @@ def _require_kernel_section(delta: TensorSection):
             + ", ".join(f"(a={a}, k={k}, i={i})" for a, k, i in data.nonzero_coordinates()))
 
 
-def lift_by_solve(delta: TensorSection) -> OperatorSection:
-    """Solve for an order <= d-1 correction killing all residual local data."""
+def lift_by_solve(delta: TensorSection, return_local_data: bool = False):
+    """Solve for an order <= d-1 correction killing all residual local data.
+
+    With ``return_local_data`` the result is the pair (lift, its local data
+    as checked zero), so a caller needing that data does not compute it again.
+    """
     _require_kernel_section(delta)
     p, d, m = delta.p, delta.d, delta.m
     base = tensor_to_operator(delta)
@@ -85,8 +95,8 @@ def lift_by_solve(delta: TensorSection) -> OperatorSection:
     for c, op in zip(coeffs, ops):
         if c:
             lift = lift.plus(op.scaled(c))
-    _assert_lift(lift, delta, TheoremViolation)
-    return lift
+    data = _assert_lift(lift, delta, TheoremViolation)
+    return (lift, data) if return_local_data else lift
 
 
 def schedule_multipliers(d: int) -> list:
@@ -104,46 +114,53 @@ def schedule_multipliers(d: int) -> list:
     return out
 
 
-def _infinity_degree_clear(op: OperatorSection, k: int) -> bool:
-    coeffs = operator_to_laurent(op, CHART_Y).coeffs
-    p = op.p
+def _infinity_degree_clear(ly: LaurentOperator, k: int, p: int) -> bool:
+    """Whether the y-chart aggregate ly has no degree-k data at infinity."""
     for i in range(k):
-        if coeffs.get((i, k), 0) % p ** (k - i):
+        if ly.coeffs.get((i, k), 0) % p ** (k - i):
             return False
     return True
 
 
-def lift_by_schedule(delta: TensorSection) -> OperatorSection:
+def lift_by_schedule(delta: TensorSection, return_local_data: bool = False):
     """Apply the degree-descending corrections; level 0 only.
 
     Each step must leave the targeted degree clear at infinity (the
     corrections carry the same p-divisibility as the A-coefficients they are
-    built from); a residual there aborts with ScheduleFailure.  lift_by_solve
-    stays the authoritative path.
+    built from); a residual there aborts with ScheduleFailure.  The y-chart
+    aggregate is built once and each step's y-chart terms are added into it.
+    lift_by_solve stays the authoritative path; ``return_local_data`` is as
+    there.
     """
     if delta.m != 0:
         raise ValueError("the correction schedule is a level-0 construction")
     _require_kernel_section(delta)
     d = delta.d
     op = tensor_to_operator(delta)
+    ly = operator_to_laurent(op, CHART_Y)
     for j, c_j in enumerate(schedule_multipliers(d), start=1):
         target = d - j
         terms = {}
         for s in range(j + 1, d):
             if delta.A[s]:
-                terms[(CHART_Y, s - j, target)] = c_j * delta.A[s]
+                c = c_j * delta.A[s]
+                terms[(CHART_Y, s - j, target)] = c
+                ly.add(s - j, target, c)
         if terms:
             op = op.plus(OperatorSection(delta.p, 0, d, terms))
-        if not _infinity_degree_clear(op, target):
+        if not _infinity_degree_clear(ly, target, delta.p):
             raise ScheduleFailure(
                 f"schedule step {j} left degree-{target} data at infinity "
                 f"(p={delta.p}, d={d})")
-    _assert_lift(op, delta, ScheduleFailure)
-    return op
+    data = _assert_lift(op, delta, ScheduleFailure)
+    return (op, data) if return_local_data else op
 
 
-def _assert_lift(lift: OperatorSection, delta: TensorSection, exc) -> None:
+def _assert_lift(lift: OperatorSection, delta: TensorSection, exc) -> LocalDataVector:
+    """Check the lift's symbol and local data; return that (zero) local data."""
     if symbol(lift, delta.d).coordinates() != delta.coordinates():
         raise exc("lift changed the top-order symbol")
-    if not local_data_operator(lift).is_zero:
+    data = local_data_operator(lift)
+    if not data.is_zero:
         raise exc("lift has residual local data")
+    return data

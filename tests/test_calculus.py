@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from logdop import calculus
 from logdop.calculus import (
     CHART_X,
     CHART_Y,
@@ -20,6 +21,8 @@ from logdop.calculus import (
     tensor_to_operator,
     transform_term,
 )
+from logdop.errors import InvariantViolation
+from logdop.lifting import lift_by_schedule, lift_by_solve, sample_kernel_section
 
 
 # ---------------------------------------------------------------------------
@@ -84,17 +87,56 @@ def test_coeff_a_level_anchors():
 
 
 def test_coeff_a_level_matches_level_zero():
-    for s in range(1, 25):
-        for t in range(1, s + 1):
-            assert coeff_a_level(s, t, 5, 0) == coeff_a(s, t)
+    for p in (2, 3, 5, 7):
+        for s in range(1, 25):
+            for t in range(1, s + 1):
+                assert coeff_a_level(s, t, p, 0) == coeff_a(s, t)
 
 
 def test_coeff_a_level_integrality_sweep():
+    # each row is checked against the rational form when built, and read back
+    # here against the closed form
     for p in (2, 3, 5, 7):
         for m in (0, 1, 2, 3):
-            for s in range(1, 31):
+            for s in range(1, 41):
+                qs = factorial(q_level(s, p, m))
                 for t in range(1, s + 1):
-                    coeff_a_level(s, t, p, m)  # raises InvariantViolation if broken
+                    closed = comb(s - 1, t - 1) * qs // factorial(q_level(t, p, m))
+                    assert coeff_a_level(s, t, p, m) == closed
+
+
+def test_coeff_a_level_out_of_range():
+    for t in (0, 4):
+        with pytest.raises(ValueError):
+            coeff_a_level(3, t, 2, 1)
+
+
+def test_level_row_check_still_fails_on_a_forged_formula(monkeypatch):
+    calculus._level_row.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(calculus, "comb", lambda n, k: comb(n, k) + 1)
+            with pytest.raises(InvariantViolation):
+                coeff_a_level(4, 2, 3, 0)
+            with pytest.raises(InvariantViolation):
+                transform_term(CHART_Y, 0, 4, 3, 0)
+    finally:
+        # a forged row that happens to pass the check must not outlive the test
+        calculus._level_row.cache_clear()
+    assert coeff_a_level(4, 2, 3, 0) == coeff_a(4, 2)
+
+
+def test_a_lift_builds_each_row_once():
+    delta = sample_kernel_section(5, 6, seed=2)
+    calculus._level_row.cache_clear()
+    lift_by_solve(delta)
+    lift_by_schedule(delta)
+    built = calculus._level_row.cache_info()
+    assert built.misses == built.currsize > 0
+    lift_by_solve(delta)
+    lift_by_schedule(delta)
+    again = calculus._level_row.cache_info()
+    assert again.misses == built.misses and again.hits > built.hits
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
-from logdop import serialize
+from logdop import cache, cli, lifting, localdata, serialize
 from logdop.cli import main
 from logdop.engine import use_disk_cache
-from logdop.lifting import sample_kernel_section
+from logdop.errors import SectionFormatError
+from logdop.lifting import correction_solver, sample_kernel_section
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +92,68 @@ def test_h1_cache_round_trip(tmp_path, capsys):
     assert code == 0 and out2 == out1
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (("h1", "--p", "3", "--d", "0"), "--d 0"),
+    (("h1", "--p", "3", "--d", "-2"), "--d -2"),
+    (("h1", "--p", "3", "--d", "2", "--level", "-1"), "--level -1"),
+    (("diagnose", "--p", "3", "--m", "-1", "--dmax", "3"), "--m -1"),
+    (("diagnose", "--p", "3", "--m", "1", "--dmax", "0"), "--dmax 0"),
+    (("lift", "--sample", "--p", "3", "--d", "0"), "--d 0"),
+    (("lift", "--sample", "--p", "3", "--d", "2", "--level", "-1"), "--level -1"),
+])
+def test_out_of_range_arguments_exit_2(capsys, argv, bad):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bad in err
+
+
+def test_row_limit_env_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("LOGDOP_ROW_LIMIT", "abc")
+    code, out, err = run(capsys, "h1", "--p", "3", "--d", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'abc'" in err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[:10],
+    lambda text: "not json",
+    lambda text: text.replace("[", "[0, ", 1),
+], ids=["truncated", "not-json", "zero-exponent"])
+@pytest.mark.parametrize("argv", [
+    ("h1", "--p", "3", "--d", "3"),
+    ("appendix", "--format", "json"),
+    ("diagnose", "--p", "3", "--m", "1", "--dmax", "3"),
+], ids=["h1", "appendix", "diagnose"])
+def test_corrupt_cache_entry_exits_2(tmp_path, capsys, argv, damage):
+    directory = tmp_path / "cache"
+    cache.DiskCache(directory).put(3, 2, 0, [1, 1, 1])
+    entry = directory / "h1-p3-d2-m0.json"
+    entry.write_text(damage(entry.read_text()))
+    with pytest.raises(SectionFormatError, match="corrupt cache entry"):
+        cache.DiskCache(directory).get(3, 2, 0)
+    code, _, err = run(capsys, *argv, "--cache", str(directory))
+    assert code == 2
+    assert err.startswith("error: corrupt cache entry") and err.count("\n") == 1
+
+
+def test_cache_put_replaces_entries_atomically(tmp_path, monkeypatch):
+    store = cache.DiskCache(tmp_path)
+    store.put(3, 2, 0, [1, 1, 1])
+    before = (tmp_path / "h1-p3-d2-m0.json").read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(cache.os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        store.put(3, 2, 0, [2])
+    assert [f.name for f in tmp_path.iterdir()] == ["h1-p3-d2-m0.json"]
+    assert (tmp_path / "h1-p3-d2-m0.json").read_bytes() == before
+    assert store.get(3, 2, 0) == (1, 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # appendix
 # ---------------------------------------------------------------------------
@@ -169,6 +233,38 @@ def test_lift_sample_then_lift_with_check(tmp_path, capsys):
     assert op_doc["format"] == "operator/1"
     check_doc = json.loads((tmp_path / "lift.check.json").read_text())
     assert all(e["residue"] == "0" for e in check_doc["entries"])
+
+
+def test_lift_both_check_computes_local_data_four_times(tmp_path, capsys,
+                                                      monkeypatch):
+    section = tmp_path / "delta.json"
+    out = tmp_path / "lift.json"
+    code, _, _ = run(capsys, "lift", "--sample", "--p", "5", "--d", "6",
+                     "--seed", "4", "--out", str(section))
+    assert code == 0
+    correction_solver(5, 6, 0)  # the correction basis is not the lift's own work
+    calls = []
+    genuine = localdata.local_data_operator
+
+    def counted(op, lifts=None):
+        calls.append(op)
+        return genuine(op, lifts)
+
+    for module in (cli, lifting, localdata):
+        monkeypatch.setattr(module, "local_data_operator", counted)
+    code, _, _ = run(capsys, "lift", "--input", str(section), "--method", "both",
+                     "--check", "--out", str(out))
+    assert code == 0
+    # the residual of the bare section, each path's own check, and the
+    # solve/schedule agreement
+    assert len(calls) == 4
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (section, out, tmp_path / "lift.check.json")]
+    assert digests == [
+        "2bf8e520f895ae65a01d55995539f82adbc919fd3653a52d5b48d1f7e2d80a00",
+        "069d69d9b7b88ea2edacd637f1a2f2d6fc84816bd9c27a436085fca299273ed3",
+        "23ed23f040ff1d65817d5ab95f321a6a62d0aea121d84d827e738773717a33d9",
+    ]
 
 
 def test_lift_zero_section(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from logdop import lifting
 from logdop.calculus import (
     TensorSection,
     coeff_a,
@@ -12,6 +13,7 @@ from logdop.lifting import (
     sample_kernel_section,
     schedule_multipliers,
 )
+from logdop.errors import ScheduleFailure
 from logdop.localdata import local_data_operator, local_data_tensor
 
 
@@ -126,3 +128,29 @@ def test_two_paths_differ_by_a_lift_of_zero():
             assert symbol(diff, d).is_zero
             assert all(k <= d - 1 for (_c, _i, k) in diff.terms)
             assert local_data_operator(diff).is_zero
+
+
+def test_schedule_rejects_a_multiplier_off_by_one(monkeypatch):
+    # A_1..A_7 are nonzero here, so the forged first step adds terms; the
+    # result keeps its symbol but not vanishing local data
+    delta = sample_kernel_section(3, 8, seed=0)
+    assert all(delta.A[1:])
+    assert_sound_lift(lift_by_schedule(delta), delta)
+    genuine = schedule_multipliers
+
+    def forged(d):
+        c = genuine(d)
+        c[0] += 1
+        return c
+
+    monkeypatch.setattr(lifting, "schedule_multipliers", forged)
+    with pytest.raises(ScheduleFailure, match="residual local data"):
+        lift_by_schedule(delta)
+
+
+def test_lifts_return_the_local_data_they_checked():
+    delta = sample_kernel_section(5, 6, seed=4)
+    for lift_fn in (lift_by_solve, lift_by_schedule):
+        lift, data = lift_fn(delta, return_local_data=True)
+        assert lift == lift_fn(delta)
+        assert data == local_data_operator(lift) and data.is_zero
