@@ -300,8 +300,15 @@ def cmd_diagnose(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one ``error:`` line, exit 2; subparsers share the class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logdop",
         description="Exact H^1 computations for logarithmic differential "
                     "operators on the blown-up projective line.")

@@ -9,12 +9,13 @@ dimensions max(0, 2d-i(p+1)+1) that account for the kernel-lattice index, the
 summand count against the mod-p rank, and the level-lowering valuation
 diagnostics built on v_p(d!/q_d!).
 
-Invariant factors always come from the untracked Smith form
-(cokernel_invariants); a tracked CokernelSolver is built only where its
-transforms are read (the kernel lattice here, sections and corrections in
-lifting).  The level diagnostic needs no transform either: a class c of
-order p^e has ord(lam c) = p^max(0, e - v_p(lam)), so the pushed and
-scheduled orders of a maximal-order class follow from the group exponent.
+Invariant factors always come from the p-local elimination of
+cokernel_invariants; a CokernelSolver, the Smith form over Z with its
+transforms, is built only where U or V is read (the kernel lattice here,
+sections and corrections in lifting).  The level diagnostic needs no
+transform either: a class c of order p^e has ord(lam c) =
+p^max(0, e - v_p(lam)), so the pushed and scheduled orders of a
+maximal-order class follow from the group exponent.
 """
 
 from __future__ import annotations

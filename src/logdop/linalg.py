@@ -1,15 +1,16 @@
 """Exact integer linear algebra over Z and over mixed prime-power moduli.
 
 Everything here is exact: matrices hold arbitrary-precision Python ints and no
-operation reduces modulo anything unless its contract says so.  The central
-routine is a Smith normal form, with or without its transforms (U, V); on
-top of it sit the cokernel/kernel/element-order computations for maps
+operation reduces modulo anything unless its contract says so.  Maps
 
     Z^cols  -->  Z/p^{m_1} (+) ... (+) Z/p^{m_R}
 
-given by an integer matrix together with a vector of prime-power moduli
-exponents.  Moduli are always powers of a single prime p, passed alongside the
-exponent tuple, so mixed-prime targets are unrepresentable by construction.
+are given by an integer matrix together with a vector of prime-power moduli
+exponents, always powers of a single prime p passed alongside the exponent
+tuple, so mixed-prime targets are unrepresentable by construction.  Their
+cokernel invariants come from a p-local elimination (cokernel_invariants);
+the Smith normal form over Z with transforms U, V serves where a transform is
+read: element orders, congruence solves and kernel bases (CokernelSolver).
 """
 
 from __future__ import annotations
@@ -245,24 +246,22 @@ def _symmetric_quotient(a: int, piv: int) -> int:
     return q
 
 
-def _snf_core(rows, track: bool):
-    """Diagonalize ``rows`` in place to Smith form.
+def _snf_core(rows):
+    """Diagonalize ``rows`` in place to Smith form, tracking the transforms.
 
     Pivoting picks the minimal-absolute-value nonzero entry of the remaining
     block to keep coefficient growth down (entries start around p^d and the
-    matrices are small but dense).  Returns (diag, U, V, rank); the transform
-    lists are None when not tracked, else row-major list-of-lists with
-    U*input*V equal to the diagonalized matrix.
+    matrices are small but dense).  Returns (diag, U, V, rank) with U and V
+    row-major list-of-lists and U*input*V equal to the diagonalized matrix.
     """
     R = len(rows)
     C = len(rows[0]) if R else 0
-    U = [[1 if i == j else 0 for j in range(R)] for i in range(R)] if track else None
-    V = [[1 if i == j else 0 for j in range(C)] for i in range(C)] if track else None
+    U = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
+    V = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
 
     def row_swap(i, j):
         rows[i], rows[j] = rows[j], rows[i]
-        if track:
-            U[i], U[j] = U[j], U[i]
+        U[i], U[j] = U[j], U[i]
 
     def row_add(i, j, lam):
         # row_i += lam * row_j
@@ -270,33 +269,29 @@ def _snf_core(rows, track: bool):
         for k in range(C):
             if rj[k]:
                 ri[k] += lam * rj[k]
-        if track:
-            ui, uj = U[i], U[j]
-            for k in range(R):
-                if uj[k]:
-                    ui[k] += lam * uj[k]
+        ui, uj = U[i], U[j]
+        for k in range(R):
+            if uj[k]:
+                ui[k] += lam * uj[k]
 
     def row_negate(i):
         rows[i] = [-x for x in rows[i]]
-        if track:
-            U[i] = [-x for x in U[i]]
+        U[i] = [-x for x in U[i]]
 
     def col_swap(i, j):
         for r in rows:
             r[i], r[j] = r[j], r[i]
-        if track:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
 
     def col_add(i, j, lam):
         # col_i += lam * col_j
         for r in rows:
             if r[j]:
                 r[i] += lam * r[j]
-        if track:
-            for r in V:
-                if r[j]:
-                    r[i] += lam * r[j]
+        for r in V:
+            if r[j]:
+                r[i] += lam * r[j]
 
     def _find_min_pivot(t):
         best = 0
@@ -378,7 +373,7 @@ def smith_normal_form(m: IntegerMatrix):
     divides the next.  Total on all integer matrices.
     """
     rows = m.row_lists()
-    diag, U, V, _ = _snf_core(rows, track=True)
+    diag, U, V, _ = _snf_core(rows)
     d = IntegerMatrix.zero(m.rows, m.cols)
     for i, v in enumerate(diag):
         d.entries[i * m.cols + i] = v
@@ -386,17 +381,17 @@ def smith_normal_form(m: IntegerMatrix):
         IntegerMatrix.from_rows(V) if m.cols else IntegerMatrix(0, 0, [])
 
 
-def _check_moduli(moduli, p):
+def _check_moduli(m: IntegerMatrix, moduli, p):
+    if m.rows != len(moduli):
+        raise ValueError(f"matrix has {m.rows} rows but {len(moduli)} moduli")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    if any(m < 1 for m in moduli):
+    if any(e < 1 for e in moduli):
         raise ValueError("moduli exponents must be >= 1")
 
 
 def _augmented(m: IntegerMatrix, moduli, p):
-    if m.rows != len(moduli):
-        raise ValueError(f"matrix has {m.rows} rows but {len(moduli)} moduli")
-    _check_moduli(moduli, p)
+    _check_moduli(m, moduli, p)
     rows = []
     c = m.cols
     for i, e in enumerate(moduli):
@@ -406,13 +401,13 @@ def _augmented(m: IntegerMatrix, moduli, p):
     return rows
 
 
-def _moduli_smith_form(m: IntegerMatrix, moduli, p: int, track: bool):
-    """Smith form of [M | diag(p^{m_j})]: (diag, exponents, U, V).
+def _moduli_smith_form(m: IntegerMatrix, moduli, p: int):
+    """Smith form of [M | diag(p^{m_j})] with transforms: (diag, exponents, U, V).
 
     ``exponents[i]`` is v_p of the i-th invariant factor (0 for a unit); every
     factor must be a power of p, since the moduli block keeps full row rank.
     """
-    diag, U, V, rank = _snf_core(_augmented(m, moduli, p), track)
+    diag, U, V, rank = _snf_core(_augmented(m, moduli, p))
     if rank != m.rows:
         raise InvariantViolation("augmented moduli matrix lost full row rank")
     exps = []
@@ -430,7 +425,7 @@ class CokernelSolver:
     Diagonalizes the augmented matrix [M | diag(p^{m_j})] once and answers
     element orders and congruence solves from U, kernel bases from V.  Build
     one only where a transform is read; invariant factors alone come from
-    cokernel_invariants.  Immutable after construction.
+    the p-local cokernel_invariants.  Immutable after construction.
     """
 
     def __init__(self, m: IntegerMatrix, moduli, p: int):
@@ -438,7 +433,7 @@ class CokernelSolver:
         self.moduli = tuple(moduli)
         self.p = p
         self._diag, self._factor_exponents, self._u, self._v = \
-            _moduli_smith_form(m, self.moduli, p, track=True)
+            _moduli_smith_form(m, self.moduli, p)
 
     def _u_times(self, c):
         return [sum(ur[k] * c[k] for k in range(len(c)) if c[k]) for ur in self._u]
@@ -479,10 +474,81 @@ class CokernelSolver:
         return [[self._v[i][j] for i in range(cols)] for j in range(r, n)]
 
 
+def _plocal_exponents(rows, moduli, p: int) -> list:
+    """Nonzero invariant exponents of the cokernel of ``rows`` in (+)_r Z/p^{moduli[r]}.
+
+    The cokernel is a finite p-group, so it is computed over Z_(p), where
+    every entry prime to p is a unit.  ``rows[r]`` must come reduced modulo
+    p^{moduli[r]} and is consumed.  The moduli columns stay implicit: row r
+    is kept reduced modulo its own p^{e_r}, which is sound because that
+    column touches row r alone until row r is a pivot.  The live block is
+    p^shift times the stored one.  At each shift the rows are swept by
+    descending e_r; a row i holding a unit in column j becomes the pivot: it
+    is scaled to a 1 there and f times it is subtracted from every other row,
+    after which column j is spent and dropped and row i splits off as
+    Z/p^shift.  Its modulus column, now -f*p^{e_i} mod p^{e_r} in row r, is
+    appended as an explicit column when nonzero; largest modulus first keeps
+    that rare, since it vanishes in every row not yet swept.  A row without
+    a unit stays without one under these subtractions (f is divisible by p).
+    After the sweep an all-zero row splits off as Z/p^{shift + e_r}; the rest
+    is divided by p.  A row at e_r = 1 with no unit is zero, so every row is
+    settled after max(moduli) shifts.
+    """
+    e = list(moduli)
+    q = [p ** x for x in e]
+    active = sorted(range(len(rows)), key=lambda r: -e[r])
+    exps = []
+    settled = 0
+    for shift in range(max(e, default=0)):
+        kept = []
+        for n, i in enumerate(active):
+            row = rows[i]
+            j = next((k for k, a in enumerate(row) if a % p), None)
+            if j is None:
+                kept.append(i)
+                continue
+            qi = q[i]
+            inv = pow(row[j], -1, qi)
+            piv = [a * inv % qi for a in row]
+            del piv[j]
+            settled += 1
+            if shift:
+                exps.append(shift)
+            others = kept + active[n + 1:]
+            spill = []
+            for r in others:
+                f = rows[r].pop(j)  # column j is spent once row i is gone
+                if f:
+                    qr = q[r]
+                    rows[r] = [(a - f * b) % qr for a, b in zip(rows[r], piv)]
+                    spill.append(-f * qi % qr)
+                else:
+                    spill.append(0)
+            if any(spill):
+                for r, s in zip(others, spill):
+                    rows[r].append(s)
+        active = []
+        for r in kept:
+            if any(rows[r]):
+                rows[r] = [a // p for a in rows[r]]
+                e[r] -= 1
+                q[r] //= p
+                active.append(r)
+            else:
+                exps.append(shift + e[r])
+                settled += 1
+    if settled != len(rows):
+        raise InvariantViolation(
+            f"p-local elimination settled {settled} of {len(rows)} rows")
+    return exps
+
+
 def cokernel_invariants(m: IntegerMatrix, moduli, p: int) -> AbelianPGroup:
-    """Invariant factors of ((+)_j Z/p^{m_j}) / im(M), via the untracked SNF."""
-    _, exps, _, _ = _moduli_smith_form(m, tuple(moduli), p, track=False)
-    return AbelianPGroup(p, tuple(e for e in exps if e))
+    """Invariant factors of ((+)_j Z/p^{m_j}) / im(M), by p-local elimination."""
+    moduli = tuple(moduli)
+    _check_moduli(m, moduli, p)
+    rows = [[a % p ** e for a in row] for row, e in zip(m.row_lists(), moduli)]
+    return AbelianPGroup(p, tuple(_plocal_exponents(rows, moduli, p)))
 
 
 def quotient_by_cyclic(group: AbelianPGroup, a) -> AbelianPGroup:

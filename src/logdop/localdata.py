@@ -139,11 +139,11 @@ def local_data_tensor(delta: TensorSection, lifts: PointLift = None) -> LocalDat
     sgn = -1 if d % 2 else 1
     for s, a_c in enumerate(delta.A):
         poly[2 * d - s] += sgn * a_c
+    terms = [(n, c) for n, c in enumerate(poly) if c]
     for a in range(p):
         xi = lifts[a]
         for i in range(d):
-            value = sum(c * comb(n, i) * xi ** (n - i)
-                        for n, c in enumerate(poly) if c and n >= i)
+            value = sum(c * comb(n, i) * xi ** (n - i) for n, c in terms if n >= i)
             _set_residue(entries, a, d, i, value, p)
     return LocalDataVector(p, d, delta.m, entries, degree_only=True)
 

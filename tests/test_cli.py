@@ -108,6 +108,28 @@ def test_out_of_range_arguments_exit_2(capsys, argv, bad):
     assert bad in err
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (("h1", "--p", "abc", "--d", "2"), "argument --p: invalid int value: 'abc'"),
+    (("h1", "--p", "3", "--d", "2", "--bogus"), "unrecognized arguments: --bogus"),
+    (("h1", "--p", "3"), "the following arguments are required: --d"),
+], ids=["bad-int", "unknown-flag", "missing-flag"])
+def test_bad_flags_exit_2_with_one_line(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == f"error: {bad}\n"
+
+
+def test_help_still_prints_the_usage_block(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["h1", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: logdop h1 [-h] --p P --d D")
+    assert "--per-degree" in out
+
+
 def test_row_limit_env_not_an_integer_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("LOGDOP_ROW_LIMIT", "abc")
     code, out, err = run(capsys, "h1", "--p", "3", "--d", "2")

@@ -3,6 +3,9 @@ from itertools import product
 
 import pytest
 
+from logdop import linalg
+from logdop.calculus import standard_operator_basis
+from logdop.errors import InvariantViolation
 from logdop.linalg import (
     AbelianPGroup,
     CokernelSolver,
@@ -18,6 +21,7 @@ from logdop.linalg import (
     smith_normal_form,
     vp,
 )
+from logdop.localdata import operator_matrix, q_d_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +219,99 @@ def test_kernel_vectors_are_in_kernel():
         for v in CokernelSolver(m, moduli, p).kernel_basis():
             for row, e in zip(rows, moduli):
                 assert sum(a * b for a, b in zip(row, v)) % p ** e == 0
+
+
+def tracked_invariants(m, moduli, p):
+    # the Z Smith form of [M | diag(p^{m_j})] that CokernelSolver builds
+    exps = CokernelSolver(m, moduli, p)._factor_exponents
+    return AbelianPGroup(p, tuple(e for e in exps if e))
+
+
+def random_moduli_system(rng, p, max_rows=7, max_cols=7, max_modulus=5):
+    rows_n, cols_n = rng.randint(0, max_rows), rng.randint(0, max_cols)
+    moduli = tuple(rng.randint(1, max_modulus) for _ in range(rows_n))
+    # high-valuation entries, so that many rows carry no unit at shift 0
+    pool = (0, 1, p, p ** 2, p ** 3)
+    entries = [rng.choice(pool) * rng.randint(-p ** 2, p ** 2) if rng.random() < 0.7
+               else rng.randint(-p ** 5, p ** 5) for _ in range(rows_n * cols_n)]
+    return IntegerMatrix(rows_n, cols_n, entries), moduli
+
+
+def test_plocal_invariants_match_tracked_form_randoms():
+    rng = random.Random(4242)
+    for _ in range(1500):
+        p = rng.choice((2, 3, 5, 7))
+        m, moduli = random_moduli_system(rng, p)
+        assert cokernel_invariants(m, moduli, p) == tracked_invariants(m, moduli, p)
+
+
+@pytest.mark.parametrize("p, d_max", [(2, 16), (3, 14), (5, 10), (7, 8), (11, 6)])
+def test_plocal_invariants_match_tracked_form_on_q_d_matrices(p, d_max):
+    for d in range(1, d_max + 1):
+        m, moduli = q_d_matrix(p, d)
+        assert cokernel_invariants(m, moduli, p) == tracked_invariants(m, moduli, p), d
+
+
+@pytest.mark.parametrize("p, d_max", [(2, 6), (3, 6), (5, 6)])
+def test_plocal_invariants_match_tracked_form_on_splitting_cells(p, d_max):
+    for m_level in range(3):
+        for d in range(1, d_max + 1):
+            ops = standard_operator_basis(p, d, m_level)
+            m, moduli = operator_matrix(ops, p, d)
+            got = cokernel_invariants(m, moduli, p)
+            assert got == tracked_invariants(m, moduli, p), (m_level, d)
+
+
+def test_plocal_invariants_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(606)
+    for _ in range(40):
+        p = rng.choice((2, 3, 5))
+        m, moduli = random_moduli_system(rng, p, max_rows=4, max_cols=4, max_modulus=4)
+        if not m.rows:
+            continue
+        augmented = [row + [p ** e if j == i else 0 for j in range(m.rows)]
+                     for i, (row, e) in enumerate(zip(m.row_lists(), moduli))]
+        ref = sympy_snf(sympy.Matrix(augmented), domain=sympy.ZZ)
+        diag = [abs(int(ref[i, i])) for i in range(m.rows)]
+        want = tuple(vp(x, p) for x in diag if x != 1)
+        assert cokernel_invariants(m, moduli, p) == AbelianPGroup(p, want)
+
+
+def test_plocal_invariants_edge_cases():
+    # no rows: the target is 0
+    assert cokernel_invariants(IntegerMatrix(0, 3, []), (), 5).is_trivial
+    # no columns: the cokernel is the target itself
+    g = cokernel_invariants(IntegerMatrix(3, 0, []), (3, 1, 2), 3)
+    assert g == AbelianPGroup(3, (1, 2, 3))
+    # a zero row splits off with its own modulus
+    m = IntegerMatrix.from_rows([[1, 2], [0, 0], [2, 9]])
+    g = cokernel_invariants(m, (2, 4, 1), 3)
+    assert g == tracked_invariants(m, (2, 4, 1), 3) and 4 in g.exponents
+    # all moduli 1: an F_p cokernel of dimension R - rank
+    rng = random.Random(12)
+    for p in (2, 3, 5):
+        m = IntegerMatrix(5, 3, [rng.randint(-9, 9) for _ in range(15)])
+        g = cokernel_invariants(m, (1,) * 5, p)
+        assert g.exponents == (1,) * (5 - rank_mod_p(m, p))
+
+
+def test_plocal_invariants_appended_modulus_column():
+    # pivoting on row 0 (modulus 2) puts -2 * 2 = 4 mod 8 into row 1: the
+    # smallest input whose spilled modulus column is nonzero
+    m = IntegerMatrix.from_rows([[1], [2]])
+    assert cokernel_invariants(m, (1, 3), 2).exponents == (2,)
+    assert tracked_invariants(m, (1, 3), 2).exponents == (2,)
+
+
+def test_plocal_postcondition_fires_on_a_row_left_unreduced():
+    # the core assumes row r arrives reduced mod p^{e_r}; 9 mod 3^1 is not,
+    # so the row is never settled and the postcondition reports it
+    with pytest.raises(InvariantViolation, match="settled 0 of 1 rows"):
+        linalg._plocal_exponents([[9]], (1,), 3)
+    assert linalg._plocal_exponents([[0]], (1,), 3) == [1]
 
 
 # ---------------------------------------------------------------------------
