@@ -18,7 +18,12 @@ from pathlib import Path
 from . import serialize
 from .cache import DiskCache
 from .engine import h1_filtered, level_descent_diagnostic, use_disk_cache
-from .errors import ScheduleFailure, SectionFormatError, TheoremViolation
+from .errors import (
+    NonvanishingLocalData,
+    ScheduleFailure,
+    SectionFormatError,
+    TheoremViolation,
+)
 from .lifting import lift_by_schedule, lift_by_solve, sample_kernel_section
 from .linalg import is_prime
 from .localdata import local_data_operator, local_data_tensor
@@ -196,15 +201,6 @@ def cmd_lift(args) -> int:
     if code := _guard(delta.p, delta.d, args):
         return code
 
-    data = local_data_tensor(delta)
-    if not data.is_zero:
-        print("error: input section has nonvanishing degree-d local data at:",
-              file=sys.stderr)
-        for a, k, i in data.nonzero_coordinates():
-            print(f"  point {a}, order {k}, power {i}: "
-                  f"{data.residue(a, k, i)} mod {delta.p ** (k - i)}", file=sys.stderr)
-        return EXIT_BAD_INPUT_DATA
-
     try:
         if args.method == "schedule":
             lift, check = lift_by_schedule(delta, return_local_data=True)
@@ -218,6 +214,14 @@ def cmd_lift(args) -> int:
                       file=sys.stderr)
                 if not agree:
                     return EXIT_FAILED
+    except NonvanishingLocalData as exc:
+        data = exc.data
+        print("error: input section has nonvanishing degree-d local data at:",
+              file=sys.stderr)
+        for a, k, i in data.nonzero_coordinates():
+            print(f"  point {a}, order {k}, power {i}: "
+                  f"{data.residue(a, k, i)} mod {delta.p ** (k - i)}", file=sys.stderr)
+        return EXIT_BAD_INPUT_DATA
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,3 +27,15 @@ class SectionFormatError(ValueError):
         super().__init__(message)
         self.lineno = lineno
         self.colno = colno
+
+
+class NonvanishingLocalData(ValueError):
+    """A section handed to a lift has nonzero degree-d local data.
+
+    ``data`` is that LocalDataVector, so a caller can report every nonzero
+    coordinate without computing it again.
+    """
+
+    def __init__(self, message, data):
+        super().__init__(message)
+        self.data = data

@@ -22,16 +22,14 @@ from functools import lru_cache
 
 from .calculus import (
     CHART_Y,
-    LaurentOperator,
     OperatorSection,
     TensorSection,
     coeff_a,
-    operator_to_laurent,
     standard_operator_basis,
     symbol,
     tensor_to_operator,
 )
-from .errors import ScheduleFailure, TheoremViolation
+from .errors import NonvanishingLocalData, ScheduleFailure, TheoremViolation
 from .engine import degree_solver
 from .linalg import CokernelSolver
 from .localdata import (
@@ -70,16 +68,19 @@ def sample_kernel_section(p: int, d: int, seed: int, m: int = 0) -> TensorSectio
 def _require_kernel_section(delta: TensorSection):
     data = local_data_tensor(delta)
     if not data.is_zero:
-        raise ValueError(
+        raise NonvanishingLocalData(
             "section has nonvanishing degree-d local data at "
-            + ", ".join(f"(a={a}, k={k}, i={i})" for a, k, i in data.nonzero_coordinates()))
+            + ", ".join(f"(a={a}, k={k}, i={i})" for a, k, i in data.nonzero_coordinates()),
+            data)
 
 
 def lift_by_solve(delta: TensorSection, return_local_data: bool = False):
     """Solve for an order <= d-1 correction killing all residual local data.
 
-    With ``return_local_data`` the result is the pair (lift, its local data
-    as checked zero), so a caller needing that data does not compute it again.
+    The correction terms are summed into one term dict, and the lift is built
+    from it as a single OperatorSection.  With ``return_local_data`` the
+    result is the pair (lift, its local data as checked zero), so a caller
+    needing that data does not compute it again.
     """
     _require_kernel_section(delta)
     p, d, m = delta.p, delta.d, delta.m
@@ -91,10 +92,12 @@ def lift_by_solve(delta: TensorSection, return_local_data: bool = False):
         raise TheoremViolation(
             f"no order <= {d - 1} correction exists for a vanishing-data section "
             f"(p={p}, d={d}, m={m}); the splitting guarantees one")
-    lift = base
+    terms = dict(base.terms)
     for c, op in zip(coeffs, ops):
         if c:
-            lift = lift.plus(op.scaled(c))
+            for key, v in op.terms.items():
+                terms[key] = terms.get(key, 0) + c * v
+    lift = OperatorSection(p, m, d, terms)
     data = _assert_lift(lift, delta, TheoremViolation)
     return (lift, data) if return_local_data else lift
 
@@ -114,44 +117,35 @@ def schedule_multipliers(d: int) -> list:
     return out
 
 
-def _infinity_degree_clear(ly: LaurentOperator, k: int, p: int) -> bool:
-    """Whether the y-chart aggregate ly has no degree-k data at infinity."""
-    for i in range(k):
-        if ly.coeffs.get((i, k), 0) % p ** (k - i):
-            return False
-    return True
-
-
 def lift_by_schedule(delta: TensorSection, return_local_data: bool = False):
     """Apply the degree-descending corrections; level 0 only.
 
-    Each step must leave the targeted degree clear at infinity (the
-    corrections carry the same p-divisibility as the A-coefficients they are
-    built from); a residual there aborts with ScheduleFailure.  The y-chart
-    aggregate is built once and each step's y-chart terms are added into it.
+    Step j adds c_j * A_s y^{s-j} d_y^{d-j} for j < s < d, all at order
+    k = d-j, and no step needs a check of its own.  At infinity the (i, k)
+    entry of the result, i < k, is written only by step j = d-k: every other
+    step writes order d-j' != k, the bare section's y-chart terms have order
+    d, and its x-chart terms x^{s'} d_x^<d> (s' <= d) move to the y chart at
+    powers d - s' + t >= t for each order t.  That entry is c_j * A_{i+j}
+    (0 for i = 0), and _require_kernel_section has already enforced
+    A_s = 0 mod p^{d-s}, which for s = i+j is p^{k-i}: the residue vanishes
+    whatever c_j is.  So a wrong multiplier can only show at the finite
+    points, where the final _assert_lift looks; that check is the
+    schedule's (ScheduleFailure).  The section is checked before the level,
+    so a nonvanishing input is reported as such at every level.
     lift_by_solve stays the authoritative path; ``return_local_data`` is as
     there.
     """
+    _require_kernel_section(delta)
     if delta.m != 0:
         raise ValueError("the correction schedule is a level-0 construction")
-    _require_kernel_section(delta)
     d = delta.d
     op = tensor_to_operator(delta)
-    ly = operator_to_laurent(op, CHART_Y)
+    terms = dict(op.terms)
     for j, c_j in enumerate(schedule_multipliers(d), start=1):
-        target = d - j
-        terms = {}
         for s in range(j + 1, d):
             if delta.A[s]:
-                c = c_j * delta.A[s]
-                terms[(CHART_Y, s - j, target)] = c
-                ly.add(s - j, target, c)
-        if terms:
-            op = op.plus(OperatorSection(delta.p, 0, d, terms))
-        if not _infinity_degree_clear(ly, target, delta.p):
-            raise ScheduleFailure(
-                f"schedule step {j} left degree-{target} data at infinity "
-                f"(p={delta.p}, d={d})")
+                terms[(CHART_Y, s - j, d - j)] = c_j * delta.A[s]
+    op = OperatorSection(delta.p, 0, d, terms)
     data = _assert_lift(op, delta, ScheduleFailure)
     return (op, data) if return_local_data else op
 

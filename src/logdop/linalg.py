@@ -436,7 +436,8 @@ class CokernelSolver:
             _moduli_smith_form(m, self.moduli, p)
 
     def _u_times(self, c):
-        return [sum(ur[k] * c[k] for k in range(len(c)) if c[k]) for ur in self._u]
+        nonzero = [(k, ck) for k, ck in enumerate(c) if ck]
+        return [sum(ur[k] * ck for k, ck in nonzero) for ur in self._u]
 
     def element_order_exponent(self, c) -> int:
         """Least j >= 0 with p^j * c in im(M) + moduli lattice."""
@@ -457,14 +458,13 @@ class CokernelSolver:
         if len(b) != len(self.moduli):
             raise ValueError(f"vector has {len(b)} coordinates, expected {len(self.moduli)}")
         y = self._u_times(b)
-        n = len(self._v)
-        w = [0] * n
-        for i, (dval, yi) in enumerate(zip(self._diag, y)):
-            if yi % dval:
+        w = []
+        for k, (dval, yk) in enumerate(zip(self._diag, y)):
+            if yk % dval:
                 return None
-            w[i] = yi // dval
-        cols = self.matrix.cols
-        return [sum(vr[k] * w[k] for k in range(len(self._diag)) if w[k]) for vr in self._v[:cols]]
+            if yk:
+                w.append((k, yk // dval))
+        return [sum(vr[k] * wk for k, wk in w) for vr in self._v[:self.matrix.cols]]
 
     def kernel_basis(self):
         """Basis of {v : M v = 0 mod moduli}; exactly cols vectors."""
@@ -484,15 +484,17 @@ def _plocal_exponents(rows, moduli, p: int) -> list:
     column touches row r alone until row r is a pivot.  The live block is
     p^shift times the stored one.  At each shift the rows are swept by
     descending e_r; a row i holding a unit in column j becomes the pivot: it
-    is scaled to a 1 there and f times it is subtracted from every other row,
-    after which column j is spent and dropped and row i splits off as
-    Z/p^shift.  Its modulus column, now -f*p^{e_i} mod p^{e_r} in row r, is
-    appended as an explicit column when nonzero; largest modulus first keeps
-    that rare, since it vanishes in every row not yet swept.  A row without
-    a unit stays without one under these subtractions (f is divisible by p).
-    After the sweep an all-zero row splits off as Z/p^{shift + e_r}; the rest
-    is divided by p.  A row at e_r = 1 with no unit is zero, so every row is
-    settled after max(moduli) shifts.
+    is scaled to a 1 there and f times it is subtracted in place from every
+    other row, at the pivot's nonzero positions only (in a local-data matrix
+    the rows at infinity and at the point 0 are unit vectors, so most pivots
+    touch one entry); then column j is spent and dropped and row i splits
+    off as Z/p^shift.  Its modulus column, now -f*p^{e_i} mod p^{e_r} in
+    row r, is appended as an explicit column when nonzero; largest modulus
+    first keeps that rare, since it vanishes in every row not yet swept.  A
+    row without a unit stays without one under these subtractions (f is
+    divisible by p).  After the sweep an all-zero row splits off as
+    Z/p^{shift + e_r}; the rest is divided by p.  A row at e_r = 1 with no
+    unit is zero, so every row is settled after max(moduli) shifts.
     """
     e = list(moduli)
     q = [p ** x for x in e]
@@ -514,13 +516,16 @@ def _plocal_exponents(rows, moduli, p: int) -> list:
             settled += 1
             if shift:
                 exps.append(shift)
+            support = [(k, b) for k, b in enumerate(piv) if b]
             others = kept + active[n + 1:]
             spill = []
             for r in others:
-                f = rows[r].pop(j)  # column j is spent once row i is gone
+                other = rows[r]
+                f = other.pop(j)  # column j is spent once row i is gone
                 if f:
                     qr = q[r]
-                    rows[r] = [(a - f * b) % qr for a, b in zip(rows[r], piv)]
+                    for k, b in support:
+                        other[k] = (other[k] - f * b) % qr
                     spill.append(-f * qi % qr)
                 else:
                     spill.append(0)

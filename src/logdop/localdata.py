@@ -4,6 +4,10 @@ The degree <= d quotient splits over the p+1 rational points of the special
 fiber; at a point a the (order k, power i) coordinate with i < k is a residue
 modulo p^{k-i}.  Finite points use the shifted coordinate x_a = x - xi_a for a
 chosen lift xi_a of a (canonically xi_a = a); infinity uses y directly.
+The residues at a finite point are the coefficients of the Taylor shift of
+the x-chart polynomial to x_a, by repeated synthetic division; the degree-d
+matrix q_d_matrix is assembled from the Pascal rows C(n, i) xi_a^{n-i}
+directly, one row per coordinate, without evaluating basis sections.
 
 Coordinate ordering is fixed everywhere: points 0, 1, ..., p-1, infinity, and
 within a point (k, i) lexicographic with k ascending, then i ascending.  All
@@ -13,13 +17,13 @@ matrices, vectors and serialized documents follow this order bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 from .calculus import (
     CHART_X,
     CHART_Y,
     OperatorSection,
     TensorSection,
+    _check_pm,
     operator_to_laurent,
 )
 from .linalg import IntegerMatrix, is_prime
@@ -109,13 +113,46 @@ class LocalDataVector:
         return LocalDataVector(self.p, k, self.m, sub, degree_only=True)
 
 
-def _set_residue(entries, a, k, i, value, p):
-    mod = p ** (k - i)
-    r = value % mod
-    if r:
-        entries[(a, k, i)] = r
-    else:
-        entries.pop((a, k, i), None)
+def _taylor_shift(coefs, xi: int, upto: int) -> list:
+    """b_0..b_{upto-1} with sum_n coefs[n] x^n = sum_i b_i (x - xi)^i.
+
+    Repeated synthetic division by x - xi: pass i runs Horner's rule over the
+    quotient the previous pass left and ends with b_i = sum_n c_n C(n, i)
+    xi^{n-i} in slot i; only acc*xi + c steps, no binomials or powers.
+    """
+    c = list(coefs)
+    while c and not c[-1]:
+        c.pop()
+    top = len(c) - 1
+    if xi:
+        for i in range(min(upto, top)):
+            acc = c[top]
+            for n in range(top - 1, i - 1, -1):
+                acc = acc * xi + c[n]
+                c[n] = acc
+    return c[:upto] + [0] * (upto - len(c))
+
+
+def _store(entries, a, k: int, values, p: int) -> None:
+    """Record values[i] mod p^{k-i} at (a, k, i) for each i < k, skipping zeros."""
+    mod = p ** k
+    for i in range(k):
+        r = values[i] % mod
+        if r:
+            entries[(a, k, i)] = r
+        mod //= p
+
+
+def _shifted_residues(entries, lifts: PointLift, k: int, poly, p: int) -> None:
+    """Order-k residues at every finite point of the x-chart polynomial ``poly``.
+
+    Coefficients and lifts are reduced mod p^k first: each residue is read
+    mod p^{k-i}, which divides p^k, so the reduction is exact.
+    """
+    pk = p ** k
+    poly = [c % pk for c in poly]
+    for a in range(p):
+        _store(entries, a, k, _taylor_shift(poly, lifts[a] % pk, k), p)
 
 
 def local_data_tensor(delta: TensorSection, lifts: PointLift = None) -> LocalDataVector:
@@ -124,27 +161,18 @@ def local_data_tensor(delta: TensorSection, lifts: PointLift = None) -> LocalDat
     At infinity the coordinate (inf, d, i) is A_i mod p^{d-i}: the B-part
     contributes y-powers 2d-s' >= d only.  At a finite point the section is
     one polynomial P(x) = sum B_{s'} x^{s'} + (-1)^d sum A_s x^{2d-s} times
-    d_x^(x)d; shifting x = x_a + xi_a and reading coefficients of x_a^i for
-    i < d gives the residues.
+    d_x^(x)d; its Taylor shift to x = x_a + xi_a gives the coefficients of
+    x_a^i, i < d, as the residues.
     """
     p, d = delta.p, delta.d
     if lifts is None:
         lifts = PointLift.canonical(p)
     entries = {}
-    for i in range(d):
-        _set_residue(entries, INF, d, i, delta.A[i], p)
-    poly = [0] * (2 * d + 1)
-    for sp, b in enumerate(delta.B):
-        poly[sp] += b
+    _store(entries, INF, d, delta.A, p)
     sgn = -1 if d % 2 else 1
-    for s, a_c in enumerate(delta.A):
-        poly[2 * d - s] += sgn * a_c
-    terms = [(n, c) for n, c in enumerate(poly) if c]
-    for a in range(p):
-        xi = lifts[a]
-        for i in range(d):
-            value = sum(c * comb(n, i) * xi ** (n - i) for n, c in terms if n >= i)
-            _set_residue(entries, a, d, i, value, p)
+    # B_{s'} sits at x^{s'} (s' <= d), A_s at x^{2d-s} (2d-s > d)
+    poly = list(delta.B) + [sgn * a_c for a_c in reversed(delta.A)]
+    _shifted_residues(entries, lifts, d, poly, p)
     return LocalDataVector(p, d, delta.m, entries, degree_only=True)
 
 
@@ -155,9 +183,9 @@ def local_data_operator(op: OperatorSection, lifts: PointLift = None) -> LocalDa
     aggregated once per chart, and the regularity check reads the same two
     aggregates; at infinity the (inf, k, i) entry is the y-chart coefficient of
     y^i d_y^<k>, at a finite point the x-chart polynomial of each order is
-    shifted by the lift and read off coefficientwise.  Divided-power bases at
-    level m are identified with the level-0 coordinates, so residues land in
-    the same Z/p^{k-i} lattice at every level.
+    Taylor-shifted by the lift and read off coefficientwise.  Divided-power
+    bases at level m are identified with the level-0 coordinates, so residues
+    land in the same Z/p^{k-i} lattice at every level.
     """
     p, d = op.p, op.d
     if lifts is None:
@@ -167,21 +195,21 @@ def local_data_operator(op: OperatorSection, lifts: PointLift = None) -> LocalDa
     if not (lx.is_regular and ly.is_regular):
         raise ValueError("operator is not a global section; local data undefined")
     entries = {}
-    # aggregation already merged duplicate (i, k) keys, so plain set is safe
+    at_inf = {}
     for (i, k), c in ly.coeffs.items():
         if 1 <= k <= d and i < k:
-            _set_residue(entries, INF, k, i, c, p)
+            at_inf.setdefault(k, [0] * k)[i] = c
+    for k, values in at_inf.items():
+        _store(entries, INF, k, values, p)
     by_order = {}
     for (n, k), c in lx.coeffs.items():
         if 1 <= k <= d:
-            by_order.setdefault(k, []).append((n, c))
-    for a in range(p):
-        xi = lifts[a]
-        for k, terms in by_order.items():
-            for i in range(k):
-                value = sum(c * comb(n, i) * xi ** (n - i)
-                            for n, c in terms if n >= i)
-                _set_residue(entries, a, k, i, value, p)
+            poly = by_order.setdefault(k, [])
+            if n >= len(poly):
+                poly.extend([0] * (n + 1 - len(poly)))
+            poly[n] = c  # aggregation already merged duplicate (n, k) keys
+    for k, poly in by_order.items():
+        _shifted_residues(entries, lifts, k, poly, p)
     return LocalDataVector(p, d, op.m, entries, degree_only=False)
 
 
@@ -199,20 +227,54 @@ def tensor_basis(p: int, d: int, m: int = 0) -> list:
     return out
 
 
+def _pascal_rows(xi: int, top: int, width: int) -> list:
+    """Rows n = 0..top of C(n, i) xi^{n-i}, each cut to i < width (0 for i > n).
+
+    Row n comes from row n-1 by Pascal's rule: its first entry is xi times
+    the previous first entry, the middle ones xi*prev[i] + prev[i-1], and
+    while i = n is inside the width the last entry is C(n, n) = 1.
+    """
+    row = [1]
+    rows = [row]
+    for _n in range(top):
+        nxt = [xi * row[0]] + [xi * row[i] + row[i - 1] for i in range(1, len(row))]
+        if len(nxt) < width:
+            nxt.append(1)
+        rows.append(nxt)
+        row = nxt
+    return rows
+
+
 def q_d_matrix(p: int, d: int, m: int = 0, lifts: PointLift = None):
     """Matrix of the degree-d local-data map on the standard tensor basis.
 
     Rows run over the (p+1)*d canonical degree-d coordinates, columns over
-    A_0..A_{d-1}, B_0..B_d; returns (matrix, moduli exponents).  The divided
-    power identification makes the matrix independent of the level m.
+    A_0..A_{d-1}, B_0..B_d; returns (matrix, moduli exponents).  The basis
+    section B_{s'} is the monomial x^{s'} and A_s is (-1)^d x^{2d-s} at the
+    finite points, so the row (a, d, i) reads C(n, i) xi_a^{n-i} mod p^{d-i}
+    off the Pascal rows of xi_a (reduced mod p^d, which is exact); the row
+    (inf, d, i) is the unit vector at A_i.  The divided power identification
+    makes the matrix independent of the level m.
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    coords = coords_degree(p, d)
-    columns = [local_data_tensor(delta, lifts).vector()
-               for delta in tensor_basis(p, d, m)]
-    rows = [[col[r] for col in columns] for r in range(len(coords))]
-    return IntegerMatrix.from_rows(rows), moduli_exponents(coords)
+    _check_pm(p, m)
+    if lifts is None:
+        lifts = PointLift.canonical(p)
+    width = 2 * d + 1
+    mods = [p ** (d - i) for i in range(d)]
+    sgn = -1 if d % 2 else 1
+    flat = []
+    for a in range(p):
+        pascal = _pascal_rows(lifts[a] % p ** d, 2 * d, d)
+        for i, mod in enumerate(mods):
+            flat.extend([sgn * pascal[2 * d - s][i] % mod for s in range(d)])
+            flat.extend([pascal[sp][i] % mod if i <= sp else 0 for sp in range(d + 1)])
+    for i in range(d):
+        row = [0] * width
+        row[i] = 1
+        flat.extend(row)
+    return IntegerMatrix((p + 1) * d, width, flat), moduli_exponents(coords_degree(p, d))
 
 
 def operator_matrix(ops, p: int, d: int, lifts: PointLift = None):

@@ -289,6 +289,28 @@ def test_lift_both_check_computes_local_data_four_times(tmp_path, capsys,
     ]
 
 
+def test_lift_both_computes_tensor_local_data_twice(tmp_path, capsys,
+                                                   monkeypatch):
+    section = tmp_path / "delta.json"
+    code, _, _ = run(capsys, "lift", "--sample", "--p", "5", "--d", "6",
+                     "--seed", "4", "--out", str(section))
+    assert code == 0
+    calls = []
+    genuine = localdata.local_data_tensor
+
+    def counted(delta, lifts=None):
+        calls.append(delta)
+        return genuine(delta, lifts)
+
+    for module in (cli, lifting, localdata):
+        monkeypatch.setattr(module, "local_data_tensor", counted)
+    code, _, _ = run(capsys, "lift", "--input", str(section), "--method", "both",
+                     "--out", str(tmp_path / "lift.json"))
+    assert code == 0
+    # the input check of each path; the CLI makes none of its own
+    assert len(calls) == 2
+
+
 def test_lift_zero_section(tmp_path, capsys):
     section = tmp_path / "zero.json"
     section.write_text(serialize.dump_json(
@@ -307,6 +329,27 @@ def test_lift_nonvanishing_input_exits_4(tmp_path, capsys):
     code, _, err = run(capsys, "lift", "--input", str(section))
     assert code == 4
     assert "nonvanishing" in err and "point" in err
+
+
+def test_lift_nonvanishing_input_exits_4_at_every_level_and_method(tmp_path, capsys):
+    section = tmp_path / "bad.json"
+    for level in (0, 1):
+        section.write_text(serialize.dump_json(
+            {"format": "tensor-section/1", "p": 3, "d": 2, "m": level,
+             "a": ["1", "0"], "b": ["0", "0", "0"]}))
+        for method in ("solve", "schedule", "both"):
+            code, out, err = run(capsys, "lift", "--input", str(section),
+                                 "--method", method)
+            assert code == 4, (level, method)
+            assert out == ""
+            assert err.splitlines() == [
+                "error: input section has nonvanishing degree-d local data at:",
+                "  point 1, order 2, power 0: 1 mod 9",
+                "  point 1, order 2, power 1: 1 mod 3",
+                "  point 2, order 2, power 0: 7 mod 9",
+                "  point 2, order 2, power 1: 2 mod 3",
+                "  point inf, order 2, power 0: 1 mod 9",
+            ], (level, method)
 
 
 def test_lift_malformed_file_exits_2(tmp_path, capsys):

@@ -13,7 +13,7 @@ from logdop.lifting import (
     sample_kernel_section,
     schedule_multipliers,
 )
-from logdop.errors import ScheduleFailure
+from logdop.errors import NonvanishingLocalData, ScheduleFailure
 from logdop.localdata import local_data_operator, local_data_tensor
 
 
@@ -62,6 +62,18 @@ def test_lift_rejects_nonkernel_input():
         lift_by_solve(delta)
     with pytest.raises(ValueError, match="nonvanishing"):
         lift_by_schedule(delta)
+
+
+def test_nonkernel_input_error_carries_its_local_data():
+    # the schedule checks the section before the level, so a nonvanishing
+    # level-1 input is reported as nonvanishing, not as the wrong level
+    for m in (0, 1):
+        delta = TensorSection(3, 2, m, (1, 0), (0, 0, 0))
+        for lift_fn in (lift_by_solve, lift_by_schedule):
+            with pytest.raises(NonvanishingLocalData) as info:
+                lift_fn(delta)
+            assert info.value.data == local_data_tensor(delta)
+            assert not info.value.data.is_zero
 
 
 def test_lift_hand_example_p2_d1():

@@ -360,6 +360,42 @@ def test_solver_solve_round_trip():
             assert (sum(a * t for a, t in zip(row, v)) - bi) % p ** e == 0
 
 
+def dense_solve(solver, b):
+    # the full-sum formula: y = U b, w_i = y_i / d_i, v = V[:cols] w
+    y = [sum(ur[k] * b[k] for k in range(len(b))) for ur in solver._u]
+    if any(yi % dval for yi, dval in zip(y, solver._diag)):
+        return None
+    w = [yi // dval for yi, dval in zip(y, solver._diag)]
+    return [sum(vr[k] * w[k] for k in range(len(w))) for vr in solver._v[:solver.matrix.cols]]
+
+
+def test_sparse_solve_matches_dense_formula():
+    rng = random.Random(515)
+    # the lift path's correction systems, then random ones
+    systems = [operator_matrix(standard_operator_basis(p, d, max_order=d - 1), p, d) + (p,)
+               for p, d in ((2, 4), (3, 4), (5, 3))]
+    for _ in range(40):
+        p = rng.choice((2, 3, 5))
+        systems.append(random_moduli_system(rng, p, max_rows=6, max_cols=6) + (p,))
+    unsolvable = 0
+    for m, moduli, p in systems:
+        if not m.rows:
+            continue
+        solver = CokernelSolver(m, moduli, p)
+        for density in (0.05, 0.3, 1.0):
+            for _ in range(5):
+                b = [rng.randint(-p ** 6, p ** 6) if rng.random() < density else 0
+                     for _ in moduli]
+                got = solver.solve(b)
+                assert got == dense_solve(solver, b)
+                unsolvable += got is None
+    assert unsolvable > 0
+    # Z/9 with the zero map: 1 is not in the image, 9 is
+    solver = CokernelSolver(IntegerMatrix.zero(1, 1), (2,), 3)
+    assert solver.solve([1]) is None and dense_solve(solver, [1]) is None
+    assert solver.solve([9]) == dense_solve(solver, [9])
+
+
 # ---------------------------------------------------------------------------
 # cyclic quotients (the A/<a> oracle)
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -7,6 +8,8 @@ from logdop.calculus import (
     CHART_Y,
     OperatorSection,
     TensorSection,
+    operator_to_laurent,
+    standard_operator_basis,
     tensor_to_operator,
 )
 from logdop.linalg import cokernel_invariants
@@ -21,6 +24,7 @@ from logdop.localdata import (
     q_d_matrix,
     tensor_basis,
 )
+from logdop.verify import q_d_matrix_by_columns
 
 
 def random_section(rng, p, d, m=0, bound=None):
@@ -206,3 +210,98 @@ def test_tensor_basis_is_standard():
     basis = tensor_basis(3, 2)
     assert len(basis) == 5
     assert basis[0].A == (1, 0) and basis[4].B == (0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the binomial-sum formula
+# ---------------------------------------------------------------------------
+
+def binomial_residues(terms, xi, k, p):
+    """Residues i < k of sum_n c_n x^n at x = x_a + xi, one binomial sum each.
+
+    The formula the Taylor shift replaces: sum_n c_n C(n, i) xi^{n-i}
+    mod p^{k-i}, with nothing reduced beforehand.
+    """
+    return [sum(c * comb(n, i) * xi ** (n - i) for n, c in terms if n >= i) % p ** (k - i)
+            for i in range(k)]
+
+
+def nonzero_entries(pairs):
+    return {key: r for key, r in pairs if r}
+
+
+def tensor_oracle(delta, lifts):
+    p, d = delta.p, delta.d
+    sgn = -1 if d % 2 else 1
+    terms = list(enumerate(delta.B)) + [(2 * d - s, sgn * a) for s, a in enumerate(delta.A)]
+    pairs = [((INF, d, i), delta.A[i] % p ** (d - i)) for i in range(d)]
+    for a in range(p):
+        pairs += [((a, d, i), r)
+                  for i, r in enumerate(binomial_residues(terms, lifts[a], d, p))]
+    return nonzero_entries(pairs)
+
+
+def operator_oracle(op, lifts):
+    p, d = op.p, op.d
+    ly = operator_to_laurent(op, CHART_Y)
+    pairs = [((INF, k, i), c % p ** (k - i))
+             for (i, k), c in ly.coeffs.items() if 1 <= k <= d and i < k]
+    lx = operator_to_laurent(op, CHART_X)
+    for k in range(1, d + 1):
+        terms = [(n, c) for (n, kk), c in lx.coeffs.items() if kk == k]
+        for a in range(p):
+            pairs += [((a, k, i), r)
+                      for i, r in enumerate(binomial_residues(terms, lifts[a], k, p))]
+    return nonzero_entries(pairs)
+
+
+def random_lifts(rng, p):
+    return PointLift(p, tuple(a + p * rng.randint(-2 ** 64, 2 ** 64) for a in range(p)))
+
+
+BIG = 2 ** 200
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_tensor_local_data_matches_binomial_sums(p):
+    rng = random.Random(1000 + p)
+    for d in range(1, 8):
+        for lifts in (PointLift.canonical(p), random_lifts(rng, p)):
+            for _ in range(4):
+                delta = random_section(rng, p, d, bound=BIG)
+                assert local_data_tensor(delta, lifts).entries == tensor_oracle(delta, lifts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_operator_local_data_matches_binomial_sums(p):
+    rng = random.Random(2000 + p)
+    for d in range(1, 6):
+        basis = standard_operator_basis(p, d)
+        for lifts in (PointLift.canonical(p), random_lifts(rng, p)):
+            for _ in range(3):
+                # a global operator with 200-bit coefficients on every monomial
+                terms = {}
+                for op in basis:
+                    for key, c in op.terms.items():
+                        terms[key] = terms.get(key, 0) + rng.randint(-BIG, BIG) * c
+                op = OperatorSection(p, 0, d, terms)
+                assert local_data_operator(op, lifts).entries == operator_oracle(op, lifts)
+
+
+@pytest.mark.parametrize("p, d_max", [(2, 16), (3, 14), (5, 10), (7, 8), (11, 6)])
+def test_q_d_matrix_matches_column_wise_build(p, d_max):
+    rng = random.Random(3000 + p)
+    for d in range(1, d_max + 1):
+        for lifts in (None, PointLift(p, tuple(a + p * rng.randint(1, 3) for a in range(p)))):
+            mat, moduli = q_d_matrix(p, d, lifts=lifts)
+            assert mat == q_d_matrix_by_columns(p, d, lifts), (d, lifts)
+            assert moduli == moduli_exponents(coords_degree(p, d))
+
+
+def test_q_d_matrix_rejects_what_the_basis_rejects():
+    with pytest.raises(ValueError, match="not prime"):
+        q_d_matrix(4, 2)
+    with pytest.raises(ValueError, match="level"):
+        q_d_matrix(3, 2, -1)
+    with pytest.raises(ValueError):
+        q_d_matrix(3, 0)
