@@ -39,7 +39,6 @@ from .linalg import (
     IntegerMatrix,
     cokernel_invariants,
     quotient_by_cyclic,
-    smith_normal_form,
 )
 from .localdata import (
     LocalDataVector,
@@ -78,7 +77,6 @@ __all__ = [
     "q_level",
     "quotient_by_cyclic",
     "sample_kernel_section",
-    "smith_normal_form",
     "summand_count_check",
     "symbol",
     "tensor_to_operator",

@@ -31,7 +31,7 @@ class DiskCache:
             return None
         try:
             doc = json.loads(path.read_text())
-        except ValueError as exc:  # truncated, not JSON, or not UTF-8
+        except (OSError, ValueError) as exc:  # unreadable, truncated, not JSON or UTF-8
             raise SectionFormatError(f"corrupt cache entry {path}: {exc}") from exc
         if not (isinstance(doc, dict) and doc.get("format") == "h1-group/1"
                 and (doc.get("p"), doc.get("d"), doc.get("m")) == (p, d, m)

@@ -40,17 +40,23 @@ DEFAULT_ROW_LIMIT = 5000
 ROW_LIMIT_ENV = "LOGDOP_ROW_LIMIT"
 
 
+class _UnusablePath(Exception):
+    """An --out or --cache path the command cannot write to; exit 2."""
+
+
 def _guard(p: int, d: int, args) -> int:
     """EXIT_OK when the job fits the row limit, else the reported exit code."""
-    limit = args.row_limit
+    limit, source = args.row_limit, "--row-limit"
     if limit is None:
         value = os.environ.get(ROW_LIMIT_ENV, str(DEFAULT_ROW_LIMIT))
         try:
-            limit = int(value)
+            limit, source = int(value), ROW_LIMIT_ENV
         except ValueError:
             print(f"error: {ROW_LIMIT_ENV} = {value!r} is not an integer",
                   file=sys.stderr)
             return EXIT_USAGE
+    if not _require_at_least(source, limit, 1):
+        return EXIT_USAGE
     rows = (p + 1) * d * (d + 1) // 2
     if rows > limit:
         print(f"error: job size {rows} skyscraper coordinates exceeds the row "
@@ -77,14 +83,22 @@ def _require_at_least(flag: str, value: int, low: int) -> bool:
 
 def _emit(text: str, out) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise _UnusablePath(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _install_cache(args) -> None:
     if getattr(args, "cache", None):
-        use_disk_cache(DiskCache(args.cache))
+        try:
+            cache = DiskCache(args.cache)
+        except OSError as exc:
+            raise _UnusablePath(f"cannot use {args.cache} as the cache directory: "
+                                f"{exc.strerror}") from exc
+        use_disk_cache(cache)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +408,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SectionFormatError as exc:  # a corrupt --cache entry
+    except (SectionFormatError, _UnusablePath) as exc:  # corrupt cache, unusable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,9 +10,9 @@ summand count against the mod-p rank, and the level-lowering valuation
 diagnostics built on v_p(d!/q_d!).
 
 Invariant factors always come from the p-local elimination of
-cokernel_invariants; a CokernelSolver, the Smith form over Z with its
-transforms, is built only where U or V is read (the kernel lattice here,
-sections and corrections in lifting).  The level diagnostic needs no
+cokernel_invariants; a CokernelSolver, which also records its transforms,
+is built only where they are read (the kernel lattice here, sections and
+corrections in lifting).  The level diagnostic needs no
 transform either: a class c of order p^e has ord(lam c) =
 p^max(0, e - v_p(lam)), so the pushed and scheduled orders of a
 maximal-order class follow from the group exponent.
@@ -81,10 +81,10 @@ def graded_piece_dim(p: int, d: int, i: int) -> int:
 
 @lru_cache(maxsize=None)
 def degree_solver(p: int, d: int, m: int = 0) -> CokernelSolver:
-    """Cached tracked solver for the degree-d tensor local-data map.
+    """Cached solver for the degree-d tensor local-data map.
 
-    Only for callers that read its transforms (kernel bases); the group
-    itself is h1_tensor's.
+    Only for callers that read its kernel lattice; the group itself is
+    h1_tensor's.
     """
     mat, moduli = q_d_matrix(p, d, m)
     return CokernelSolver(mat, moduli, p)
@@ -222,7 +222,7 @@ def summand_count_check(p: int, d: int) -> bool:
 
     The count must be (p+1)d - rank_{F_p}(M mod p); with a full-rank image
     (rank 2d+1) that is (p-1)d - 1.  The rank comes from an independent
-    mod-p Gaussian elimination, not from the Smith form.
+    mod-p Gaussian elimination, not from the p-local one.
     """
     mat, _ = q_d_matrix(p, d)
     expected = (p + 1) * d - rank_mod_p(mat, p)

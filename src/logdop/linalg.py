@@ -7,10 +7,12 @@ operation reduces modulo anything unless its contract says so.  Maps
 
 are given by an integer matrix together with a vector of prime-power moduli
 exponents, always powers of a single prime p passed alongside the exponent
-tuple, so mixed-prime targets are unrepresentable by construction.  Their
-cokernel invariants come from a p-local elimination (cokernel_invariants);
-the Smith normal form over Z with transforms U, V serves where a transform is
-read: element orders, congruence solves and kernel bases (CokernelSolver).
+tuple, so mixed-prime targets are unrepresentable by construction.  Both of
+their eliminations work over Z_(p), where a pivot of least valuation is final
+in one pass: cokernel_invariants reads the invariant factors alone, and
+CokernelSolver records its transforms mod p^N, N the largest modulus, for
+element orders, congruence solves and the kernel lattice in Hermite normal
+form.
 """
 
 from __future__ import annotations
@@ -75,19 +77,8 @@ class IntegerMatrix:
         return cls(r, c, flat)
 
     @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        m = cls(n, n, [0] * (n * n))
-        for i in range(n):
-            m.entries[i * n + i] = 1
-        return m
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
         return cls(rows, cols, [0] * (rows * cols))
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.entries[i * self.cols + j]
 
     def row_lists(self) -> list:
         c = self.cols
@@ -99,23 +90,6 @@ class IntegerMatrix:
 
     def __repr__(self) -> str:
         return f"IntegerMatrix({self.rows}x{self.cols})"
-
-
-def mat_mul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch")
-    ar, ac, bc = a.rows, a.cols, b.cols
-    ae, be = a.entries, b.entries
-    out = [0] * (ar * bc)
-    for i in range(ar):
-        arow = ae[i * ac:(i + 1) * ac]
-        orow = i * bc
-        for k, av in enumerate(arow):
-            if av:
-                brow = k * bc
-                for j in range(bc):
-                    out[orow + j] += av * be[brow + j]
-    return IntegerMatrix(ar, bc, out)
 
 
 def det(m: IntegerMatrix) -> int:
@@ -238,149 +212,6 @@ def dominates(a_desc: Sequence[int], b_desc: Sequence[int]) -> bool:
     return all(a >= b for a, b in zip(a_desc, b_desc))
 
 
-def _symmetric_quotient(a: int, piv: int) -> int:
-    # piv > 0; quotient with remainder in (-piv/2, piv/2]
-    q, r = divmod(a, piv)
-    if 2 * r > piv:
-        q += 1
-    return q
-
-
-def _snf_core(rows):
-    """Diagonalize ``rows`` in place to Smith form, tracking the transforms.
-
-    Pivoting picks the minimal-absolute-value nonzero entry of the remaining
-    block to keep coefficient growth down (entries start around p^d and the
-    matrices are small but dense).  Returns (diag, U, V, rank) with U and V
-    row-major list-of-lists and U*input*V equal to the diagonalized matrix.
-    """
-    R = len(rows)
-    C = len(rows[0]) if R else 0
-    U = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    V = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
-
-    def row_swap(i, j):
-        rows[i], rows[j] = rows[j], rows[i]
-        U[i], U[j] = U[j], U[i]
-
-    def row_add(i, j, lam):
-        # row_i += lam * row_j
-        ri, rj = rows[i], rows[j]
-        for k in range(C):
-            if rj[k]:
-                ri[k] += lam * rj[k]
-        ui, uj = U[i], U[j]
-        for k in range(R):
-            if uj[k]:
-                ui[k] += lam * uj[k]
-
-    def row_negate(i):
-        rows[i] = [-x for x in rows[i]]
-        U[i] = [-x for x in U[i]]
-
-    def col_swap(i, j):
-        for r in rows:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def col_add(i, j, lam):
-        # col_i += lam * col_j
-        for r in rows:
-            if r[j]:
-                r[i] += lam * r[j]
-        for r in V:
-            if r[j]:
-                r[i] += lam * r[j]
-
-    def _find_min_pivot(t):
-        best = 0
-        pi = pj = -1
-        for i in range(t, R):
-            ri = rows[i]
-            for j in range(t, C):
-                v = ri[j]
-                if v:
-                    av = -v if v < 0 else v
-                    if best == 0 or av < best:
-                        best, pi, pj = av, i, j
-                        if best == 1:
-                            return pi, pj
-        return (pi, pj) if best else None
-
-    t = 0
-    limit = min(R, C)
-    while t < limit:
-        done = False
-        while True:
-            # re-pick the global minimal |entry| each round: remainders from
-            # the symmetric reductions below at least halve it, so the pivot
-            # converges gcd-fast and coefficient growth stays additive
-            loc = _find_min_pivot(t)
-            if loc is None:
-                done = True  # block is zero; trailing diagonal stays 0
-                break
-            pi, pj = loc
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            if rows[t][t] < 0:
-                row_negate(t)
-            piv = rows[t][t]
-            clean = True
-            for i in range(t + 1, R):
-                a = rows[i][t]
-                if a:
-                    row_add(i, t, -_symmetric_quotient(a, piv))
-                    if rows[i][t]:
-                        clean = False
-            for j in range(t + 1, C):
-                a = rows[t][j]
-                if a:
-                    col_add(j, t, -_symmetric_quotient(a, piv))
-                    if rows[t][j]:
-                        clean = False
-            if not clean:
-                continue
-            # divisibility: pivot must divide the remaining block for the chain
-            offending = None
-            if piv != 1:
-                for i in range(t + 1, R):
-                    ri = rows[i]
-                    for j in range(t + 1, C):
-                        if ri[j] % piv:
-                            offending = i
-                            break
-                    if offending is not None:
-                        break
-            if offending is None:
-                break
-            row_add(t, offending, 1)
-        if done:
-            break
-        t += 1
-
-    diag = [rows[i][i] for i in range(limit)]
-    rank = sum(1 for d in diag if d)
-    return diag, U, V, rank
-
-
-def smith_normal_form(m: IntegerMatrix):
-    """Smith normal form with transforms: returns (D, U, V), U*m*V = D.
-
-    U and V are unimodular; the diagonal of D is nonnegative and each entry
-    divides the next.  Total on all integer matrices.
-    """
-    rows = m.row_lists()
-    diag, U, V, _ = _snf_core(rows)
-    d = IntegerMatrix.zero(m.rows, m.cols)
-    for i, v in enumerate(diag):
-        d.entries[i * m.cols + i] = v
-    return d, IntegerMatrix.from_rows(U) if m.rows else IntegerMatrix(0, 0, []), \
-        IntegerMatrix.from_rows(V) if m.cols else IntegerMatrix(0, 0, [])
-
-
 def _check_moduli(m: IntegerMatrix, moduli, p):
     if m.rows != len(moduli):
         raise ValueError(f"matrix has {m.rows} rows but {len(moduli)} moduli")
@@ -388,90 +219,6 @@ def _check_moduli(m: IntegerMatrix, moduli, p):
         raise ValueError(f"p = {p} is not prime")
     if any(e < 1 for e in moduli):
         raise ValueError("moduli exponents must be >= 1")
-
-
-def _augmented(m: IntegerMatrix, moduli, p):
-    _check_moduli(m, moduli, p)
-    rows = []
-    c = m.cols
-    for i, e in enumerate(moduli):
-        row = m.entries[i * c:(i + 1) * c] + [0] * len(moduli)
-        row[c + i] = p ** e
-        rows.append(row)
-    return rows
-
-
-def _moduli_smith_form(m: IntegerMatrix, moduli, p: int):
-    """Smith form of [M | diag(p^{m_j})] with transforms: (diag, exponents, U, V).
-
-    ``exponents[i]`` is v_p of the i-th invariant factor (0 for a unit); every
-    factor must be a power of p, since the moduli block keeps full row rank.
-    """
-    diag, U, V, rank = _snf_core(_augmented(m, moduli, p))
-    if rank != m.rows:
-        raise InvariantViolation("augmented moduli matrix lost full row rank")
-    exps = []
-    for dval in diag:
-        e = vp(dval, p) if dval != 1 else 0
-        if p ** e != dval:
-            raise InvariantViolation(f"invariant factor {dval} is not a power of {p}")
-        exps.append(e)
-    return diag, exps, U, V
-
-
-class CokernelSolver:
-    """Smith form with transforms U and V for one map Z^cols -> (+)_j Z/p^{m_j}.
-
-    Diagonalizes the augmented matrix [M | diag(p^{m_j})] once and answers
-    element orders and congruence solves from U, kernel bases from V.  Build
-    one only where a transform is read; invariant factors alone come from
-    the p-local cokernel_invariants.  Immutable after construction.
-    """
-
-    def __init__(self, m: IntegerMatrix, moduli, p: int):
-        self.matrix = m
-        self.moduli = tuple(moduli)
-        self.p = p
-        self._diag, self._factor_exponents, self._u, self._v = \
-            _moduli_smith_form(m, self.moduli, p)
-
-    def _u_times(self, c):
-        nonzero = [(k, ck) for k, ck in enumerate(c) if ck]
-        return [sum(ur[k] * ck for k, ck in nonzero) for ur in self._u]
-
-    def element_order_exponent(self, c) -> int:
-        """Least j >= 0 with p^j * c in im(M) + moduli lattice."""
-        if len(c) != len(self.moduli):
-            raise ValueError(f"vector has {len(c)} coordinates, expected {len(self.moduli)}")
-        y = self._u_times(c)
-        j = 0
-        for e, yi in zip(self._factor_exponents, y):
-            if yi == 0 or e == 0:
-                continue
-            need = e - min(vp(yi, self.p), e)
-            if need > j:
-                j = need
-        return j
-
-    def solve(self, b):
-        """One v with M v = b modulo the moduli, or None if unsolvable."""
-        if len(b) != len(self.moduli):
-            raise ValueError(f"vector has {len(b)} coordinates, expected {len(self.moduli)}")
-        y = self._u_times(b)
-        w = []
-        for k, (dval, yk) in enumerate(zip(self._diag, y)):
-            if yk % dval:
-                return None
-            if yk:
-                w.append((k, yk // dval))
-        return [sum(vr[k] * wk for k, wk in w) for vr in self._v[:self.matrix.cols]]
-
-    def kernel_basis(self):
-        """Basis of {v : M v = 0 mod moduli}; exactly cols vectors."""
-        cols = self.matrix.cols
-        r = len(self._diag)
-        n = len(self._v)
-        return [[self._v[i][j] for i in range(cols)] for j in range(r, n)]
 
 
 def _plocal_exponents(rows, moduli, p: int) -> list:
@@ -556,6 +303,177 @@ def cokernel_invariants(m: IntegerMatrix, moduli, p: int) -> AbelianPGroup:
     return AbelianPGroup(p, tuple(_plocal_exponents(rows, moduli, p)))
 
 
+def _hermite_basis(gens, cols: int, p: int, n: int) -> list:
+    """Hermite normal form of the lattice spanned by ``gens`` and p^n Z^cols.
+
+    Row j starts at column j with a power p^{a_j} <= p^n, and every entry
+    above it lies in [0, p^{a_j}).  The lattice contains p^n Z^cols, so the
+    elimination runs mod p^n: column j's pivot is the generator of least
+    valuation there, and p^{n-a_j} times it, whose column j then vanishes
+    mod p^n, joins the generators (Howell's completion), so that the
+    triangular rows span p^n Z^cols by themselves.  The Hermite form of a
+    lattice is unique, so it does not depend on the generators given.
+    """
+    q = p ** n
+    gens = [g for g in ([x % q for x in g] for g in gens) if any(g)]
+    basis = []
+    for j in range(cols):
+        low = min(((vp(g[j], p), i) for i, g in enumerate(gens) if g[j]), default=None)
+        if low is None:
+            basis.append([q if c == j else 0 for c in range(cols)])
+            continue
+        a, i = low
+        piv = gens.pop(i)
+        pa = p ** a
+        inv = pow(piv[j] // pa, -1, q)
+        piv = [x * inv % q for x in piv]  # piv[j] == p^a
+        rest = []
+        for g in gens:
+            f = g[j] // pa
+            if f:
+                g = [(x - f * y) % q for x, y in zip(g, piv)]
+            if any(g):
+                rest.append(g)
+        if a:
+            completion = [x * (q // pa) % q for x in piv]
+            if any(completion):
+                rest.append(completion)
+        gens = rest
+        basis.append(piv)
+    for j, h in enumerate(basis):
+        support = [(c, y) for c, y in enumerate(h) if y]
+        for row in basis[:j]:
+            f = row[j] // h[j]
+            if f:
+                for c, y in support:
+                    row[c] -= f * y
+    return basis
+
+
+class CokernelSolver:
+    """Element orders, congruence solves and the kernel lattice of one map
+    M: Z^cols -> (+)_r Z/p^{e_r}, from one p-local elimination mod p^N.
+
+    Every answer is fixed mod p^N, N = max e_r.  Scaling row r by p^{N-e_r}
+    embeds Z/p^{e_r} in Z/p^N, so M v = b modulo the moduli becomes
+    M'v = b' mod p^N with b'_r = p^{N-e_r} b_r.  M' is eliminated by the
+    sweep of _plocal_exponents, without its modulus columns: row r is
+    stored modulo p^{e[r]} as p^{-(N-e[r])} times its row of M', and joins
+    the sweep at shift N - e_r, when it can first hold a unit.  A pivot of
+    least valuation is final at once (no gcd rounds, no divisibility
+    repair).  Its row operations are recorded, so U b' is a replay; its
+    column operations change only the spent pivot row, so they are applied
+    to V alone, kept reduced mod p^N.  U M' V is then zero but for p^k times
+    a unit at each pivot (row i, column j, shift k).  The kernel lattice,
+    spanned by p^{N-k} V e_j over the pivots, V e_j over the other columns
+    and p^N Z^cols, is kept in Hermite normal form, and each solve is
+    reduced modulo it.  Both are unique, so neither depends on the pivot
+    order.  Immutable after construction.
+    """
+
+    def __init__(self, m: IntegerMatrix, moduli, p: int):
+        self.matrix = m
+        self.moduli = tuple(moduli)
+        self.p = p
+        _check_moduli(m, self.moduli, p)
+        self._n = n = max(self.moduli, default=0)
+        q = p ** n
+        e = list(self.moduli)
+        rows = [[a % p ** x for a in row] for row, x in zip(m.row_lists(), e)]
+        columns = list(range(m.cols))
+        v = [[int(s == c) for s in range(m.cols)] for c in range(m.cols)]  # v[c] = V e_c
+        self._pivots = []  # (row i, shift k, unit inverse, V e_j, [(row r, multiplier)])
+        self._row_exponent = [n] * m.rows  # coker(M') = (+)_r Z/p^{k_r}
+        active = sorted(range(m.rows), key=lambda r: -e[r])
+        for shift in range(n):
+            ready = [r for r in active if e[r] == n - shift]  # a prefix of active
+            waiting = active[len(ready):]
+            kept = []
+            for t, i in enumerate(ready):
+                row = rows[i]
+                j = next((c for c, a in enumerate(row) if a % p), None)
+                if j is None:
+                    kept.append(i)
+                    continue
+                qi = p ** e[i]
+                inv = pow(row[j], -1, qi)
+                piv = [a * inv % qi for a in row]
+                del piv[j]
+                vj = v[columns.pop(j)]
+                v_support = [(s, x) for s, x in enumerate(vj) if x]
+                support = [(c, b) for c, b in enumerate(piv) if b]
+                for c, b in support:
+                    vc = v[columns[c]]
+                    for s, x in v_support:
+                        vc[s] = (vc[s] - b * x) % q
+                ops = []
+                for r in kept + ready[t + 1:] + waiting:
+                    other = rows[r]
+                    f = other.pop(j)
+                    if f:
+                        qr = p ** e[r]
+                        for c, b in support:
+                            other[c] = (other[c] - f * b) % qr
+                        ops.append((r, f * inv * p ** (n - e[r] - shift) % q))
+                self._pivots.append((i, shift, inv, vj, ops))
+                self._row_exponent[i] = shift
+            active = []
+            for r in kept:
+                if any(rows[r]):
+                    rows[r] = [a // p for a in rows[r]]
+                    e[r] -= 1
+                    active.append(r)
+            active += waiting
+        gens = [[x * p ** (n - k) for x in vj] for _, k, _, vj, _ in self._pivots]
+        self._basis = _hermite_basis(gens + [v[c] for c in columns], m.cols, p, n)
+
+    def _replay(self, b) -> list:
+        """U b' mod p^N."""
+        if len(b) != len(self.moduli):
+            raise ValueError(f"vector has {len(b)} coordinates, expected {len(self.moduli)}")
+        p, n = self.p, self._n
+        q = p ** n
+        y = [x * p ** (n - e) % q for x, e in zip(b, self.moduli)]
+        for i, _, _, _, ops in self._pivots:
+            yi = y[i]
+            if yi:
+                for r, f in ops:
+                    y[r] = (y[r] - f * yi) % q
+        return y
+
+    def element_order_exponent(self, c) -> int:
+        """Least j >= 0 with p^j * c in im(M) + moduli lattice."""
+        y = self._replay(c)
+        return max((k - min(vp(yr, self.p), k)
+                    for yr, k in zip(y, self._row_exponent) if yr), default=0)
+
+    def solve(self, b):
+        """The v with M v = b modulo the moduli that is reduced modulo
+        kernel_basis(), or None if unsolvable."""
+        y = self._replay(b)
+        p = self.p
+        if any(yr % p ** k for yr, k in zip(y, self._row_exponent)):
+            return None
+        sol = [0] * self.matrix.cols
+        for i, k, inv, vj, _ in self._pivots:
+            w = y[i] // p ** k * inv
+            if w:
+                for s, x in enumerate(vj):
+                    if x:
+                        sol[s] += w * x
+        for j, h in enumerate(self._basis):
+            f = sol[j] // h[j]
+            if f:
+                for c in range(j, len(sol)):
+                    sol[c] -= f * h[c]
+        return sol
+
+    def kernel_basis(self):
+        """Hermite basis of {v : M v = 0 mod moduli}: row j starts at column j
+        with a power of p, and each entry above it is reduced modulo it."""
+        return [list(h) for h in self._basis]
+
+
 def quotient_by_cyclic(group: AbelianPGroup, a) -> AbelianPGroup:
     """Invariant factors of group/<a>, a given as one coordinate per factor."""
     a = list(a)
@@ -565,16 +483,17 @@ def quotient_by_cyclic(group: AbelianPGroup, a) -> AbelianPGroup:
     return cokernel_invariants(col, group.exponents, group.p)
 
 
-def cyclic_quotient_dominates(group: AbelianPGroup, a) -> bool:
-    """Postcondition of quotient_by_cyclic: the quotient surjects onto the
-    direct sum of all invariant factors of the group except one largest."""
-    q = quotient_by_cyclic(group, a)
-    target = sorted(group.exponents[:-1], reverse=True) if group.exponents else []
-    return dominates(sorted(q.exponents, reverse=True), target)
+def cyclic_quotient_dominates(group: AbelianPGroup, quotient: AbelianPGroup) -> bool:
+    """Postcondition of quotient_by_cyclic: ``quotient``, some group/<a>,
+    surjects onto the direct sum of all invariant factors of the group
+    except one largest."""
+    target = sorted(group.exponents[:-1], reverse=True)
+    return dominates(sorted(quotient.exponents, reverse=True), target)
 
 
 def rank_mod_p(m: IntegerMatrix, p: int) -> int:
-    """Rank of M over F_p, by in-place Gaussian elimination (independent of SNF)."""
+    """Rank of M over F_p, by in-place Gaussian elimination (independent of
+    the p-local eliminations)."""
     rows = [[x % p for x in row] for row in m.row_lists()]
     R, C = m.rows, m.cols
     rank = 0

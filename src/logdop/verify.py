@@ -35,9 +35,7 @@ from .linalg import (
     cokernel_invariants,
     cyclic_quotient_dominates,
     det,
-    mat_mul,
     quotient_by_cyclic,
-    smith_normal_form,
     vp,
 )
 from .localdata import (
@@ -169,14 +167,14 @@ def sweep_cyclic_quotients(p, shapes, result: SuiteResult, cross_validate: bool,
         group = AbelianPGroup(p, shape)
         mods = [p ** n for n in shape]
         for a in product(*[range(m) for m in mods]):
-            q = quotient_by_cyclic(group, list(a))
-            ok = cyclic_quotient_dominates(group, list(a))
-            result.record(ok, f"domination fails: p={p}, A={shape}, a={a}")
+            q = quotient_by_cyclic(group, a)
+            result.record(cyclic_quotient_dominates(group, q),
+                          f"domination fails: p={p}, A={shape}, a={a}")
             if cross_validate:
                 want = quotient_invariants_by_counting(p, shape, a)
                 result.record(q.exponents == want,
                               f"quotient mismatch: p={p}, A={shape}, a={a}: "
-                              f"snf {q.exponents} vs counting {want}")
+                              f"p-local {q.exponents} vs counting {want}")
                 ord_exp = max((n - vp(ai, p) for ai, n in zip(a, shape) if ai),
                               default=0)
                 if p ** ord_exp * (max(shape, default=0) + 1) <= enumeration_budget:
@@ -184,17 +182,6 @@ def sweep_cyclic_quotients(p, shapes, result: SuiteResult, cross_validate: bool,
                     result.record(want == slow,
                                   f"oracle disagreement: p={p}, A={shape}, a={a}: "
                                   f"counting {want} vs enumeration {slow}")
-
-
-def check_snf_round_trip(m: IntegerMatrix, result: SuiteResult, label: str):
-    d, u, v = smith_normal_form(m)
-    result.record(mat_mul(mat_mul(u, m), v) == d, f"{label}: U M V != D")
-    result.record(abs(det(u)) == 1 and abs(det(v)) == 1,
-                  f"{label}: transforms not unimodular")
-    diag = [d[i, i] for i in range(min(m.rows, m.cols))]
-    chain = all(b % a == 0 for a, b in zip(diag, diag[1:]) if a) and \
-        all(b == 0 for a, b in zip(diag, diag[1:]) if a == 0)
-    result.record(chain and all(x >= 0 for x in diag), f"{label}: bad divisor chain")
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +192,6 @@ def check_snf_round_trip(m: IntegerMatrix, result: SuiteResult, label: str):
 def suite_linalg(seed: int = 0, full_sweep: bool = True) -> SuiteResult:
     result = SuiteResult("linalg")
     rng = random.Random(seed)
-
-    for p in (2, 3, 5):
-        bound = p ** 6
-        for k in range(60):
-            r, c = rng.randint(1, 6), rng.randint(1, 6)
-            m = IntegerMatrix(r, c, [rng.randint(-bound, bound) for _ in range(r * c)])
-            check_snf_round_trip(m, result, f"random #{k} (p={p})")
 
     for k in range(50):
         p = rng.choice((2, 3, 5))

@@ -138,6 +138,44 @@ def test_row_limit_env_not_an_integer_exits_2(capsys, monkeypatch):
     assert "'abc'" in err
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (("h1", "--p", "3", "--d", "2", "--row-limit", "-1"), "--row-limit -1"),
+    (("h1", "--p", "3", "--d", "2"), "LOGDOP_ROW_LIMIT -5"),
+], ids=["flag", "env"])
+def test_row_limit_below_one_exits_2(capsys, monkeypatch, argv, bad):
+    monkeypatch.setenv("LOGDOP_ROW_LIMIT", "-5")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bad in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("h1", "--p", "3", "--d", "2"),
+    ("appendix", "--p", "3", "--d", "2"),
+], ids=["h1", "appendix"])
+def test_out_to_a_directory_exits_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
+def test_cache_at_an_existing_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "cache"
+    path.write_text("")
+    code, out, err = run(capsys, "h1", "--p", "3", "--d", "2", "--cache", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot use {path} as the cache directory")
+    assert err.count("\n") == 1
+
+
+def test_cache_entry_that_is_a_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "h1-p3-d2-m0.json").mkdir()
+    code, out, err = run(capsys, "h1", "--p", "3", "--d", "2", "--cache", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: corrupt cache entry") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("damage", [
     lambda text: text[:10],
     lambda text: "not json",
@@ -283,8 +321,8 @@ def test_lift_both_check_computes_local_data_four_times(tmp_path, capsys,
     digests = [hashlib.sha256(path.read_bytes()).hexdigest()
                for path in (section, out, tmp_path / "lift.check.json")]
     assert digests == [
-        "2bf8e520f895ae65a01d55995539f82adbc919fd3653a52d5b48d1f7e2d80a00",
-        "069d69d9b7b88ea2edacd637f1a2f2d6fc84816bd9c27a436085fca299273ed3",
+        "f2f09e30ce01b21fdfbf3e66b943b90780a4105f399d32ff070753a632f56e34",
+        "f8636d3cf4451669a8b69c498127e77acfe1078e33b458e469b0ef184d5bf082",
         "23ed23f040ff1d65817d5ab95f321a6a62d0aea121d84d827e738773717a33d9",
     ]
 

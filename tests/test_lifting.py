@@ -145,7 +145,7 @@ def test_two_paths_differ_by_a_lift_of_zero():
 def test_schedule_rejects_a_multiplier_off_by_one(monkeypatch):
     # A_1..A_7 are nonzero here, so the forged first step adds terms; the
     # result keeps its symbol but not vanishing local data
-    delta = sample_kernel_section(3, 8, seed=0)
+    delta = sample_kernel_section(3, 8, seed=1)
     assert all(delta.A[1:])
     assert_sound_lift(lift_by_schedule(delta), delta)
     genuine = schedule_multipliers

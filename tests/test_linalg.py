@@ -15,56 +15,17 @@ from logdop.linalg import (
     det,
     dominates,
     is_prime,
-    mat_mul,
     quotient_by_cyclic,
     rank_mod_p,
-    smith_normal_form,
     vp,
 )
 from logdop.localdata import operator_matrix, q_d_matrix
+from logdop.verify import quotient_invariants_by_enumeration
 
 
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
-
-def quotient_invariants_by_counting(p, exponents, a):
-    """Invariant exponents of ((+) Z/p^{n_j}) / <a> by torsion counting.
-
-    Counts |{x : p^k x in <a>}| coordinatewise (number of solutions of
-    p^k x = s in Z/p^n is p^min(k,n) when p^min(k,n) | s, else 0) and reads
-    the invariant multiset off the torsion filtration.  No normal forms.
-    """
-    r = len(exponents)
-    mods = [p ** n for n in exponents]
-    a = [ai % m for ai, m in zip(a, mods)]
-    ord_exp = 0
-    for ai, n in zip(a, exponents):
-        if ai:
-            ord_exp = max(ord_exp, n - vp(ai, p))
-    ord_a = p ** ord_exp
-    subgroup = [tuple((lam * ai) % m for ai, m in zip(a, mods)) for lam in range(ord_a)]
-    n_max = max(exponents) if exponents else 0
-    torsion_vp = []
-    for k in range(n_max + 1):
-        caps = [p ** min(k, n) for n in exponents]
-        total = 0
-        for s in subgroup:
-            count = 1
-            for sj, cap in zip(s, caps):
-                if sj % cap:
-                    count = 0
-                    break
-                count *= cap
-            total += count
-        torsion_vp.append(vp(total, p) - ord_exp if total else 0)
-    ge_counts = [torsion_vp[k] - torsion_vp[k - 1] for k in range(1, n_max + 1)]
-    out = []
-    for k in range(1, n_max + 1):
-        mult = ge_counts[k - 1] - (ge_counts[k] if k < n_max else 0)
-        out.extend([k] * mult)
-    return tuple(sorted(out))
-
 
 def brute_order_in_cokernel(m_rows, exponents, p, c):
     """Least j with p^j c in im(M) + moduli lattice, by full image enumeration.
@@ -90,54 +51,72 @@ def brute_order_in_cokernel(m_rows, exponents, p, c):
         j += 1
 
 
-def assert_snf_contract(m):
-    d, u, v = smith_normal_form(m)
-    assert mat_mul(mat_mul(u, m), v) == d
-    assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
-    diag = [d[i, i] for i in range(min(m.rows, m.cols))]
-    assert all(x >= 0 for x in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a == 0:
-            assert b == 0
+def z_smith_diagonal(rows):
+    """Nonzero diagonal of the Smith form over Z of ``rows``, without transforms.
+
+    The oracle for both p-local eliminations: it works over Z, with gcd
+    rounds and divisibility repairs.  A new pivot is the least entry in
+    absolute value; until it divides its row, its column and then the whole
+    block, the next one is the least entry of its row and column.
+    """
+    rows = [list(row) for row in rows]
+    diag = []
+    pivot = None
+    while True:
+        if pivot is None:
+            pivot = next(((i, row.index(u)) for i, row in enumerate(rows)
+                          for u in (1, -1) if u in row), None)
+        if pivot is None:
+            entries = [(abs(a), i, j) for i, row in enumerate(rows)
+                       for j, a in enumerate(row) if a]
         else:
-            assert b % a == 0
-    return diag
+            i, j = pivot
+            entries = [(abs(row[j]), r, j) for r, row in enumerate(rows) if row[j]]
+            entries += [(abs(a), i, c) for c, a in enumerate(rows[i]) if a]
+        if not entries:
+            return diag
+        _, i, j = min(entries)
+        pivot = (i, j)
+        piv = rows[i][j]
+        for r, row in enumerate(rows):
+            if r != i and row[j]:
+                f = row[j] // piv
+                rows[r] = [a - f * b for a, b in zip(row, rows[i])]
+        for c in range(len(rows[i])):
+            if c != j and rows[i][c]:
+                f = rows[i][c] // piv
+                for row in rows:
+                    row[c] -= f * row[j]
+        if any(row[j] for r, row in enumerate(rows) if r != i) or \
+                any(a for c, a in enumerate(rows[i]) if c != j):
+            continue
+        bad = None if abs(piv) == 1 else next(
+            (r for r, row in enumerate(rows) if any(a % piv for a in row)), None)
+        if bad is not None:
+            rows[i] = [a + b for a, b in zip(rows[i], rows[bad])]
+            continue
+        diag.append(abs(piv))
+        del rows[i]
+        for row in rows:
+            del row[j]
+        pivot = None
+
+
+def z_invariants(m, moduli, p):
+    """Cokernel of m in (+) Z/p^{e_r}, from the Smith form of [M | diag(p^{e_r})]."""
+    augmented = [row + [p ** e if k == r else 0 for k in range(m.rows)]
+                 for r, (row, e) in enumerate(zip(m.row_lists(), moduli))]
+    return AbelianPGroup(p, tuple(vp(x, p) for x in z_smith_diagonal(augmented) if x != 1))
 
 
 # ---------------------------------------------------------------------------
-# smith normal form
+# the Z oracle
 # ---------------------------------------------------------------------------
-
-def test_snf_identity():
-    m = IntegerMatrix.identity(2)
-    d, u, v = smith_normal_form(m)
-    assert d == m and u == m and v == m
-
 
 def test_snf_frozen_example():
     # d_1 = gcd of entries = 2, d_1*d_2 = |det| = 8
-    m = IntegerMatrix.from_rows([[2, 4], [6, 8]])
-    diag = assert_snf_contract(m)
-    assert diag == [2, 4]
-
-
-def test_snf_zero_matrix():
-    m = IntegerMatrix.from_rows([[0]])
-    d, u, v = smith_normal_form(m)
-    assert d.entries == [0]
-    assert u.entries == [1] and v.entries == [1]
-
-
-def test_snf_random_round_trip():
-    rng = random.Random(20240)
-    for p in (2, 3, 5):
-        bound = p ** 6
-        for _ in range(60):
-            r = rng.randint(1, 6)
-            c = rng.randint(1, 6)
-            m = IntegerMatrix(r, c, [rng.randint(-bound, bound) for _ in range(r * c)])
-            assert_snf_contract(m)
+    assert z_smith_diagonal([[2, 4], [6, 8]]) == [2, 4]
+    assert z_smith_diagonal([[0]]) == []
 
 
 def test_snf_matches_sympy_invariants():
@@ -148,11 +127,12 @@ def test_snf_matches_sympy_invariants():
     for _ in range(25):
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
-        ours = IntegerMatrix(r, c, [rng.randint(-50, 50) for _ in range(r * c)])
-        diag = assert_snf_contract(ours)
-        ref = sympy_snf(sympy.Matrix(ours.row_lists()), domain=sympy.ZZ)
+        rows = [[rng.randint(-50, 50) for _ in range(c)] for _ in range(r)]
+        diag = z_smith_diagonal(rows)
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+        ref = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
         ref_diag = sorted(abs(int(ref[i, i])) for i in range(min(r, c)))
-        assert sorted(diag) == ref_diag
+        assert sorted(diag) == [x for x in ref_diag if x]
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +201,6 @@ def test_kernel_vectors_are_in_kernel():
                 assert sum(a * b for a, b in zip(row, v)) % p ** e == 0
 
 
-def tracked_invariants(m, moduli, p):
-    # the Z Smith form of [M | diag(p^{m_j})] that CokernelSolver builds
-    exps = CokernelSolver(m, moduli, p)._factor_exponents
-    return AbelianPGroup(p, tuple(e for e in exps if e))
-
-
 def random_moduli_system(rng, p, max_rows=7, max_cols=7, max_modulus=5):
     rows_n, cols_n = rng.randint(0, max_rows), rng.randint(0, max_cols)
     moduli = tuple(rng.randint(1, max_modulus) for _ in range(rows_n))
@@ -237,19 +211,84 @@ def random_moduli_system(rng, p, max_rows=7, max_cols=7, max_modulus=5):
     return IntegerMatrix(rows_n, cols_n, entries), moduli
 
 
+def reduce_modulo(basis, v):
+    v = list(v)
+    for j, h in enumerate(basis):
+        f = v[j] // h[j]
+        v = [a - f * b for a, b in zip(v, h)]
+    return v
+
+
+def test_kernel_basis_spans_the_whole_kernel():
+    # every v in [0, p^N)^C with M v = 0 reduces to zero modulo the basis,
+    # and so does p^N e_j; with the basis inside the kernel, it spans it
+    rng = random.Random(2718)
+    for _ in range(60):
+        p = rng.choice((2, 3))
+        m, moduli = random_moduli_system(rng, p, max_rows=4, max_cols=3,
+                                         max_modulus=5 - p)
+        rows = m.row_lists()
+        q = p ** max(moduli, default=0)
+        basis = CokernelSolver(m, moduli, p).kernel_basis()
+
+        def in_kernel(v):
+            return all(sum(a * x for a, x in zip(row, v)) % p ** e == 0
+                       for row, e in zip(rows, moduli))
+
+        assert all(in_kernel(h) for h in basis)
+        for v in product(range(q), repeat=m.cols):
+            if in_kernel(v):
+                assert not any(reduce_modulo(basis, v)), (rows, moduli, v)
+        for j in range(m.cols):
+            assert not any(reduce_modulo(basis, [q * (c == j) for c in range(m.cols)]))
+
+
+def test_kernel_basis_is_a_hermite_form_and_ignores_row_order():
+    rng = random.Random(99)
+    systems = [q_d_matrix(p, d) + (p,) for p, d in ((2, 6), (3, 8), (5, 4))]
+    for _ in range(200):
+        p = rng.choice((2, 3, 5))
+        systems.append(random_moduli_system(rng, p) + (p,))
+    for m, moduli, p in systems:
+        rows = m.row_lists()
+        order = list(range(m.rows))
+        rng.shuffle(order)
+        shuffled = IntegerMatrix(m.rows, m.cols, [a for r in order for a in rows[r]])
+        one = CokernelSolver(m, moduli, p)
+        other = CokernelSolver(shuffled, tuple(moduli[r] for r in order), p)
+        basis = one.kernel_basis()
+        assert len(basis) == m.cols and other.kernel_basis() == basis
+        for j, h in enumerate(basis):
+            assert h[:j] == [0] * j
+            assert 1 <= h[j] <= p ** max(moduli, default=0) and h[j] == p ** vp(h[j], p)
+            assert all(0 <= above[j] < h[j] for above in basis[:j])
+        x = [rng.randint(-p ** 3, p ** 3) for _ in range(m.cols)]
+        b = [sum(a * t for a, t in zip(row, x)) for row in rows]
+        assert one.solve(b) == other.solve([b[r] for r in order]) is not None
+
+
+def assert_plocal_matches_z_oracle(m, moduli, p):
+    """cokernel_invariants, and the diagonal of CokernelSolver's tracked form:
+    the cokernel of M' (row r times p^{N-e_r}) in (Z/p^N)^R."""
+    assert cokernel_invariants(m, moduli, p) == z_invariants(m, moduli, p)
+    n = max(moduli, default=0)
+    scaled = IntegerMatrix(m.rows, m.cols, [a * p ** (n - e) for row, e in
+                                            zip(m.row_lists(), moduli) for a in row])
+    diagonal = tuple(k for k in CokernelSolver(m, moduli, p)._row_exponent if k)
+    assert AbelianPGroup(p, diagonal) == z_invariants(scaled, (n,) * m.rows, p)
+
+
 def test_plocal_invariants_match_tracked_form_randoms():
     rng = random.Random(4242)
     for _ in range(1500):
         p = rng.choice((2, 3, 5, 7))
-        m, moduli = random_moduli_system(rng, p)
-        assert cokernel_invariants(m, moduli, p) == tracked_invariants(m, moduli, p)
+        assert_plocal_matches_z_oracle(*random_moduli_system(rng, p), p)
 
 
 @pytest.mark.parametrize("p, d_max", [(2, 16), (3, 14), (5, 10), (7, 8), (11, 6)])
 def test_plocal_invariants_match_tracked_form_on_q_d_matrices(p, d_max):
     for d in range(1, d_max + 1):
-        m, moduli = q_d_matrix(p, d)
-        assert cokernel_invariants(m, moduli, p) == tracked_invariants(m, moduli, p), d
+        assert_plocal_matches_z_oracle(*q_d_matrix(p, d), p)
 
 
 @pytest.mark.parametrize("p, d_max", [(2, 6), (3, 6), (5, 6)])
@@ -257,9 +296,7 @@ def test_plocal_invariants_match_tracked_form_on_splitting_cells(p, d_max):
     for m_level in range(3):
         for d in range(1, d_max + 1):
             ops = standard_operator_basis(p, d, m_level)
-            m, moduli = operator_matrix(ops, p, d)
-            got = cokernel_invariants(m, moduli, p)
-            assert got == tracked_invariants(m, moduli, p), (m_level, d)
+            assert_plocal_matches_z_oracle(*operator_matrix(ops, p, d), p)
 
 
 def test_plocal_invariants_match_sympy():
@@ -276,8 +313,8 @@ def test_plocal_invariants_match_sympy():
                      for i, (row, e) in enumerate(zip(m.row_lists(), moduli))]
         ref = sympy_snf(sympy.Matrix(augmented), domain=sympy.ZZ)
         diag = [abs(int(ref[i, i])) for i in range(m.rows)]
-        want = tuple(vp(x, p) for x in diag if x != 1)
-        assert cokernel_invariants(m, moduli, p) == AbelianPGroup(p, want)
+        want = AbelianPGroup(p, tuple(vp(x, p) for x in diag if x != 1))
+        assert cokernel_invariants(m, moduli, p) == want == z_invariants(m, moduli, p)
 
 
 def test_plocal_invariants_edge_cases():
@@ -289,7 +326,7 @@ def test_plocal_invariants_edge_cases():
     # a zero row splits off with its own modulus
     m = IntegerMatrix.from_rows([[1, 2], [0, 0], [2, 9]])
     g = cokernel_invariants(m, (2, 4, 1), 3)
-    assert g == tracked_invariants(m, (2, 4, 1), 3) and 4 in g.exponents
+    assert g == z_invariants(m, (2, 4, 1), 3) and 4 in g.exponents
     # all moduli 1: an F_p cokernel of dimension R - rank
     rng = random.Random(12)
     for p in (2, 3, 5):
@@ -303,7 +340,7 @@ def test_plocal_invariants_appended_modulus_column():
     # smallest input whose spilled modulus column is nonzero
     m = IntegerMatrix.from_rows([[1], [2]])
     assert cokernel_invariants(m, (1, 3), 2).exponents == (2,)
-    assert tracked_invariants(m, (1, 3), 2).exponents == (2,)
+    assert z_invariants(m, (1, 3), 2).exponents == (2,)
 
 
 def test_plocal_postcondition_fires_on_a_row_left_unreduced():
@@ -360,16 +397,7 @@ def test_solver_solve_round_trip():
             assert (sum(a * t for a, t in zip(row, v)) - bi) % p ** e == 0
 
 
-def dense_solve(solver, b):
-    # the full-sum formula: y = U b, w_i = y_i / d_i, v = V[:cols] w
-    y = [sum(ur[k] * b[k] for k in range(len(b))) for ur in solver._u]
-    if any(yi % dval for yi, dval in zip(y, solver._diag)):
-        return None
-    w = [yi // dval for yi, dval in zip(y, solver._diag)]
-    return [sum(vr[k] * w[k] for k in range(len(w))) for vr in solver._v[:solver.matrix.cols]]
-
-
-def test_sparse_solve_matches_dense_formula():
+def test_solve_is_canonical():
     rng = random.Random(515)
     # the lift path's correction systems, then random ones
     systems = [operator_matrix(standard_operator_basis(p, d, max_order=d - 1), p, d) + (p,)
@@ -379,21 +407,38 @@ def test_sparse_solve_matches_dense_formula():
         systems.append(random_moduli_system(rng, p, max_rows=6, max_cols=6) + (p,))
     unsolvable = 0
     for m, moduli, p in systems:
-        if not m.rows:
-            continue
+        rows = m.row_lists()
         solver = CokernelSolver(m, moduli, p)
+        basis = solver.kernel_basis()
+        order_vp = cokernel_invariants(m, moduli, p).order_vp
+        x = [rng.randint(-p ** 3, p ** 3) for _ in range(m.cols)]
+        rhs = [[sum(a * t for a, t in zip(row, x)) for row in rows]]
         for density in (0.05, 0.3, 1.0):
-            for _ in range(5):
-                b = [rng.randint(-p ** 6, p ** 6) if rng.random() < density else 0
-                     for _ in moduli]
-                got = solver.solve(b)
-                assert got == dense_solve(solver, b)
-                unsolvable += got is None
+            rhs += [[rng.randint(-p ** 6, p ** 6) if rng.random() < density else 0
+                     for _ in moduli] for _ in range(5)]
+        for b in rhs:
+            got = solver.solve(b)
+            # b is in the image iff adjoining it as a column keeps the order
+            with_b = IntegerMatrix(m.rows, m.cols + 1,
+                                   [a for row, bi in zip(rows, b) for a in row + [bi]])
+            assert (got is None) == (cokernel_invariants(with_b, moduli, p).order_vp
+                                     < order_vp)
+            if got is None:
+                unsolvable += 1
+                continue
+            assert all((sum(a * t for a, t in zip(row, got)) - bi) % p ** e == 0
+                       for row, bi, e in zip(rows, b, moduli))
+            assert all(0 <= got[j] < h[j] for j, h in enumerate(basis))
+            # b matters modulo the moduli, and b + M y has the solutions got + y
+            assert solver.solve([bi + rng.randint(-2, 2) * p ** e
+                                 for bi, e in zip(b, moduli)]) == got
+            y = [rng.randint(-p ** 3, p ** 3) for _ in range(m.cols)]
+            moved = [bi + sum(a * t for a, t in zip(row, y)) for row, bi in zip(rows, b)]
+            assert solver.solve(moved) == reduce_modulo(basis, [g + t for g, t in zip(got, y)])
     assert unsolvable > 0
     # Z/9 with the zero map: 1 is not in the image, 9 is
     solver = CokernelSolver(IntegerMatrix.zero(1, 1), (2,), 3)
-    assert solver.solve([1]) is None and dense_solve(solver, [1]) is None
-    assert solver.solve([9]) == dense_solve(solver, [9])
+    assert solver.solve([1]) is None and solver.solve([9]) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +459,7 @@ def test_quotient_by_cyclic_frozen_example():
     # (Z/4 + Z/8)/<(2,4)> has order 16; counting oracle fixes the structure
     g = AbelianPGroup(2, (2, 3))
     q = quotient_by_cyclic(g, [2, 4])
-    assert q.exponents == quotient_invariants_by_counting(2, (2, 3), (2, 4))
+    assert q.exponents == quotient_invariants_by_enumeration(2, (2, 3), (2, 4))
     assert q.order_vp == 4
 
 
@@ -437,8 +482,8 @@ def test_cyclic_quotient_exhaustive_small(p):
         mods = [p ** n for n in shape]
         for a in product(*[range(m) for m in mods]):
             q = quotient_by_cyclic(group, list(a))
-            assert q.exponents == quotient_invariants_by_counting(p, shape, a)
-            assert cyclic_quotient_dominates(group, list(a))
+            assert q.exponents == quotient_invariants_by_enumeration(p, shape, a)
+            assert cyclic_quotient_dominates(group, q)
 
 
 # ---------------------------------------------------------------------------
