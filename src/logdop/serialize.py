@@ -70,6 +70,14 @@ def _int_field(doc, key):
         raise SectionFormatError(f"field {key!r} is not an integer") from None
 
 
+def section_size(doc: dict, tag: str) -> tuple:
+    """(p, max(d, 1)) of a tensor-section or operator document, read without
+    building the section: the job is sized before p is tested for primality,
+    which takes trial division."""
+    _expect(doc, tag)
+    return _int_field(doc, "p"), max(_int_field(doc, "d"), 1)
+
+
 # ---------------------------------------------------------------------------
 # tensor sections
 # ---------------------------------------------------------------------------
@@ -133,22 +141,26 @@ def operator_from_doc(doc: dict) -> OperatorSection:
 # local data
 # ---------------------------------------------------------------------------
 
-def local_data_to_doc(data: LocalDataVector) -> dict:
-    entries = []
-    for (a, k, i) in data.coords():
-        entries.append({
-            "point": "inf" if a == INF else a,
-            "order": k,
-            "power": i,
-            "modulus_exponent": k - i,
-            "residue": str(data.residue(a, k, i)),
-        })
-    return {
-        "format": FORMAT_LOCAL_DATA,
-        "p": data.p, "d": data.d, "m": data.m,
-        "degree_only": data.degree_only,
-        "entries": entries,
-    }
+def local_data_text(data: LocalDataVector) -> str:
+    """The local-data/1 document of ``data``, as ``dump_json`` would write it.
+
+    The format's only writer, and the bulk of a lift's output: a fixed header,
+    then one fixed 5-field block per coordinate in ``data.coords()`` order,
+    written directly rather than through the pure-Python ``indent=1`` encoder.
+    Every int goes through str(); "inf" and the format tag are the only
+    strings, and residues are decimal strings.
+    """
+    residue, point = data.entries.get, {INF: f'"{INF}"'}.get
+    blocks = ",\n".join(
+        f'  {{\n   "point": {point(a, a)},\n'
+        f'   "order": {k},\n   "power": {i},\n   "modulus_exponent": {k - i},\n'
+        f'   "residue": "{residue((a, k, i), 0)}"\n  }}'
+        for a, k, i in data.coords())
+    entries = f"[\n{blocks}\n ]" if blocks else "[]"
+    return (f'{{\n "format": "{FORMAT_LOCAL_DATA}",\n "p": {data.p},\n'
+            f' "d": {data.d},\n "m": {data.m},\n'
+            f' "degree_only": {"true" if data.degree_only else "false"},\n'
+            f' "entries": {entries}\n}}\n')
 
 
 # ---------------------------------------------------------------------------

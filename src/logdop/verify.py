@@ -122,30 +122,31 @@ def quotient_invariants_by_counting(p, exponents, a):
 def quotient_invariants_by_enumeration(p, exponents, a):
     """Same multiset by literally enumerating <a> and the solution counts.
 
-    Only sensible for small ord(a); the counting oracle above is checked
-    against this one where feasible and used alone beyond that.
+    p^k x = s has prod_j p^min(k, n_j) solutions x when p^k divides every
+    coordinate of s, and none otherwise.  So one walk over <a> fills a
+    histogram of g(s) = gcd(p^n_max, s_1, ..., s_r), and the count for each
+    k is read off the histogram: the elements with p^k | g(s).  Only
+    sensible for small ord(a); the counting oracle above is checked against
+    this one where feasible and used alone beyond that.
     """
+    from collections import Counter
+    from itertools import repeat
+    from math import gcd
+
     mods = [p ** n for n in exponents]
     a = [ai % m for ai, m in zip(a, mods)]
     ord_exp = 0
     for ai, n in zip(a, exponents):
         if ai:
             ord_exp = max(ord_exp, n - vp(ai, p))
-    subgroup = [tuple((lam * ai) % m for ai, m in zip(a, mods))
-                for lam in range(p ** ord_exp)]
     n_max = max(exponents) if exponents else 0
+    order = p ** ord_exp
+    columns = [[(lam * ai) % m for lam in range(order)] for ai, m in zip(a, mods)]
+    hist = Counter(map(gcd, repeat(p ** n_max, order), *columns))
     torsion_vp = []
     for k in range(n_max + 1):
-        caps = [p ** min(k, n) for n in exponents]
-        total = 0
-        for s in subgroup:
-            count = 1
-            for sj, cap in zip(s, caps):
-                if sj % cap:
-                    count = 0
-                    break
-                count *= cap
-            total += count
+        total = sum(c for g, c in hist.items() if g % p ** k == 0)
+        total *= p ** sum(min(k, n) for n in exponents)
         torsion_vp.append(vp(total, p) - ord_exp)
     return _torsion_profile_to_invariants(torsion_vp, n_max)
 

@@ -1,13 +1,24 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import logdop
 from logdop import cache, cli, lifting, localdata, serialize
+from logdop.calculus import TensorSection, symbol, tensor_to_operator
 from logdop.cli import main
 from logdop.engine import use_disk_cache
 from logdop.errors import SectionFormatError
-from logdop.lifting import correction_solver, sample_kernel_section
+from logdop.lifting import (
+    correction_solver,
+    lift_by_schedule,
+    lift_by_solve,
+    sample_kernel_section,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -295,8 +306,8 @@ def test_lift_sample_then_lift_with_check(tmp_path, capsys):
     assert all(e["residue"] == "0" for e in check_doc["entries"])
 
 
-def test_lift_both_check_computes_local_data_four_times(tmp_path, capsys,
-                                                      monkeypatch):
+def test_lift_both_check_computes_local_data_three_times(tmp_path, capsys,
+                                                       monkeypatch):
     section = tmp_path / "delta.json"
     out = tmp_path / "lift.json"
     code, _, _ = run(capsys, "lift", "--sample", "--p", "5", "--d", "6",
@@ -315,9 +326,9 @@ def test_lift_both_check_computes_local_data_four_times(tmp_path, capsys,
     code, _, _ = run(capsys, "lift", "--input", str(section), "--method", "both",
                      "--check", "--out", str(out))
     assert code == 0
-    # the residual of the bare section, each path's own check, and the
-    # solve/schedule agreement
-    assert len(calls) == 4
+    # the residual of the bare section and each path's own check; the
+    # solve/schedule agreement is read from the two checked vectors
+    assert len(calls) == 3
     digests = [hashlib.sha256(path.read_bytes()).hexdigest()
                for path in (section, out, tmp_path / "lift.check.json")]
     assert digests == [
@@ -347,6 +358,26 @@ def test_lift_both_computes_tensor_local_data_twice(tmp_path, capsys,
     assert code == 0
     # the input check of each path; the CLI makes none of its own
     assert len(calls) == 2
+
+
+def test_lift_both_agreement_line_and_exit_code(tmp_path, capsys):
+    section = tmp_path / "delta.json"
+    for p, d, seed in ((3, 3, 11), (5, 6, 4), (2, 5, 0)):
+        code, _, _ = run(capsys, "lift", "--sample", "--p", str(p), "--d", str(d),
+                         "--seed", str(seed), "--out", str(section))
+        assert code == 0
+        code, out, err = run(capsys, "lift", "--input", str(section),
+                             "--method", "both")
+        assert code == 0
+        assert err == "solve/schedule outputs differ by a lift of zero: True\n"
+        solve_code, solve_out, solve_err = run(capsys, "lift", "--input",
+                                               str(section), "--method", "solve")
+        assert (solve_code, solve_out, solve_err) == (0, out, "")
+        # what the line states, checked directly on the difference
+        delta = sample_kernel_section(p, d, seed=seed)
+        diff = lift_by_solve(delta).minus(lift_by_schedule(delta))
+        assert localdata.local_data_operator(diff).is_zero
+        assert not any(symbol(diff, d).coordinates())
 
 
 def test_lift_zero_section(tmp_path, capsys):
@@ -462,6 +493,33 @@ def test_data_consumes_operator_files(tmp_path, capsys):
     assert all(e["residue"] == "0" for e in doc["entries"])
 
 
+def test_data_output_is_pinned(tmp_path, capsys):
+    # SHA-256 of `data --input` output as the generic JSON encoder wrote it:
+    # a level-1 section and its bare operator, both with nonzero residues
+    # and coefficients above 2^64, and a lift, whose local data vanish
+    section = TensorSection(5, 3, 1, (2 ** 70 + 1, -3, 7), (1, -2 ** 65, 4, 9))
+    (tmp_path / "section.json").write_text(
+        serialize.dump_json(serialize.tensor_to_doc(section)))
+    (tmp_path / "operator.json").write_text(
+        serialize.dump_json(serialize.operator_to_doc(tensor_to_operator(section))))
+    run(capsys, "lift", "--sample", "--p", "5", "--d", "6", "--seed", "4",
+        "--out", str(tmp_path / "kernel.json"))
+    run(capsys, "lift", "--input", str(tmp_path / "kernel.json"),
+        "--out", str(tmp_path / "lift.json"))
+    digests, nonzero = {}, {}
+    for name in ("section", "operator", "lift"):
+        code, out, _ = run(capsys, "data", "--input", str(tmp_path / f"{name}.json"))
+        assert code == 0
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+        nonzero[name] = any(e["residue"] != "0" for e in json.loads(out)["entries"])
+    assert nonzero == {"section": True, "operator": True, "lift": False}
+    assert digests == {
+        "section": "08be3d2b37773109d54c0701ab2571acf5e02e34366cee967c7c170566127adf",
+        "operator": "e5b157ab0505b35c8ac61138c8dd71b0ab1c5f118563eb02488c94a67d1f3394",
+        "lift": "23ed23f040ff1d65817d5ab95f321a6a62d0aea121d84d827e738773717a33d9",
+    }
+
+
 def test_data_consumes_tensor_files_and_rejects_non_global(tmp_path, capsys):
     section = tmp_path / "delta.json"
     section.write_text(serialize.dump_json(
@@ -480,3 +538,42 @@ def test_data_consumes_tensor_files_and_rejects_non_global(tmp_path, capsys):
     code, _, err = run(capsys, "data", "--input", str(bad))
     assert code == 2
     assert "global" in err
+
+
+# ---------------------------------------------------------------------------
+# a huge prime
+# ---------------------------------------------------------------------------
+
+HUGE_P = 2 ** 61 - 1  # prime; trial division up to its square root takes minutes
+
+
+@pytest.mark.parametrize("argv", [
+    ("h1", "--p", str(HUGE_P), "--d", "1"),
+    ("diagnose", "--p", str(HUGE_P), "--m", "0", "--dmax", "1"),
+    ("lift", "--sample", "--p", str(HUGE_P), "--d", "1"),
+    ("lift", "--input", "{tensor}"),
+    ("data", "--input", "{tensor}"),
+    ("data", "--input", "{operator}"),
+], ids=["h1", "diagnose", "lift-sample", "lift-input", "data-tensor", "data-operator"])
+def test_huge_prime_exits_3_before_any_primality_test(tmp_path, argv):
+    files = {
+        "tensor": {"format": "tensor-section/1", "p": HUGE_P, "d": 1, "m": 0,
+                   "a": ["0"], "b": ["0", "0"]},
+        "operator": {"format": "operator/1", "p": HUGE_P, "m": 0, "d": 1,
+                     "terms": []},
+    }
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(serialize.dump_json(doc))
+    argv = [arg.format(**{n: tmp_path / f"{n}.json" for n in files}) for arg in argv]
+    src = str(Path(logdop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "logdop", *argv], env=env,
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: job size ") and proc.stderr.count("\n") == 1
+
+
+def test_composite_p_beyond_the_row_limit_exits_3(capsys):
+    code, _, err = run(capsys, "h1", "--p", "10000", "--d", "1")
+    assert code == 3 and err.startswith("error: job size 10001 ")

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -9,7 +10,7 @@ from logdop.calculus import OperatorSection, TensorSection
 from logdop.engine import h1_filtered, level_descent_diagnostic
 from logdop.errors import SectionFormatError
 from logdop.lifting import lift_by_solve, sample_kernel_section
-from logdop.localdata import local_data_operator, local_data_tensor
+from logdop.localdata import LocalDataVector, local_data_operator, local_data_tensor
 from logdop.tables import TABLE_PRIMES, load_golden, verify_appendix
 
 
@@ -44,13 +45,58 @@ def test_operator_document_big_coefficients():
 
 def test_local_data_document():
     delta = TensorSection(3, 2, 0, (1, 2), (3, 4, 5))
-    doc = serialize.local_data_to_doc(local_data_tensor(delta))
+    doc = json.loads(serialize.local_data_text(local_data_tensor(delta)))
     validate(doc)
     assert len(doc["entries"]) == 4 * 2  # (p+1) * d coordinates
-    full = serialize.local_data_to_doc(
-        local_data_operator(lift_by_solve(sample_kernel_section(3, 2, seed=1))))
+    full = json.loads(serialize.local_data_text(
+        local_data_operator(lift_by_solve(sample_kernel_section(3, 2, seed=1)))))
     validate(full)
     assert all(e["residue"] == "0" for e in full["entries"])
+
+
+def _seeded_local_data(rng, p, d, m, degree_only, zero):
+    data = LocalDataVector(p, d, m, degree_only=degree_only)
+    if not zero:
+        for a, k, i in data.coords():
+            if rng.random() < 0.6:
+                data.entries[(a, k, i)] = rng.randrange(p ** (k - i))
+        coord = rng.choice(data.coords())
+        # above 2^64; the writer prints residues, it does not reduce them
+        data.entries[coord] = 2 ** 64 + rng.randrange(2 ** 70)
+    return data
+
+
+def test_local_data_text_is_the_json_encoders_text():
+    # the stdlib encoder is the byte oracle for the direct writer
+    rng = random.Random(7)
+    validator = jsonschema.Draft7Validator(
+        serialize.load_schema(serialize.FORMAT_LOCAL_DATA))
+    for p in (2, 3, 5, 7):
+        for d in range(1, 9):
+            for m in range(3):
+                for degree_only in (False, True):
+                    for zero in (True, False):
+                        data = _seeded_local_data(rng, p, d, m, degree_only, zero)
+                        text = serialize.local_data_text(data)
+                        doc = json.loads(text)
+                        assert serialize.dump_json(doc) == text
+                        if d <= 4:  # the schema is slow; larger d adds only entries
+                            validator.validate(doc)
+                        assert [int(e["residue"]) for e in doc["entries"]] == data.vector()
+    # an order-0 operator has no coordinates
+    text = serialize.local_data_text(LocalDataVector(3, 0, 0))
+    assert serialize.dump_json(json.loads(text)) == text
+
+
+def test_local_data_text_of_computed_data():
+    rng = random.Random(3)
+    for p, d in ((2, 5), (3, 4), (5, 3), (7, 2)):
+        coeffs = [rng.randrange(-2 ** 80, 2 ** 80) for _ in range(2 * d + 1)]
+        delta = TensorSection(p, d, 1, tuple(coeffs[:d]), tuple(coeffs[d:]))
+        for data in (local_data_tensor(delta),
+                     local_data_operator(lift_by_solve(sample_kernel_section(p, d, seed=d)))):
+            text = serialize.local_data_text(data)
+            assert serialize.dump_json(json.loads(text)) == text
 
 
 def test_h1_report_document_and_texts():
