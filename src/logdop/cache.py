@@ -12,11 +12,14 @@ from .errors import SectionFormatError
 class DiskCache:
     """One JSON file per (p, d, m) holding the invariant exponents.
 
-    Files use the h1-group/1 format, so cache entries are plain interface
-    documents; corrupt entries are reported, never silently recomputed.
+    Files use the h1-group/1 format (FORMAT, the one spelling of its tag in
+    the package), so cache entries are plain interface documents; corrupt
+    entries are reported, never silently recomputed.
     Entries are written atomically, so an interrupted write leaves no
     truncated entry behind.
     """
+
+    FORMAT = "h1-group/1"
 
     def __init__(self, directory):
         self.directory = Path(directory)
@@ -33,7 +36,7 @@ class DiskCache:
             doc = json.loads(path.read_text())
         except (OSError, ValueError) as exc:  # unreadable, truncated, not JSON or UTF-8
             raise SectionFormatError(f"corrupt cache entry {path}: {exc}") from exc
-        if not (isinstance(doc, dict) and doc.get("format") == "h1-group/1"
+        if not (isinstance(doc, dict) and doc.get("format") == self.FORMAT
                 and (doc.get("p"), doc.get("d"), doc.get("m")) == (p, d, m)
                 and isinstance(doc.get("exponents"), list)
                 and all(type(n) is int and n >= 1 for n in doc["exponents"])):
@@ -41,7 +44,7 @@ class DiskCache:
         return tuple(doc["exponents"])
 
     def put(self, p: int, d: int, m: int, exponents) -> None:
-        doc = {"format": "h1-group/1", "p": p, "d": d, "m": m,
+        doc = {"format": self.FORMAT, "p": p, "d": d, "m": m,
                "exponents": list(exponents)}
         path = self._path(p, d, m)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

@@ -2,9 +2,10 @@
 
 Subcommands: h1 (one table row), appendix (recompute and compare the embedded
 reference tables), verify (property suites), lift (sample/lift sections),
-diagnose (level-lowering order table).  Exit codes: 0 success, 1 verification
-or comparison failure, 2 usage/parse error, 3 resource guard, 4 lift input
-with nonvanishing local data.
+data (local data of a file), diagnose (level-lowering order table).  Exit
+codes: 0 success, 1 verification or comparison failure, 2 usage/parse error,
+3 resource guard, 4 lift input with nonvanishing local data; main prints each
+one-line ``error:`` refusal (a _Refusal).  A --cache ends with its command.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
@@ -40,47 +42,41 @@ DEFAULT_ROW_LIMIT = 5000
 ROW_LIMIT_ENV = "LOGDOP_ROW_LIMIT"
 
 
-class _UnusablePath(Exception):
-    """An --out or --cache path the command cannot write to; exit 2."""
+class _Refusal(Exception):
+    """A command that will not run: main prints ``error: {message}``, exits ``code``."""
+
+    def __init__(self, message: str, code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.code = code
 
 
-def _guard(p: int, d: int, args) -> int:
-    """EXIT_OK when the job fits the row limit, else the reported exit code."""
+def _guard(p: int, d: int, args) -> None:
+    """Refuse a job larger than the row limit (exit 3), or a bad limit."""
     limit, source = args.row_limit, "--row-limit"
     if limit is None:
         value = os.environ.get(ROW_LIMIT_ENV, str(DEFAULT_ROW_LIMIT))
         try:
             limit, source = int(value), ROW_LIMIT_ENV
         except ValueError:
-            print(f"error: {ROW_LIMIT_ENV} = {value!r} is not an integer",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    if not _require_at_least(source, limit, 1):
-        return EXIT_USAGE
+            raise _Refusal(f"{ROW_LIMIT_ENV} = {value!r} is not an integer") from None
+    _require_at_least(source, limit, 1)
     rows = (p + 1) * d * (d + 1) // 2
     if rows > limit:
-        print(f"error: job size {rows} skyscraper coordinates exceeds the row "
-              f"limit {limit} (raise with --row-limit or {ROW_LIMIT_ENV})",
-              file=sys.stderr)
-        return EXIT_RESOURCE
-    return EXIT_OK
+        raise _Refusal(f"job size {rows} skyscraper coordinates exceeds the row "
+                       f"limit {limit} (raise with --row-limit or {ROW_LIMIT_ENV})",
+                       EXIT_RESOURCE)
 
 
-def _require_prime(p: int) -> int:
-    """EXIT_OK when p is prime, else EXIT_USAGE.  Trial division is slow for a
-    huge p, so callers test only a p whose job has passed _guard."""
+def _require_prime(p: int) -> None:
+    """Refuse a p that is not prime.  Trial division is slow for a huge p, so
+    callers test only a p whose job has passed _guard."""
     if not is_prime(p):
-        print(f"error: p = {p} is not prime", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+        raise _Refusal(f"p = {p} is not prime")
 
 
-def _require_at_least(flag: str, value: int, low: int) -> bool:
+def _require_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
-        print(f"error: {flag} {value} is out of range (need {flag} >= {low})",
-              file=sys.stderr)
-        return False
-    return True
+        raise _Refusal(f"{flag} {value} is out of range (need {flag} >= {low})")
 
 
 def _emit(text: str, out) -> None:
@@ -88,7 +84,7 @@ def _emit(text: str, out) -> None:
         try:
             Path(out).write_text(text)
         except OSError as exc:
-            raise _UnusablePath(f"cannot write {out}: {exc.strerror}") from exc
+            raise _Refusal(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -98,9 +94,22 @@ def _install_cache(args) -> None:
         try:
             cache = DiskCache(args.cache)
         except OSError as exc:
-            raise _UnusablePath(f"cannot use {args.cache} as the cache directory: "
-                                f"{exc.strerror}") from exc
+            raise _Refusal(f"cannot use {args.cache} as the cache directory: "
+                           f"{exc.strerror}") from exc
         use_disk_cache(cache)
+
+
+@contextmanager
+def _input_document(path):
+    """The JSON document in the file at ``path``.  A file that cannot be read,
+    or a SectionFormatError raised while the block reads the document, is
+    refused as ``{path}: ...``."""
+    try:
+        yield serialize.parse_json_document(Path(path).read_text())
+    except OSError as exc:
+        raise _Refusal(f"cannot read {path}: {exc}") from exc
+    except SectionFormatError as exc:
+        raise _Refusal(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +117,10 @@ def _install_cache(args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_h1(args) -> int:
-    if not (_require_at_least("--d", args.d, 1)
-            and _require_at_least("--level", args.level, 0)):
-        return EXIT_USAGE
-    if code := _guard(args.p, args.d, args) or _require_prime(args.p):
-        return code
+    _require_at_least("--d", args.d, 1)
+    _require_at_least("--level", args.level, 0)
+    _guard(args.p, args.d, args)
+    _require_prime(args.p)
     _install_cache(args)
     report = h1_filtered(args.p, args.d, args.level)
     if args.format == "json":
@@ -131,18 +139,15 @@ def cmd_h1(args) -> int:
 
 def cmd_appendix(args) -> int:
     if (args.p is None) != (args.d is None):
-        print("error: single-row mode needs both --p and --d", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal("single-row mode needs both --p and --d")
     _install_cache(args)
     if args.p is not None:
         if args.p not in TABLE_PRIMES:
-            print(f"error: no reference table for p = {args.p}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Refusal(f"no reference table for p = {args.p}")
         try:
             comparison = compare_row(args.p, args.d)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Refusal(str(exc)) from exc
         if args.format == "json":
             doc = serialize.appendix_report_to_doc(AppendixReport((comparison,)))
             _emit(serialize.dump_json(doc), args.out)
@@ -190,32 +195,20 @@ def _check_path(out) -> str:
 def cmd_lift(args) -> int:
     if args.sample:
         if args.p is None or args.d is None:
-            print("error: --sample needs --p and --d", file=sys.stderr)
-            return EXIT_USAGE
-        if not (_require_at_least("--d", args.d, 1)
-                and _require_at_least("--level", args.level, 0)):
-            return EXIT_USAGE
-        if code := _guard(args.p, args.d, args) or _require_prime(args.p):
-            return code
+            raise _Refusal("--sample needs --p and --d")
+        _require_at_least("--d", args.d, 1)
+        _require_at_least("--level", args.level, 0)
+        _guard(args.p, args.d, args)
+        _require_prime(args.p)
         delta = sample_kernel_section(args.p, args.d, seed=args.seed, m=args.level)
         _emit(serialize.dump_json(serialize.tensor_to_doc(delta)), args.out)
         return EXIT_OK
 
     if not args.input:
-        print("error: need --input FILE or --sample", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        doc = serialize.parse_json_document(Path(args.input).read_text())
-        if code := _guard(*serialize.section_size(doc, serialize.FORMAT_TENSOR), args):
-            return code
+        raise _Refusal("need --input FILE or --sample")
+    with _input_document(args.input) as doc:
+        _guard(*serialize.section_size(doc, serialize.FORMAT_TENSOR), args)
         delta = serialize.tensor_from_doc(doc)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SectionFormatError as exc:
-        where = f" (line {exc.lineno}, column {exc.colno})" if exc.lineno else ""
-        print(f"error: {args.input}: {exc}{where}", file=sys.stderr)
-        return EXIT_USAGE
 
     try:
         if args.method == "schedule":
@@ -228,12 +221,9 @@ def cmd_lift(args) -> int:
                 # Z-linear modulo each p^(k-i), so lift - other has zero symbol
                 # and zero local data: a lift of zero whenever both checks
                 # passed, and the two checked vectors already say so.
-                _, other_check = lift_by_schedule(delta, return_local_data=True)
-                agree = check.is_zero and other_check.is_zero
-                print(f"solve/schedule outputs differ by a lift of zero: {agree}",
-                      file=sys.stderr)
-                if not agree:
-                    return EXIT_FAILED
+                _, other = lift_by_schedule(delta, return_local_data=True)
+                print("solve/schedule outputs differ by a lift of zero: "
+                      f"{check.is_zero and other.is_zero}", file=sys.stderr)
     except NonvanishingLocalData as exc:
         data = exc.data
         print("error: input section has nonvanishing degree-d local data at:",
@@ -243,15 +233,10 @@ def cmd_lift(args) -> int:
                   f"{data.residue(a, k, i)} mod {delta.p ** (k - i)}", file=sys.stderr)
         return EXIT_BAD_INPUT_DATA
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(str(exc)) from exc
     except (TheoremViolation, ScheduleFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        raise _Refusal(str(exc), EXIT_FAILED) from exc
 
-    if not check.is_zero:
-        print("error: produced lift has residual local data", file=sys.stderr)
-        return EXIT_FAILED
     _emit(serialize.dump_json(serialize.operator_to_doc(lift)), args.out)
     if args.check:
         _emit(serialize.local_data_text(check),
@@ -264,32 +249,17 @@ def cmd_lift(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_data(args) -> int:
+    with _input_document(args.input) as doc:
+        tag = doc.get("format")
+        if tag not in (serialize.FORMAT_TENSOR, serialize.FORMAT_OPERATOR):
+            raise SectionFormatError(f"cannot take local data of a {tag!r} document")
+        _guard(*serialize.section_size(doc, tag), args)
+        tensor = tag == serialize.FORMAT_TENSOR
+        section = (serialize.tensor_from_doc if tensor else serialize.operator_from_doc)(doc)
     try:
-        doc = serialize.parse_json_document(Path(args.input).read_text())
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SectionFormatError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    tag = doc.get("format")
-    if tag not in (serialize.FORMAT_TENSOR, serialize.FORMAT_OPERATOR):
-        print(f"error: {args.input}: cannot take local data of a "
-              f"{tag!r} document", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if code := _guard(*serialize.section_size(doc, tag), args):
-            return code
-        if tag == serialize.FORMAT_TENSOR:
-            data = local_data_tensor(serialize.tensor_from_doc(doc))
-        else:
-            data = local_data_operator(serialize.operator_from_doc(doc))
-    except SectionFormatError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        data = local_data_tensor(section) if tensor else local_data_operator(section)
+    except ValueError as exc:  # an operator that is not a global section
+        raise _Refusal(str(exc)) from exc
     _emit(serialize.local_data_text(data), args.out)
     return EXIT_OK
 
@@ -299,11 +269,10 @@ def cmd_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_diagnose(args) -> int:
-    if not (_require_at_least("--m", args.m, 0)
-            and _require_at_least("--dmax", args.dmax, 1)):
-        return EXIT_USAGE
-    if code := _guard(args.p, args.dmax, args) or _require_prime(args.p):
-        return code
+    _require_at_least("--m", args.m, 0)
+    _require_at_least("--dmax", args.dmax, 1)
+    _guard(args.p, args.dmax, args)
+    _require_prime(args.p)
     _install_cache(args)
     diag = level_descent_diagnostic(args.p, args.m, args.dmax, args.schedule)
     if args.format == "json":
@@ -334,13 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "operators on the blown-up projective line.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, cache=True):
-        sp.add_argument("--out", help="write output to this path instead of stdout")
-        sp.add_argument("--row-limit", type=int, default=None,
-                        help=f"job size guard (default {DEFAULT_ROW_LIMIT}; "
-                             f"env {ROW_LIMIT_ENV})")
-        if cache:
-            sp.add_argument("--cache", help="directory for (p, d, m) result cache")
+    shared = {"--out": dict(help="write output to this path instead of stdout"),
+              "--row-limit": dict(type=int, help=f"job size guard (default "
+                                  f"{DEFAULT_ROW_LIMIT}; env {ROW_LIMIT_ENV})"),
+              "--cache": dict(help="directory for (p, d, m) result cache")}
+
+    def common(sp, *flags):
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
 
     sp = sub.add_parser("h1", help="compute one H^1 table row")
     sp.add_argument("--p", type=int, required=True)
@@ -349,16 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--per-degree", action="store_true",
                     help="also list each degree summand")
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common(sp)
+    common(sp, "--out", "--row-limit", "--cache")
     sp.set_defaults(func=cmd_h1)
 
     sp = sub.add_parser("appendix", help="recompute the reference tables")
-    sp.add_argument("--verify", action="store_true",
-                    help="explicit comparison mode (comparison always runs)")
     sp.add_argument("--p", type=int, help="single-row mode: prime")
     sp.add_argument("--d", type=int, help="single-row mode: degree")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    common(sp)
+    common(sp, "--out", "--cache")
     sp.set_defaults(func=cmd_appendix)
 
     sp = sub.add_parser("verify", help="run property suites")
@@ -378,13 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
                     default="solve")
     sp.add_argument("--check", action="store_true",
                     help="also emit the lift's local data (all zeros expected)")
-    common(sp, cache=False)
+    common(sp, "--out", "--row-limit")
     sp.set_defaults(func=cmd_lift)
 
     sp = sub.add_parser("data", help="local data of a section/operator file")
     sp.add_argument("--input", required=True,
                     help="tensor-section or operator JSON file")
-    common(sp, cache=False)
+    common(sp, "--out", "--row-limit")
     sp.set_defaults(func=cmd_data)
 
     sp = sub.add_parser("diagnose", help="level-lowering order diagnostics")
@@ -393,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dmax", type=int, required=True)
     sp.add_argument("--schedule", choices=("sqrt", "zero"), default="sqrt")
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common(sp)
+    common(sp, "--out", "--row-limit", "--cache")
     sp.set_defaults(func=cmd_diagnose)
 
     return parser
@@ -410,9 +378,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SectionFormatError, _UnusablePath) as exc:  # corrupt cache, unusable path
+    except (_Refusal, SectionFormatError) as exc:  # the latter: a corrupt cache entry
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.code if isinstance(exc, _Refusal) else EXIT_USAGE
+    finally:
+        use_disk_cache(None)
 
 
 if __name__ == "__main__":

@@ -94,10 +94,16 @@ _disk_cache = None
 
 
 def use_disk_cache(cache) -> None:
-    """Install (or clear, with None) an on-disk (p, d, m) result cache."""
+    """Install (or remove, with None) an on-disk (p, d, m) result cache.
+
+    Installing one clears h1_tensor's in-memory entries, so every group of
+    the command reads or fills the new cache.  Removing one keeps them:
+    groups are pure, so an entry stays right with or without a disk cache.
+    """
     global _disk_cache
     _disk_cache = cache
-    h1_tensor.cache_clear()
+    if cache is not None:
+        h1_tensor.cache_clear()
 
 
 @lru_cache(maxsize=None)

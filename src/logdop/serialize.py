@@ -13,6 +13,7 @@ import io
 import json
 from importlib import resources
 
+from .cache import DiskCache
 from .calculus import OperatorSection, TensorSection
 from .engine import H1Report, LevelDiagnostic
 from .errors import SectionFormatError
@@ -23,7 +24,7 @@ FORMAT_TENSOR = "tensor-section/1"
 FORMAT_OPERATOR = "operator/1"
 FORMAT_LOCAL_DATA = "local-data/1"
 FORMAT_H1_REPORT = "h1-report/1"
-FORMAT_H1_GROUP = "h1-group/1"
+FORMAT_H1_GROUP = DiskCache.FORMAT  # written by DiskCache.put
 FORMAT_DIAGNOSTIC = "diagnostic/1"
 
 _SCHEMA_FILES = {
@@ -184,11 +185,6 @@ def h1_report_to_doc(report: H1Report) -> dict:
                     report.bound_met, report.bound_equal), start=1)
         ],
     }
-
-
-def h1_group_doc(p: int, d: int, m: int, exponents) -> dict:
-    return {"format": FORMAT_H1_GROUP, "p": p, "d": d, "m": m,
-            "exponents": list(exponents)}
 
 
 def h1_report_to_text(report: H1Report, per_degree: bool = False) -> str:

@@ -11,7 +11,6 @@ import logdop
 from logdop import cache, cli, lifting, localdata, serialize
 from logdop.calculus import TensorSection, symbol, tensor_to_operator
 from logdop.cli import main
-from logdop.engine import use_disk_cache
 from logdop.errors import SectionFormatError
 from logdop.lifting import (
     correction_solver,
@@ -19,12 +18,6 @@ from logdop.lifting import (
     lift_by_solve,
     sample_kernel_section,
 )
-
-
-@pytest.fixture(autouse=True)
-def no_disk_cache():
-    yield
-    use_disk_cache(None)
 
 
 def run(capsys, *argv):
@@ -97,7 +90,6 @@ def test_h1_cache_round_trip(tmp_path, capsys):
     assert entries == [f"h1-p3-d{d}-m0.json" for d in (1, 2, 3)]
     doc = json.loads((cache / "h1-p3-d2-m0.json").read_text())
     assert doc["format"] == "h1-group/1" and doc["exponents"] == [1, 1, 1]
-    use_disk_cache(None)
     code, out2, _ = run(capsys, "h1", "--p", "3", "--d", "3",
                         "--cache", str(cache))
     assert code == 0 and out2 == out1
@@ -209,6 +201,27 @@ def test_corrupt_cache_entry_exits_2(tmp_path, capsys, argv, damage):
     assert err.startswith("error: corrupt cache entry") and err.count("\n") == 1
 
 
+def test_a_cache_ends_with_its_command(tmp_path, capsys):
+    directory = tmp_path / "cache"
+    code, _, _ = run(capsys, "h1", "--p", "3", "--d", "2", "--cache", str(directory))
+    assert code == 0
+    written = sorted(f.name for f in directory.iterdir())
+    assert written == ["h1-p3-d1-m0.json", "h1-p3-d2-m0.json"]
+    assert run(capsys, "h1", "--p", "5", "--d", "2")[0] == 0
+    assert run(capsys, "verify", "--suite", "splitting")[0] == 0
+    assert sorted(f.name for f in directory.iterdir()) == written
+
+
+def test_a_corrupt_entry_does_not_reach_a_later_command(tmp_path, capsys):
+    directory = tmp_path / "cache"
+    code, _, _ = run(capsys, "h1", "--p", "3", "--d", "2", "--cache", str(directory))
+    assert code == 0
+    (directory / "h1-p7-d1-m0.json").write_text("not json")
+    code, out, err = run(capsys, "diagnose", "--p", "7", "--m", "1", "--dmax", "1")
+    assert (code, err) == (0, "")
+    assert out
+
+
 def test_cache_put_replaces_entries_atomically(tmp_path, monkeypatch):
     store = cache.DiskCache(tmp_path)
     store.put(3, 2, 0, [1, 1, 1])
@@ -226,11 +239,139 @@ def test_cache_put_replaces_entries_atomically(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# refusals: every way a command says no, with its exact stderr and exit code
+# ---------------------------------------------------------------------------
+
+REFUSAL_FILES = {
+    "file": "",
+    "bad-json.json": '{"format": }',
+    "operator.json": serialize.dump_json(
+        {"format": "operator/1", "p": 3, "m": 0, "d": 1,
+         "terms": [{"chart": "y", "power": 3, "order": 1, "coeff": "1"}]}),
+    "group.json": serialize.dump_json(
+        {"format": "h1-group/1", "p": 3, "d": 2, "m": 0, "exponents": [1]}),
+    "short.json": serialize.dump_json(
+        {"format": "tensor-section/1", "p": 3, "d": 2, "m": 0,
+         "a": ["0"], "b": ["0", "0", "0"]}),
+    "level-1.json": serialize.dump_json(
+        {"format": "tensor-section/1", "p": 3, "d": 2, "m": 1,
+         "a": ["0", "0"], "b": ["0", "0", "0"]}),
+    "huge.json": serialize.dump_json(
+        {"format": "tensor-section/1", "p": 3, "d": 60, "m": 0, "a": [], "b": []}),
+    "cache/h1-p3-d1-m0.json": "not json",
+}
+
+_GUARD = ("error: job size {rows} skyscraper coordinates exceeds the row limit "
+          "{limit} (raise with --row-limit or LOGDOP_ROW_LIMIT)")
+_MISSING = ("error: cannot read {tmp}/missing.json: [Errno 2] No such file or "
+            "directory: '{tmp}/missing.json'")
+_SHORT = ("error: {tmp}/short.json: need 2 A-coefficients and 3 B-coefficients, "
+          "got 1 and 3")
+
+REFUSALS = {
+    # id: (argv, LOGDOP_ROW_LIMIT or None, exit code, the one stderr line)
+    "h1-d": (("h1", "--p", "3", "--d", "0"), None, 2,
+             "error: --d 0 is out of range (need --d >= 1)"),
+    "h1-level": (("h1", "--p", "3", "--d", "2", "--level", "-1"), None, 2,
+                 "error: --level -1 is out of range (need --level >= 0)"),
+    "sample-d": (("lift", "--sample", "--p", "3", "--d", "0"), None, 2,
+                 "error: --d 0 is out of range (need --d >= 1)"),
+    "sample-level": (("lift", "--sample", "--p", "3", "--d", "2", "--level", "-1"),
+                     None, 2, "error: --level -1 is out of range (need --level >= 0)"),
+    "diagnose-m": (("diagnose", "--p", "3", "--m", "-1", "--dmax", "3"), None, 2,
+                   "error: --m -1 is out of range (need --m >= 0)"),
+    "diagnose-dmax": (("diagnose", "--p", "3", "--m", "1", "--dmax", "0"), None, 2,
+                      "error: --dmax 0 is out of range (need --dmax >= 1)"),
+    "row-limit-flag-bad": (("h1", "--p", "3", "--d", "2", "--row-limit", "abc"),
+                           None, 2,
+                           "error: argument --row-limit: invalid int value: 'abc'"),
+    "row-limit-flag-low": (("h1", "--p", "3", "--d", "2", "--row-limit", "0"), None, 2,
+                           "error: --row-limit 0 is out of range "
+                           "(need --row-limit >= 1)"),
+    "row-limit-env-bad": (("h1", "--p", "3", "--d", "2"), "abc", 2,
+                          "error: LOGDOP_ROW_LIMIT = 'abc' is not an integer"),
+    "row-limit-env-low": (("h1", "--p", "3", "--d", "2"), "0", 2,
+                          "error: LOGDOP_ROW_LIMIT 0 is out of range "
+                          "(need LOGDOP_ROW_LIMIT >= 1)"),
+    "job-guard": (("h1", "--p", "3", "--d", "9", "--row-limit", "10"), None, 3,
+                  _GUARD.format(rows=180, limit=10)),
+    "non-prime": (("h1", "--p", "4", "--d", "2"), None, 2, "error: p = 4 is not prime"),
+    "out-directory": (("h1", "--p", "3", "--d", "2", "--out", "{tmp}"), None, 2,
+                      "error: cannot write {tmp}: Is a directory"),
+    "cache-file": (("h1", "--p", "3", "--d", "2", "--cache", "{tmp}/file"), None, 2,
+                   "error: cannot use {tmp}/file as the cache directory: File exists"),
+    "cache-corrupt": (("h1", "--p", "3", "--d", "2", "--cache", "{tmp}/cache"), None, 2,
+                      "error: corrupt cache entry {tmp}/cache/h1-p3-d1-m0.json: "
+                      "Expecting value: line 1 column 1 (char 0)"),
+    "appendix-half-row": (("appendix", "--p", "7"), None, 2,
+                          "error: single-row mode needs both --p and --d"),
+    "appendix-p": (("appendix", "--p", "13", "--d", "2"), None, 2,
+                   "error: no reference table for p = 13"),
+    "appendix-d": (("appendix", "--p", "7", "--d", "99"), None, 2,
+                   "error: no reference row for p=7, d=99"),
+    "lift-no-input": (("lift",), None, 2, "error: need --input FILE or --sample"),
+    "lift-sample-half": (("lift", "--sample", "--p", "3"), None, 2,
+                         "error: --sample needs --p and --d"),
+    "lift-unreadable": (("lift", "--input", "{tmp}/missing.json"), None, 2, _MISSING),
+    "lift-bad-json": (("lift", "--input", "{tmp}/bad-json.json"), None, 2,
+                      "error: {tmp}/bad-json.json: invalid JSON at line 1, "
+                      "column 12: Expecting value"),
+    "lift-wrong-tag": (("lift", "--input", "{tmp}/operator.json"), None, 2,
+                       "error: {tmp}/operator.json: expected a tensor-section/1 "
+                       "document, found format='operator/1'"),
+    "lift-malformed": (("lift", "--input", "{tmp}/short.json"), None, 2, _SHORT),
+    "lift-schedule-level": (("lift", "--input", "{tmp}/level-1.json",
+                             "--method", "schedule"), None, 2,
+                            "error: the correction schedule is a level-0 construction"),
+    "lift-huge": (("lift", "--input", "{tmp}/huge.json"), None, 3,
+                  _GUARD.format(rows=7320, limit=5000)),
+    "data-unreadable": (("data", "--input", "{tmp}/missing.json"), None, 2, _MISSING),
+    "data-bad-json": (("data", "--input", "{tmp}/bad-json.json"), None, 2,
+                      "error: {tmp}/bad-json.json: invalid JSON at line 1, "
+                      "column 12: Expecting value"),
+    "data-wrong-tag": (("data", "--input", "{tmp}/group.json"), None, 2,
+                       "error: {tmp}/group.json: cannot take local data of a "
+                       "'h1-group/1' document"),
+    "data-malformed": (("data", "--input", "{tmp}/short.json"), None, 2, _SHORT),
+    "data-huge": (("data", "--input", "{tmp}/huge.json"), None, 3,
+                  _GUARD.format(rows=7320, limit=5000)),
+    "data-non-global": (("data", "--input", "{tmp}/operator.json"), None, 2,
+                        "error: operator is not a global section; "
+                        "local data undefined"),
+}
+
+
+@pytest.mark.parametrize("argv, env, code, err", REFUSALS.values(), ids=REFUSALS)
+def test_refusal_table(tmp_path, capsys, monkeypatch, argv, env, code, err):
+    for name, text in REFUSAL_FILES.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    if env is not None:
+        monkeypatch.setenv("LOGDOP_ROW_LIMIT", env)
+    try:
+        got = main([arg.format(tmp=tmp_path) for arg in argv])
+    except SystemExit as exc:  # argparse usage errors
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err) == (code, "", err.format(tmp=tmp_path) + "\n")
+
+
+@pytest.mark.parametrize("flag", [("--verify",), ("--row-limit", "1")],
+                         ids=["verify", "row-limit"])
+def test_appendix_has_no_options_that_do_nothing(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["appendix", *flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+
+
+# ---------------------------------------------------------------------------
 # appendix
 # ---------------------------------------------------------------------------
 
 def test_appendix_verify_full(capsys):
-    code, out, _ = run(capsys, "appendix", "--verify")
+    code, out, _ = run(capsys, "appendix")
     assert code == 0
     assert "verdict OK" in out
     assert out.count("known-discrepancy") == 1

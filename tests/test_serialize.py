@@ -6,6 +6,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from logdop import serialize
+from logdop.cache import DiskCache
 from logdop.calculus import OperatorSection, TensorSection
 from logdop.engine import h1_filtered, level_descent_diagnostic
 from logdop.errors import SectionFormatError
@@ -113,8 +114,12 @@ def test_h1_report_document_and_texts():
     assert "3,1,1,1" in per and "3,3,2,1" in per
 
 
-def test_h1_group_cache_document():
-    validate(serialize.h1_group_doc(3, 2, 0, (1, 1, 1)))
+def test_h1_group_cache_document(tmp_path):
+    DiskCache(tmp_path).put(3, 2, 0, (1, 1, 1))
+    [entry] = tmp_path.iterdir()
+    doc = json.loads(entry.read_text())
+    validate(doc, serialize.FORMAT_H1_GROUP)
+    assert (doc["p"], doc["d"], doc["m"], doc["exponents"]) == (3, 2, 0, [1, 1, 1])
 
 
 def test_appendix_data_files_validate():
