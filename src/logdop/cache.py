@@ -1,4 +1,4 @@
-"""Optional on-disk cache of computed invariant-factor lists, keyed (p, d, m)."""
+"""Optional on-disk cache of computed invariant-factor lists, keyed (p, d)."""
 
 from __future__ import annotations
 
@@ -10,26 +10,27 @@ from .errors import SectionFormatError
 
 
 class DiskCache:
-    """One JSON file per (p, d, m) holding the invariant exponents.
+    """One JSON file per (p, d) holding the degree-d invariant exponents.
 
-    Files use the h1-group/1 format (FORMAT, the one spelling of its tag in
-    the package), so cache entries are plain interface documents; corrupt
-    entries are reported, never silently recomputed.
+    The degree-d group does not depend on the level m, so entries carry
+    none.  Files use the h1-group/2 format (FORMAT, the one spelling of its
+    tag in the package), so cache entries are plain interface documents;
+    corrupt entries are reported, never silently recomputed.
     Entries are written atomically, so an interrupted write leaves no
     truncated entry behind.
     """
 
-    FORMAT = "h1-group/1"
+    FORMAT = "h1-group/2"
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, p: int, d: int, m: int) -> Path:
-        return self.directory / f"h1-p{p}-d{d}-m{m}.json"
+    def _path(self, p: int, d: int) -> Path:
+        return self.directory / f"h1-p{p}-d{d}.json"
 
-    def get(self, p: int, d: int, m: int):
-        path = self._path(p, d, m)
+    def get(self, p: int, d: int):
+        path = self._path(p, d)
         if not path.exists():
             return None
         try:
@@ -37,16 +38,15 @@ class DiskCache:
         except (OSError, ValueError) as exc:  # unreadable, truncated, not JSON or UTF-8
             raise SectionFormatError(f"corrupt cache entry {path}: {exc}") from exc
         if not (isinstance(doc, dict) and doc.get("format") == self.FORMAT
-                and (doc.get("p"), doc.get("d"), doc.get("m")) == (p, d, m)
+                and (doc.get("p"), doc.get("d")) == (p, d)
                 and isinstance(doc.get("exponents"), list)
                 and all(type(n) is int and n >= 1 for n in doc["exponents"])):
             raise SectionFormatError(f"corrupt cache entry {path}")
         return tuple(doc["exponents"])
 
-    def put(self, p: int, d: int, m: int, exponents) -> None:
-        doc = {"format": self.FORMAT, "p": p, "d": d, "m": m,
-               "exponents": list(exponents)}
-        path = self._path(p, d, m)
+    def put(self, p: int, d: int, exponents) -> None:
+        doc = {"format": self.FORMAT, "p": p, "d": d, "exponents": list(exponents)}
+        path = self._path(p, d)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             tmp.write_text(json.dumps(doc, indent=1) + "\n")

@@ -101,13 +101,16 @@ def _install_cache(args) -> None:
 
 @contextmanager
 def _input_document(path):
-    """The JSON document in the file at ``path``.  A file that cannot be read,
-    or a SectionFormatError raised while the block reads the document, is
-    refused as ``{path}: ...``."""
+    """The JSON document in the file at ``path``.  A file that cannot be read
+    or decoded is refused as ``cannot read {path}: ...``, and a
+    SectionFormatError raised while the block reads the document as
+    ``{path}: ...``."""
     try:
-        yield serialize.parse_json_document(Path(path).read_text())
-    except OSError as exc:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Refusal(f"cannot read {path}: {exc}") from exc
+    try:
+        yield serialize.parse_json_document(text)
     except SectionFormatError as exc:
         raise _Refusal(f"{path}: {exc}") from exc
 
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {"--out": dict(help="write output to this path instead of stdout"),
               "--row-limit": dict(type=int, help=f"job size guard (default "
                                   f"{DEFAULT_ROW_LIMIT}; env {ROW_LIMIT_ENV})"),
-              "--cache": dict(help="directory for (p, d, m) result cache")}
+              "--cache": dict(help="directory for (p, d) result cache")}
 
     def common(sp, *flags):
         for flag in flags:

@@ -1,7 +1,10 @@
 """H^1 groups of the pushforward sheaves and the identities that check them.
 
 The degree-d group is the cokernel of the degree-d local-data map on the
-rank-(2d+1) tensor space; the degree <= d group is the direct sum over
+rank-(2d+1) tensor space.  That map does not depend on the level m, so each
+degree-d group, its solver and its disk-cache entry are keyed by (p, d)
+alone; m only tags the reports and enters verify_splitting through the
+a^(m) coefficients.  The degree <= d group is the direct sum over
 degrees (the splitting), which verify_splitting recomputes independently as
 one big cokernel on an explicit operator basis.  Side identities: the
 guaranteed-torsion exponent floor((p-1)(d+1)/(p+1)), the graded line-bundle
@@ -80,13 +83,13 @@ def graded_piece_dim(p: int, d: int, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def degree_solver(p: int, d: int, m: int = 0) -> CokernelSolver:
+def degree_solver(p: int, d: int) -> CokernelSolver:
     """Cached solver for the degree-d tensor local-data map.
 
     Only for callers that read its kernel lattice; the group itself is
     h1_tensor's.
     """
-    mat, moduli = q_d_matrix(p, d, m)
+    mat, moduli = q_d_matrix(p, d)
     return CokernelSolver(mat, moduli, p)
 
 
@@ -94,7 +97,7 @@ _disk_cache = None
 
 
 def use_disk_cache(cache) -> None:
-    """Install (or remove, with None) an on-disk (p, d, m) result cache.
+    """Install (or remove, with None) an on-disk (p, d) result cache.
 
     Installing one clears h1_tensor's in-memory entries, so every group of
     the command reads or fills the new cache.  Removing one keeps them:
@@ -107,21 +110,19 @@ def use_disk_cache(cache) -> None:
 
 
 @lru_cache(maxsize=None)
-def h1_tensor(p: int, d: int, m: int = 0) -> AbelianPGroup:
+def h1_tensor(p: int, d: int) -> AbelianPGroup:
     """Degree-d summand: cokernel of the 2d+1 tensor sections inside Q_d."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if d < 1:
         raise ValueError("need d >= 1")
-    if m < 0:
-        raise ValueError("need m >= 0")
     if _disk_cache is not None:
-        stored = _disk_cache.get(p, d, m)
+        stored = _disk_cache.get(p, d)
         if stored is not None:
             return AbelianPGroup(p, stored)
-    group = cokernel_invariants(*q_d_matrix(p, d, m), p)
+    group = cokernel_invariants(*q_d_matrix(p, d), p)
     if _disk_cache is not None:
-        _disk_cache.put(p, d, m, group.exponents)
+        _disk_cache.put(p, d, group.exponents)
     return group
 
 
@@ -138,17 +139,15 @@ class H1Report:
     bound_met: tuple   # max exponent >= bound
     bound_equal: tuple  # max exponent == bound (observed, reported not asserted)
 
-    def __post_init__(self):
-        merged = []
-        for g in self.per_degree:
-            merged.extend(g.exponents)
-        if tuple(sorted(merged)) != self.total.exponents:
-            raise InvariantViolation("total group is not the union of the degree summands")
-
 
 def h1_filtered(p: int, d: int, m: int = 0) -> H1Report:
-    """Groups for all degrees d' <= d plus their direct sum (one table row)."""
-    per_degree = tuple(h1_tensor(p, dd, m) for dd in range(1, d + 1))
+    """Groups for all degrees d' <= d plus their direct sum (one table row).
+
+    The groups do not depend on the level; m tags the report.
+    """
+    if m < 0:
+        raise ValueError("need m >= 0")
+    per_degree = tuple(h1_tensor(p, dd) for dd in range(1, d + 1))
     total = AbelianPGroup(p, tuple(n for g in per_degree for n in g.exponents))
     bounds = tuple(exponent_lower_bound(p, dd) for dd in range(1, d + 1))
     met = tuple(g.max_exponent >= b for g, b in zip(per_degree, bounds))
@@ -192,10 +191,9 @@ def verify_splitting(p: int, d: int, m: int = 0) -> bool:
     return direct == h1_filtered(p, d, m).total
 
 
-@lru_cache(maxsize=None)
-def kernel_index_vp(p: int, d: int, m: int = 0) -> int:
+def kernel_index_vp(p: int, d: int) -> int:
     """v_p of the index of the vanishing-local-data lattice in Z^{2d+1}."""
-    basis = degree_solver(p, d, m).kernel_basis()
+    basis = degree_solver(p, d).kernel_basis()
     index = det(IntegerMatrix.from_rows(basis))
     if index == 0:
         raise InvariantViolation("kernel lattice is not full rank")
@@ -217,7 +215,7 @@ def lattice_order_check(p: int, d: int) -> bool:
         account of the vanishing-conditions lattice.
     """
     idx = kernel_index_vp(p, d)
-    group = h1_tensor(p, d, 0)
+    group = h1_tensor(p, d)
     total_vp = (p + 1) * d * (d + 1) // 2
     graded = sum(graded_piece_dim(p, d, i) for i in range(1, d + 1))
     return idx + group.order_vp == total_vp and idx == d * (2 * d + 1) - graded
@@ -232,7 +230,7 @@ def summand_count_check(p: int, d: int) -> bool:
     """
     mat, _ = q_d_matrix(p, d)
     expected = (p + 1) * d - rank_mod_p(mat, p)
-    return h1_tensor(p, d, 0).num_factors == expected
+    return h1_tensor(p, d).num_factors == expected
 
 
 @dataclass(frozen=True)
@@ -307,9 +305,6 @@ class LevelDiagnostic:
     def pushed_exponents(self) -> list:
         return [r.pushed_exponent for r in self.rows]
 
-    def scheduled_exponents(self) -> list:
-        return [r.scheduled_exponent for r in self.rows]
-
     @property
     def grew(self) -> bool:
         """Whether the pushed-class exponent exceeded its d = 1 value in range."""
@@ -356,7 +351,7 @@ def level_descent_diagnostic(p: int, m: int, d_max: int,
     coeff = Fraction(p * p - 3 * p, p * p - 1) + Fraction(1, (p - 1) * p ** m)
     rows = []
     for d in range(1, d_max + 1):
-        max_exp = h1_tensor(p, d, 0).max_exponent
+        max_exp = h1_tensor(p, d).max_exponent
         n_d = n_of(d)
         vp_lam = legendre_vp(d, p) - legendre_vp(q_level(d, p, m), p)
         pushed = max(0, max_exp - vp_lam)

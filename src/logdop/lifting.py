@@ -54,7 +54,7 @@ def sample_kernel_section(p: int, d: int, seed: int, m: int = 0) -> TensorSectio
     Integer combination of the vanishing-data lattice basis with coefficients
     in [-p^2, p^2]; same seed, same section.
     """
-    basis = degree_solver(p, d, m).kernel_basis()
+    basis = degree_solver(p, d).kernel_basis()
     rng = random.Random(seed)
     coords = [0] * (2 * d + 1)
     for vec in basis:

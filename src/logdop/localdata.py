@@ -23,7 +23,6 @@ from .calculus import (
     CHART_Y,
     OperatorSection,
     TensorSection,
-    _check_pm,
     operator_to_laurent,
 )
 from .linalg import IntegerMatrix, is_prime
@@ -245,7 +244,7 @@ def _pascal_rows(xi: int, top: int, width: int) -> list:
     return rows
 
 
-def q_d_matrix(p: int, d: int, m: int = 0, lifts: PointLift = None):
+def q_d_matrix(p: int, d: int, lifts: PointLift = None):
     """Matrix of the degree-d local-data map on the standard tensor basis.
 
     Rows run over the (p+1)*d canonical degree-d coordinates, columns over
@@ -254,11 +253,12 @@ def q_d_matrix(p: int, d: int, m: int = 0, lifts: PointLift = None):
     finite points, so the row (a, d, i) reads C(n, i) xi_a^{n-i} mod p^{d-i}
     off the Pascal rows of xi_a (reduced mod p^d, which is exact); the row
     (inf, d, i) is the unit vector at A_i.  The divided power identification
-    makes the matrix independent of the level m.
+    makes the matrix independent of the level m, so it takes none.
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    _check_pm(p, m)
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     if lifts is None:
         lifts = PointLift.canonical(p)
     width = 2 * d + 1

@@ -48,6 +48,10 @@ from .localdata import (
     tensor_basis,
 )
 
+# the enumeration oracle runs where p^ord(a) * (max exponent + 1) is at most this
+ENUMERATION_BUDGET = 2000
+LIFT_SAMPLES = 100  # sampled sections per (p, d) in the lift suite
+
 
 @dataclass
 class SuiteResult:
@@ -162,8 +166,7 @@ def group_shapes(max_factors: int, max_exponent: int, max_order_vp=None):
     return shapes
 
 
-def sweep_cyclic_quotients(p, shapes, result: SuiteResult, cross_validate: bool,
-                           enumeration_budget: int = 2000):
+def sweep_cyclic_quotients(p, shapes, result: SuiteResult, cross_validate: bool):
     for shape in shapes:
         group = AbelianPGroup(p, shape)
         mods = [p ** n for n in shape]
@@ -178,7 +181,7 @@ def sweep_cyclic_quotients(p, shapes, result: SuiteResult, cross_validate: bool,
                               f"p-local {q.exponents} vs counting {want}")
                 ord_exp = max((n - vp(ai, p) for ai, n in zip(a, shape) if ai),
                               default=0)
-                if p ** ord_exp * (max(shape, default=0) + 1) <= enumeration_budget:
+                if p ** ord_exp * (max(shape, default=0) + 1) <= ENUMERATION_BUDGET:
                     slow = quotient_invariants_by_enumeration(p, shape, a)
                     result.record(want == slow,
                                   f"oracle disagreement: p={p}, A={shape}, a={a}: "
@@ -190,7 +193,7 @@ def sweep_cyclic_quotients(p, shapes, result: SuiteResult, cross_validate: bool,
 # ---------------------------------------------------------------------------
 
 @_timed
-def suite_linalg(seed: int = 0, full_sweep: bool = True) -> SuiteResult:
+def suite_linalg(seed: int = 0) -> SuiteResult:
     result = SuiteResult("linalg")
     rng = random.Random(seed)
 
@@ -208,13 +211,12 @@ def suite_linalg(seed: int = 0, full_sweep: bool = True) -> SuiteResult:
 
     # quotient oracle: every group of order <= p^8 with <= 4 factors gets the
     # domination postcondition plus counting/enumeration cross-validation; the
-    # full sweep extends the domination check to all shapes with exponents <= 3
+    # domination check then extends to all shapes with exponents <= 3
     for p in (2, 3):
         sweep_cyclic_quotients(p, group_shapes(4, 8, max_order_vp=8), result,
                                cross_validate=True)
-        if full_sweep:
-            rest = [s for s in group_shapes(4, 3) if sum(s) > 8]
-            sweep_cyclic_quotients(p, rest, result, cross_validate=False)
+        rest = [s for s in group_shapes(4, 3) if sum(s) > 8]
+        sweep_cyclic_quotients(p, rest, result, cross_validate=False)
     return result
 
 
@@ -341,11 +343,11 @@ def suite_lattice(seed: int = 0) -> SuiteResult:
 
 
 @_timed
-def suite_lift(seed: int = 0, samples: int = 100) -> SuiteResult:
+def suite_lift(seed: int = 0) -> SuiteResult:
     result = SuiteResult("lift")
     for p in (2, 3, 5):
         for d in range(1, 7):
-            for k in range(samples):
+            for k in range(LIFT_SAMPLES):
                 delta = sample_kernel_section(p, d, seed=seed + 1009 * k + 13 * p + d)
                 label = f"(p={p}, d={d}, #{k})"
                 try:

@@ -82,7 +82,7 @@ def test_criterion_3_splitting_verification(capsys):
 
 
 def test_criterion_4_lifting_soundness(capsys):
-    result = suite_lift(seed=0, samples=100)
+    result = suite_lift(seed=0)
     ok = result.passed
     with capsys.disabled():
         assert verdict(4, "lifting soundness", ok,
@@ -107,17 +107,14 @@ def test_criterion_6_order_bookkeeping(capsys):
 
 
 def test_criterion_7_level_independence(capsys):
-    # q_d_matrix does not read m, so the h1_tensor comparison holds by
-    # construction; verify_splitting builds the degree <= d cokernel from
-    # the level-m operator basis, whose a^(m) coefficients do depend on m,
-    # and compares it with the level-0 groups
+    # the degree groups take no level; verify_splitting builds the degree
+    # <= d cokernel from the level-m operator basis, whose a^(m) coefficients
+    # do depend on m, and compares it with those groups
     ok = True
     cells = 0
     for p in (2, 3, 5):
         for d in range(1, 7):
-            base = h1_tensor(p, d, 0)
             for m in (1, 2, 3):
-                ok &= h1_tensor(p, d, m) == base
                 ok &= verify_splitting(p, d, m)
                 cells += 1
     with capsys.disabled():

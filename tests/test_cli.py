@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import logdop
-from logdop import cache, cli, lifting, localdata, serialize
+from logdop import cache, cli, lifting, localdata, serialize, tables
 from logdop.calculus import TensorSection, symbol, tensor_to_operator
 from logdop.cli import main
 from logdop.errors import SectionFormatError
@@ -18,6 +19,7 @@ from logdop.lifting import (
     lift_by_solve,
     sample_kernel_section,
 )
+from logdop.linalg import AbelianPGroup
 
 
 def run(capsys, *argv):
@@ -87,12 +89,22 @@ def test_h1_cache_round_trip(tmp_path, capsys):
                         "--cache", str(cache))
     assert code == 0
     entries = sorted(f.name for f in cache.iterdir())
-    assert entries == [f"h1-p3-d{d}-m0.json" for d in (1, 2, 3)]
-    doc = json.loads((cache / "h1-p3-d2-m0.json").read_text())
-    assert doc["format"] == "h1-group/1" and doc["exponents"] == [1, 1, 1]
+    assert entries == [f"h1-p3-d{d}.json" for d in (1, 2, 3)]
+    doc = json.loads((cache / "h1-p3-d2.json").read_text())
+    assert doc["format"] == "h1-group/2" and doc["exponents"] == [1, 1, 1]
     code, out2, _ = run(capsys, "h1", "--p", "3", "--d", "3",
                         "--cache", str(cache))
     assert code == 0 and out2 == out1
+
+
+def test_h1_cache_holds_one_entry_per_group_at_every_level(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    for level in ("2", "0"):
+        code, _, _ = run(capsys, "h1", "--p", "3", "--d", "3", "--level", level,
+                         "--cache", str(cache))
+        assert code == 0
+    assert sorted(f.name for f in cache.iterdir()) == [
+        f"h1-p3-d{d}.json" for d in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -173,7 +185,7 @@ def test_cache_at_an_existing_file_exits_2(tmp_path, capsys):
 
 
 def test_cache_entry_that_is_a_directory_exits_2(tmp_path, capsys):
-    (tmp_path / "h1-p3-d2-m0.json").mkdir()
+    (tmp_path / "h1-p3-d2.json").mkdir()
     code, out, err = run(capsys, "h1", "--p", "3", "--d", "2", "--cache", str(tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error: corrupt cache entry") and err.count("\n") == 1
@@ -191,11 +203,11 @@ def test_cache_entry_that_is_a_directory_exits_2(tmp_path, capsys):
 ], ids=["h1", "appendix", "diagnose"])
 def test_corrupt_cache_entry_exits_2(tmp_path, capsys, argv, damage):
     directory = tmp_path / "cache"
-    cache.DiskCache(directory).put(3, 2, 0, [1, 1, 1])
-    entry = directory / "h1-p3-d2-m0.json"
+    cache.DiskCache(directory).put(3, 2, [1, 1, 1])
+    entry = directory / "h1-p3-d2.json"
     entry.write_text(damage(entry.read_text()))
     with pytest.raises(SectionFormatError, match="corrupt cache entry"):
-        cache.DiskCache(directory).get(3, 2, 0)
+        cache.DiskCache(directory).get(3, 2)
     code, _, err = run(capsys, *argv, "--cache", str(directory))
     assert code == 2
     assert err.startswith("error: corrupt cache entry") and err.count("\n") == 1
@@ -206,7 +218,7 @@ def test_a_cache_ends_with_its_command(tmp_path, capsys):
     code, _, _ = run(capsys, "h1", "--p", "3", "--d", "2", "--cache", str(directory))
     assert code == 0
     written = sorted(f.name for f in directory.iterdir())
-    assert written == ["h1-p3-d1-m0.json", "h1-p3-d2-m0.json"]
+    assert written == ["h1-p3-d1.json", "h1-p3-d2.json"]
     assert run(capsys, "h1", "--p", "5", "--d", "2")[0] == 0
     assert run(capsys, "verify", "--suite", "splitting")[0] == 0
     assert sorted(f.name for f in directory.iterdir()) == written
@@ -216,7 +228,7 @@ def test_a_corrupt_entry_does_not_reach_a_later_command(tmp_path, capsys):
     directory = tmp_path / "cache"
     code, _, _ = run(capsys, "h1", "--p", "3", "--d", "2", "--cache", str(directory))
     assert code == 0
-    (directory / "h1-p7-d1-m0.json").write_text("not json")
+    (directory / "h1-p7-d1.json").write_text("not json")
     code, out, err = run(capsys, "diagnose", "--p", "7", "--m", "1", "--dmax", "1")
     assert (code, err) == (0, "")
     assert out
@@ -224,18 +236,18 @@ def test_a_corrupt_entry_does_not_reach_a_later_command(tmp_path, capsys):
 
 def test_cache_put_replaces_entries_atomically(tmp_path, monkeypatch):
     store = cache.DiskCache(tmp_path)
-    store.put(3, 2, 0, [1, 1, 1])
-    before = (tmp_path / "h1-p3-d2-m0.json").read_bytes()
+    store.put(3, 2, [1, 1, 1])
+    before = (tmp_path / "h1-p3-d2.json").read_bytes()
 
     def interrupted(src, dst):
         raise OSError("interrupted")
 
     monkeypatch.setattr(cache.os, "replace", interrupted)
     with pytest.raises(OSError, match="interrupted"):
-        store.put(3, 2, 0, [2])
-    assert [f.name for f in tmp_path.iterdir()] == ["h1-p3-d2-m0.json"]
-    assert (tmp_path / "h1-p3-d2-m0.json").read_bytes() == before
-    assert store.get(3, 2, 0) == (1, 1, 1)
+        store.put(3, 2, [2])
+    assert [f.name for f in tmp_path.iterdir()] == ["h1-p3-d2.json"]
+    assert (tmp_path / "h1-p3-d2.json").read_bytes() == before
+    assert store.get(3, 2) == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +261,7 @@ REFUSAL_FILES = {
         {"format": "operator/1", "p": 3, "m": 0, "d": 1,
          "terms": [{"chart": "y", "power": 3, "order": 1, "coeff": "1"}]}),
     "group.json": serialize.dump_json(
-        {"format": "h1-group/1", "p": 3, "d": 2, "m": 0, "exponents": [1]}),
+        {"format": "h1-group/2", "p": 3, "d": 2, "exponents": [1]}),
     "short.json": serialize.dump_json(
         {"format": "tensor-section/1", "p": 3, "d": 2, "m": 0,
          "a": ["0"], "b": ["0", "0", "0"]}),
@@ -258,13 +270,16 @@ REFUSAL_FILES = {
          "a": ["0", "0"], "b": ["0", "0", "0"]}),
     "huge.json": serialize.dump_json(
         {"format": "tensor-section/1", "p": 3, "d": 60, "m": 0, "a": [], "b": []}),
-    "cache/h1-p3-d1-m0.json": "not json",
+    "cache/h1-p3-d1.json": "not json",
+    "not-utf8.json": b"\xff\xfe{",
 }
 
 _GUARD = ("error: job size {rows} skyscraper coordinates exceeds the row limit "
           "{limit} (raise with --row-limit or LOGDOP_ROW_LIMIT)")
 _MISSING = ("error: cannot read {tmp}/missing.json: [Errno 2] No such file or "
             "directory: '{tmp}/missing.json'")
+_UNDECODABLE = ("error: cannot read {tmp}/not-utf8.json: 'utf-8' codec can't "
+                "decode byte 0xff in position 0: invalid start byte")
 _SHORT = ("error: {tmp}/short.json: need 2 A-coefficients and 3 B-coefficients, "
           "got 1 and 3")
 
@@ -301,7 +316,7 @@ REFUSALS = {
     "cache-file": (("h1", "--p", "3", "--d", "2", "--cache", "{tmp}/file"), None, 2,
                    "error: cannot use {tmp}/file as the cache directory: File exists"),
     "cache-corrupt": (("h1", "--p", "3", "--d", "2", "--cache", "{tmp}/cache"), None, 2,
-                      "error: corrupt cache entry {tmp}/cache/h1-p3-d1-m0.json: "
+                      "error: corrupt cache entry {tmp}/cache/h1-p3-d1.json: "
                       "Expecting value: line 1 column 1 (char 0)"),
     "appendix-half-row": (("appendix", "--p", "7"), None, 2,
                           "error: single-row mode needs both --p and --d"),
@@ -313,6 +328,7 @@ REFUSALS = {
     "lift-sample-half": (("lift", "--sample", "--p", "3"), None, 2,
                          "error: --sample needs --p and --d"),
     "lift-unreadable": (("lift", "--input", "{tmp}/missing.json"), None, 2, _MISSING),
+    "lift-not-utf8": (("lift", "--input", "{tmp}/not-utf8.json"), None, 2, _UNDECODABLE),
     "lift-bad-json": (("lift", "--input", "{tmp}/bad-json.json"), None, 2,
                       "error: {tmp}/bad-json.json: invalid JSON at line 1, "
                       "column 12: Expecting value"),
@@ -326,12 +342,13 @@ REFUSALS = {
     "lift-huge": (("lift", "--input", "{tmp}/huge.json"), None, 3,
                   _GUARD.format(rows=7320, limit=5000)),
     "data-unreadable": (("data", "--input", "{tmp}/missing.json"), None, 2, _MISSING),
+    "data-not-utf8": (("data", "--input", "{tmp}/not-utf8.json"), None, 2, _UNDECODABLE),
     "data-bad-json": (("data", "--input", "{tmp}/bad-json.json"), None, 2,
                       "error: {tmp}/bad-json.json: invalid JSON at line 1, "
                       "column 12: Expecting value"),
     "data-wrong-tag": (("data", "--input", "{tmp}/group.json"), None, 2,
                        "error: {tmp}/group.json: cannot take local data of a "
-                       "'h1-group/1' document"),
+                       "'h1-group/2' document"),
     "data-malformed": (("data", "--input", "{tmp}/short.json"), None, 2, _SHORT),
     "data-huge": (("data", "--input", "{tmp}/huge.json"), None, 3,
                   _GUARD.format(rows=7320, limit=5000)),
@@ -345,7 +362,7 @@ REFUSALS = {
 def test_refusal_table(tmp_path, capsys, monkeypatch, argv, env, code, err):
     for name, text in REFUSAL_FILES.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     if env is not None:
         monkeypatch.setenv("LOGDOP_ROW_LIMIT", env)
     try:
@@ -388,6 +405,22 @@ def test_appendix_discrepant_row_reports_both(capsys):
     assert code == 0  # flagged row: accepted via the structural checks
     assert "20 × 3^2" in out
     assert "10 × 3^2" in err and "known-discrepancy" in err
+
+
+def test_a_flagged_row_must_split_against_the_printed_row_before_it(monkeypatch, capsys):
+    # a Z/3^5 summand in the printed (3, 7) row, which no computed row 8 holds
+    real = tables.load_golden
+
+    def forged(p):
+        return [replace(row, group=AbelianPGroup(p, row.group.exponents + (5,)))
+                if (p, row.d) == (3, 7) else row for row in real(p)]
+
+    monkeypatch.setattr(tables, "load_golden", forged)
+    row = tables.compare_row(3, 8)
+    assert (row.splitting_ok, row.summand_count_ok) == (False, True)
+    assert row.status() == "MISMATCH"
+    code, _, err = run(capsys, "appendix", "--p", "3", "--d", "8")
+    assert code == 1 and "[MISMATCH]" in err
 
 
 def test_appendix_json_round_trips(capsys):

@@ -54,14 +54,6 @@ def test_h1_filtered_total_is_degree_union():
     assert tuple(sorted(merged)) == rep.total.exponents
 
 
-def test_h1_level_independence():
-    for p in (2, 3, 5):
-        for d in (1, 2, 3):
-            base = h1_tensor(p, d, 0)
-            for m in (1, 2, 3):
-                assert h1_tensor(p, d, m) == base
-
-
 def test_h1_finiteness_witness():
     # every degree summand is a finite p-group: a finite exponent multiset
     for p, d in ((2, 5), (3, 4), (5, 3)):
@@ -74,6 +66,8 @@ def test_h1_rejects_bad_arguments():
         h1_tensor(4, 2)
     with pytest.raises(ValueError):
         h1_tensor(3, 0)
+    with pytest.raises(ValueError, match="m >= 0"):
+        h1_filtered(3, 2, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +141,14 @@ def test_order_checks_small_sweep():
 
 
 def test_order_checks_reuse_the_filtered_groups():
-    # one lru entry per (p, d, m): the checks ask for the groups h1_filtered holds
+    # one lru entry per (p, d): the checks, and reports at every level, ask
+    # for the groups h1_filtered holds
     h1_tensor.cache_clear()
     h1_filtered(3, 4, 0)
     assert lattice_order_check(3, 4)
     assert summand_count_check(3, 4)
+    h1_tensor(3, 4)
+    assert h1_filtered(3, 4, 2).total == h1_filtered(3, 4, 0).total
     assert h1_tensor.cache_info().currsize == 4
 
 
@@ -232,7 +229,7 @@ def test_diagnostic_orders_against_tracked_solver(p, m):
     diag = level_descent_diagnostic(p, m, 12, "sqrt")
     for row in diag.rows:
         d = row.d
-        solver = degree_solver(p, d, 0)
+        solver = degree_solver(p, d)
         size = len(solver.moduli)
         basis = [[int(i == j) for i in range(size)] for j in range(size)]
         orders = [solver.element_order_exponent(e) for e in basis]

@@ -199,13 +199,6 @@ def test_q_d_matrix_lift_independence():
         assert g0 == g1
 
 
-def test_q_d_matrix_level_independent():
-    for m in (0, 1, 2, 3):
-        mat, moduli = q_d_matrix(3, 2, m)
-        base, base_mod = q_d_matrix(3, 2, 0)
-        assert mat == base and moduli == base_mod
-
-
 def test_tensor_basis_is_standard():
     basis = tensor_basis(3, 2)
     assert len(basis) == 5
@@ -301,7 +294,5 @@ def test_q_d_matrix_matches_column_wise_build(p, d_max):
 def test_q_d_matrix_rejects_what_the_basis_rejects():
     with pytest.raises(ValueError, match="not prime"):
         q_d_matrix(4, 2)
-    with pytest.raises(ValueError, match="level"):
-        q_d_matrix(3, 2, -1)
     with pytest.raises(ValueError):
         q_d_matrix(3, 0)

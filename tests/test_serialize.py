@@ -115,11 +115,12 @@ def test_h1_report_document_and_texts():
 
 
 def test_h1_group_cache_document(tmp_path):
-    DiskCache(tmp_path).put(3, 2, 0, (1, 1, 1))
+    DiskCache(tmp_path).put(3, 2, (1, 1, 1))
     [entry] = tmp_path.iterdir()
+    assert entry.name == "h1-p3-d2.json"
     doc = json.loads(entry.read_text())
     validate(doc, serialize.FORMAT_H1_GROUP)
-    assert (doc["p"], doc["d"], doc["m"], doc["exponents"]) == (3, 2, 0, [1, 1, 1])
+    assert doc == {"format": "h1-group/2", "p": 3, "d": 2, "exponents": [1, 1, 1]}
 
 
 def test_appendix_data_files_validate():
