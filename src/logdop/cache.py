@@ -34,7 +34,7 @@ class DiskCache:
         if not path.exists():
             return None
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # unreadable, truncated, not JSON or UTF-8
             raise SectionFormatError(f"corrupt cache entry {path}: {exc}") from exc
         if not (isinstance(doc, dict) and doc.get("format") == self.FORMAT
@@ -49,7 +49,7 @@ class DiskCache:
         path = self._path(p, d)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(json.dumps(doc, indent=1) + "\n")
+            tmp.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)

@@ -18,6 +18,7 @@ form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .errors import InvariantViolation
@@ -25,18 +26,40 @@ from .errors import InvariantViolation
 Moduli = tuple  # tuple of positive ints: exponents m_j of the target sum of Z/p^{m_j}
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_MR_BOUND = 3317044064679887385961981  # the 13 prime bases 2..41 decide every n below it
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Exact primality.  Below 50^2, trial division by the primes under 50;
+    below 3.317 * 10^24, Miller-Rabin with the 13 prime bases 2..41, which
+    decide every n there (Sorenson-Webster, Math. Comp. 2017); above that,
+    trial division."""
+    if n < 2500:
+        return n > 1 and all(n % f for f in _SMALL_PRIMES if f * f <= n)
+    if any(n % f == 0 for f in _SMALL_PRIMES):
         return False
-    if n < 4:
+    if n >= _MR_BOUND:
+        f = 53
+        while f * f <= n:
+            if n % f == 0:
+                return False
+            f += 2
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES[:13]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -229,56 +252,51 @@ def _plocal_exponents(rows, moduli, p: int) -> list:
     p^{moduli[r]} and is consumed.  The moduli columns stay implicit: row r
     is kept reduced modulo its own p^{e_r}, which is sound because that
     column touches row r alone until row r is a pivot.  The live block is
-    p^shift times the stored one.  At each shift the rows are swept by
-    descending e_r; a row i holding a unit in column j becomes the pivot: it
-    is scaled to a 1 there and f times it is subtracted in place from every
-    other row, at the pivot's nonzero positions only (in a local-data matrix
-    the rows at infinity and at the point 0 are unit vectors, so most pivots
-    touch one entry); then column j is spent and dropped and row i splits
-    off as Z/p^shift.  Its modulus column, now -f*p^{e_i} mod p^{e_r} in
-    row r, is appended as an explicit column when nonzero; largest modulus
-    first keeps that rare, since it vanishes in every row not yet swept.  A
-    row without a unit stays without one under these subtractions (f is
-    divisible by p).  After the sweep an all-zero row splits off as
-    Z/p^{shift + e_r}; the rest is divided by p.  A row at e_r = 1 with no
-    unit is zero, so every row is settled after max(moduli) shifts.
+    p^shift times the stored one.  The rows are sorted once, by fewest
+    nonzero entries and then by descending e_r (Markowitz's pivot order:
+    in a local-data matrix the rows at infinity and at the point 0 are unit
+    vectors, so they pivot first, at the cost of one entry).  At each shift
+    the rows are swept in that order; a row i with a unit (gcd of its row
+    prime to p) in column j becomes the pivot: it is scaled to a 1 there and
+    f times it is subtracted in place from every other row, at the pivot's
+    nonzero positions only.  Row i then splits off as Z/p^shift, and column
+    j, which it has just cleared, takes its modulus relation
+    -f*p^{e_i} mod p^{e_r} in row r: the same matrix as spending column j
+    and appending that relation, up to a column permutation.  The relation
+    scales column j by p^{e_i}, so a unit row makes the dense rows sparse.
+    A row without a unit stays without one under these updates (f is
+    divisible by p, and so is p^{e_i}).  After the sweep an all-zero row
+    splits off as Z/p^{shift + e_r}; the rest is divided by p.  A row at
+    e_r = 1 with no unit is zero, so every row is settled after max(moduli)
+    shifts.
     """
     e = list(moduli)
     q = [p ** x for x in e]
-    active = sorted(range(len(rows)), key=lambda r: -e[r])
+    active = sorted(range(len(rows)), key=lambda r: (len(rows[r]) - rows[r].count(0), -e[r]))
     exps = []
     settled = 0
     for shift in range(max(e, default=0)):
         kept = []
         for n, i in enumerate(active):
             row = rows[i]
-            j = next((k for k, a in enumerate(row) if a % p), None)
-            if j is None:
+            if not gcd(*row) % p:
                 kept.append(i)
                 continue
+            j = next(k for k, a in enumerate(row) if a % p)
             qi = q[i]
             inv = pow(row[j], -1, qi)
-            piv = [a * inv % qi for a in row]
-            del piv[j]
+            support = [(k, a * inv % qi) for k, a in enumerate(row) if a and k != j]
             settled += 1
             if shift:
                 exps.append(shift)
-            support = [(k, b) for k, b in enumerate(piv) if b]
-            others = kept + active[n + 1:]
-            spill = []
-            for r in others:
+            for r in kept + active[n + 1:]:
                 other = rows[r]
-                f = other.pop(j)  # column j is spent once row i is gone
+                f = other[j]
                 if f:
                     qr = q[r]
                     for k, b in support:
                         other[k] = (other[k] - f * b) % qr
-                    spill.append(-f * qi % qr)
-                else:
-                    spill.append(0)
-            if any(spill):
-                for r, s in zip(others, spill):
-                    rows[r].append(s)
+                    other[j] = -f * qi % qr
         active = []
         for r in kept:
             if any(rows[r]):
@@ -357,7 +375,7 @@ class CokernelSolver:
     Every answer is fixed mod p^N, N = max e_r.  Scaling row r by p^{N-e_r}
     embeds Z/p^{e_r} in Z/p^N, so M v = b modulo the moduli becomes
     M'v = b' mod p^N with b'_r = p^{N-e_r} b_r.  M' is eliminated by the
-    sweep of _plocal_exponents, without its modulus columns: row r is
+    pivot step of _plocal_exponents, without its modulus columns: row r is
     stored modulo p^{e[r]} as p^{-(N-e[r])} times its row of M', and joins
     the sweep at shift N - e_r, when it can first hold a unit.  A pivot of
     least valuation is final at once (no gcd rounds, no divisibility

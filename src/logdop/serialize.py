@@ -40,7 +40,7 @@ _SCHEMA_FILES = {
 
 def load_schema(format_tag: str) -> dict:
     path = resources.files("logdop").joinpath("schemas", _SCHEMA_FILES[format_tag])
-    return json.loads(path.read_text())
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def parse_json_document(text: str) -> dict:

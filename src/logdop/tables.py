@@ -40,7 +40,7 @@ def _summands_to_group(p, summands) -> AbelianPGroup:
 def load_golden(p: int) -> list:
     """Reference rows for one prime, ascending d."""
     data = resources.files("logdop").joinpath(f"data/appendix/p{p}.json")
-    doc = json.loads(data.read_text())
+    doc = json.loads(data.read_text(encoding="utf-8"))
     if doc.get("p") != p:
         raise ValueError(f"corpus file for p={p} declares p={doc.get('p')}")
     return [GoldenRow(p, row["d"], _summands_to_group(p, row["summands"]),

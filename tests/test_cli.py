@@ -718,7 +718,17 @@ def test_data_consumes_tensor_files_and_rejects_non_global(tmp_path, capsys):
 # a huge prime
 # ---------------------------------------------------------------------------
 
-HUGE_P = 2 ** 61 - 1  # prime; trial division up to its square root takes minutes
+HUGE_P = 2 ** 61 - 1  # prime; its job of p + 1 rows would exhaust memory
+
+
+def run_module(*argv, env=None, timeout=5):
+    """``python -m logdop argv`` in a fresh interpreter that imports this
+    package; the output comes back as bytes."""
+    src = str(Path(logdop.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "logdop", *argv], env=env,
+                          capture_output=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -739,15 +749,56 @@ def test_huge_prime_exits_3_before_any_primality_test(tmp_path, argv):
     for name, doc in files.items():
         (tmp_path / f"{name}.json").write_text(serialize.dump_json(doc))
     argv = [arg.format(**{n: tmp_path / f"{n}.json" for n in files}) for arg in argv]
-    src = str(Path(logdop.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-m", "logdop", *argv], env=env,
-                          capture_output=True, text=True, timeout=5)
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr.startswith("error: job size ") and proc.stderr.count("\n") == 1
+    proc = run_module(*argv)
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error: job size ") and proc.stderr.count(b"\n") == 1
+
+
+def test_composite_p_with_only_large_factors_exits_2_at_once():
+    # (2^31 - 1)^2: trial division would need about 10^9 steps to refuse it.
+    # Never try a huge prime here: it passes the check and then builds a
+    # matrix of p + 1 rows.
+    p = (2 ** 31 - 1) ** 2
+    proc = run_module("h1", "--p", str(p), "--d", "1", "--row-limit", str(10 ** 19))
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == f"error: p = {p} is not prime\n".encode()
 
 
 def test_composite_p_beyond_the_row_limit_exits_3(capsys):
     code, _, err = run(capsys, "h1", "--p", "10000", "--d", "1")
     assert code == 3 and err.startswith("error: job size 10001 ")
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes and the locale
+# ---------------------------------------------------------------------------
+
+def test_h1_and_diagnose_bytes_are_pinned(capsys):
+    # SHA-256 of two large outputs, so that a change to the elimination's
+    # pivot order cannot move a byte of them
+    code, h1_out, _ = run(capsys, "h1", "--p", "3", "--d", "30", "--per-degree",
+                          "--format", "json")
+    assert code == 0
+    code, diag_out, _ = run(capsys, "diagnose", "--p", "5", "--m", "2", "--dmax", "20",
+                            "--schedule", "sqrt", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(h1_out.encode()).hexdigest() == \
+        "5dcc64c6020e9177621fbd1f99dc5404328181675c66f3776b8a32e505dfc0b5"
+    assert hashlib.sha256(diag_out.encode()).hexdigest() == \
+        "fe18069a4dfd59b56f1ec95f3f763163fbdadf62448770d4640d7fcb816da4d0"
+
+
+def test_output_is_utf8_under_an_ascii_locale(tmp_path):
+    # the table text holds a non-ASCII "×"; under the C locale, with locale
+    # coercion and UTF-8 mode off, stdout and --out must still carry the
+    # bytes of a UTF-8 run
+    argv = ("appendix", "--p", "7", "--d", "6")
+    utf8 = run_module(*argv, env=dict(os.environ, PYTHONUTF8="1"))
+    assert utf8.returncode == 0 and "×".encode() in utf8.stdout
+    ascii_env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = run_module(*argv, env=ascii_env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, utf8.stdout, b"")
+    out = tmp_path / "row.txt"
+    proc = run_module(*argv, "--out", str(out), env=ascii_env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert out.read_bytes() == utf8.stdout

@@ -336,11 +336,56 @@ def test_plocal_invariants_edge_cases():
 
 
 def test_plocal_invariants_appended_modulus_column():
-    # pivoting on row 0 (modulus 2) puts -2 * 2 = 4 mod 8 into row 1: the
-    # smallest input whose spilled modulus column is nonzero
+    # pivoting on row 0 (modulus 2) writes its relation -2 * 2 = 4 mod 8 into
+    # row 1, in the column the pivot has cleared: the smallest input whose
+    # modulus relation is nonzero
     m = IntegerMatrix.from_rows([[1], [2]])
     assert cokernel_invariants(m, (1, 3), 2).exponents == (2,)
     assert z_invariants(m, (1, 3), 2).exponents == (2,)
+
+
+def shuffled_system(rng, m, moduli):
+    """m with its rows (and their moduli) and its columns permuted at random."""
+    rows = m.row_lists()
+    order, cols = list(range(m.rows)), list(range(m.cols))
+    rng.shuffle(order)
+    rng.shuffle(cols)
+    entries = [rows[r][c] for r in order for c in cols]
+    return IntegerMatrix(m.rows, m.cols, entries), tuple(moduli[r] for r in order)
+
+
+def test_plocal_invariants_ignore_row_and_column_order():
+    # the sweep order depends on the rows' sparsity and moduli and on which
+    # unit comes first in a row; none of it may reach the invariants
+    rng = random.Random(1957)
+    systems = [(q_d_matrix(3, d), 3) for d in range(1, 21)]
+    systems += [(q_d_matrix(5, d), 5) for d in range(1, 13)]
+    for p in (2, 3, 5):
+        for m_level in range(3):
+            for d in range(1, 7):
+                ops = standard_operator_basis(p, d, m_level)
+                systems.append((operator_matrix(ops, p, d), p))
+    for (m, moduli), p in systems:
+        want = cokernel_invariants(m, moduli, p)
+        for _ in range(2):
+            assert cokernel_invariants(*shuffled_system(rng, m, moduli), p) == want
+
+
+def test_plocal_invariants_with_planted_unit_rows():
+    # unit-vector rows of mixed moduli pivot first; each relation scales a
+    # column of the denser rows by p^{e_i}, below, at or above their own moduli
+    rng = random.Random(1998)
+    for _ in range(400):
+        p = rng.choice((2, 3, 5))
+        m, moduli = random_moduli_system(rng, p, max_rows=5, max_cols=6)
+        rows = m.row_lists()
+        for _ in range(rng.randint(1, 3) if m.cols else 0):
+            j, unit = rng.randrange(m.cols), rng.choice((1, -1, p + 1))
+            rows.append([unit * (c == j) for c in range(m.cols)])
+            moduli += (rng.randint(1, 5),)
+        planted = IntegerMatrix(len(rows), m.cols, [a for row in rows for a in row])
+        planted, moduli = shuffled_system(rng, planted, moduli)
+        assert cokernel_invariants(planted, moduli, p) == z_invariants(planted, moduli, p)
 
 
 def test_plocal_postcondition_fires_on_a_row_left_unreduced():
@@ -506,8 +551,24 @@ def test_group_text_and_sums():
     assert not g.contains_multiset(AbelianPGroup(3, (3,)))
 
 
+def trial_division_is_prime(n):
+    return n > 1 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
 def test_is_prime_and_vp():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    # both sides of 50^2, where trial division gives way to Miller-Rabin
+    assert all(is_prime(n) == trial_division_is_prime(n) for n in range(-3, 12000))
+    # the least strong pseudoprimes to the first k prime bases, k = 4..12:
+    # each is caught by a later base among 2..41
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    assert not is_prime((2 ** 31 - 1) ** 2)
+    # above the bound 3.317e24 trial division answers; only a composite
+    # with a small factor is quick there
+    assert not is_prime(53 * 100000000000000000000117)
     assert vp(24, 2) == 3
     assert vp(24, 3) == 1
     with pytest.raises(ValueError):
