@@ -46,6 +46,7 @@ from .localdata import (
     local_data_operator,
     local_data_tensor,
     q_d_matrix,
+    tensor_presentation,
 )
 
 __version__ = "0.1.0"
@@ -79,6 +80,7 @@ __all__ = [
     "sample_kernel_section",
     "summand_count_check",
     "symbol",
+    "tensor_presentation",
     "tensor_to_operator",
     "transform_term",
     "verify_splitting",

@@ -6,6 +6,8 @@ data (local data of a file), diagnose (level-lowering order table).  Exit
 codes: 0 success, 1 verification or comparison failure, 2 usage/parse error,
 3 resource guard, 4 lift input with nonvanishing local data; main prints each
 one-line ``error:`` refusal (a _Refusal).  A --cache ends with its command.
+Standard output, output files and standard error are UTF-8 whatever the
+locale (_emit and _stderr).
 """
 
 from __future__ import annotations
@@ -68,10 +70,15 @@ def _guard(p: int, d: int, args) -> None:
 
 
 def _require_prime(p: int) -> None:
-    """Refuse a p that is not prime.  The test is exact and fast for every p
-    below 3.317 * 10^24 (see is_prime), but callers still test only a p whose
-    job has passed _guard: above that bound it falls back to trial division."""
-    if not is_prime(p):
+    """Refuse a p that is not prime, or one at or above 3.317 * 10^24, where
+    is_prime has no exact fast test and raises.  No such p could run anyway:
+    its job has more than p rows.  Callers test only a p whose job has
+    passed _guard."""
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise _Refusal(str(exc)) from exc
+    if not prime:
         raise _Refusal(f"p = {p} is not prime")
 
 
@@ -91,6 +98,14 @@ def _emit(text: str, out) -> None:
     else:
         sys.stdout.flush()
         sys.stdout.buffer.write(text.encode("utf-8"))
+
+
+def _stderr(line: str) -> None:
+    """Write one line to stderr as UTF-8, whatever the locale's encoding;
+    every ``note:`` and ``error:`` line goes through here."""
+    sys.stderr.flush()
+    sys.stderr.buffer.write(f"{line}\n".encode("utf-8"))
+    sys.stderr.buffer.flush()
 
 
 def _install_cache(args) -> None:
@@ -161,8 +176,8 @@ def cmd_appendix(args) -> int:
         else:
             _emit(comparison.computed.table_text() + "\n", args.out)
             if not comparison.matches_printed:
-                print(f"note: printed row differs: {comparison.printed.table_text()} "
-                      f"[{comparison.status()}]", file=sys.stderr)
+                _stderr(f"note: printed row differs: {comparison.printed.table_text()} "
+                        f"[{comparison.status()}]")
         return EXIT_OK if comparison.accepted else EXIT_FAILED
 
     report = verify_appendix()
@@ -229,15 +244,14 @@ def cmd_lift(args) -> int:
                 # and zero local data: a lift of zero whenever both checks
                 # passed, and the two checked vectors already say so.
                 _, other = lift_by_schedule(delta, return_local_data=True)
-                print("solve/schedule outputs differ by a lift of zero: "
-                      f"{check.is_zero and other.is_zero}", file=sys.stderr)
+                _stderr("solve/schedule outputs differ by a lift of zero: "
+                        f"{check.is_zero and other.is_zero}")
     except NonvanishingLocalData as exc:
         data = exc.data
-        print("error: input section has nonvanishing degree-d local data at:",
-              file=sys.stderr)
+        _stderr("error: input section has nonvanishing degree-d local data at:")
         for a, k, i in data.nonzero_coordinates():
-            print(f"  point {a}, order {k}, power {i}: "
-                  f"{data.residue(a, k, i)} mod {delta.p ** (k - i)}", file=sys.stderr)
+            _stderr(f"  point {a}, order {k}, power {i}: "
+                    f"{data.residue(a, k, i)} mod {delta.p ** (k - i)}")
         return EXIT_BAD_INPUT_DATA
     except ValueError as exc:
         raise _Refusal(str(exc)) from exc
@@ -300,7 +314,8 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors as one ``error:`` line, exit 2; subparsers share the class."""
 
     def error(self, message):
-        self.exit(EXIT_USAGE, f"error: {message}\n")
+        _stderr(f"error: {message}")
+        self.exit(EXIT_USAGE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,7 +401,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (_Refusal, SectionFormatError) as exc:  # the latter: a corrupt cache entry
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         return exc.code if isinstance(exc, _Refusal) else EXIT_USAGE
     finally:
         use_disk_cache(None)

@@ -4,9 +4,13 @@ The degree-d group is the cokernel of the degree-d local-data map on the
 rank-(2d+1) tensor space.  That map does not depend on the level m, so each
 degree-d group, its solver and its disk-cache entry are keyed by (p, d)
 alone; m only tags the reports and enters verify_splitting through the
-a^(m) coefficients.  The degree <= d group is the direct sum over
-degrees (the splitting), which verify_splitting recomputes independently as
-one big cokernel on an explicit operator basis.  Side identities: the
+a^(m) coefficients.  h1_tensor eliminates tensor_presentation, where the p
+finite points have collapsed to Z[x]/(p, x^p - x)^d and only the d rows at
+infinity are left; the local-data matrix q_d_matrix itself is read where
+its kernel lattice or its rows are (degree_solver, the summand count) and
+by the oracles that check the presentation.  The degree <= d group is the
+direct sum over degrees (the splitting), which verify_splitting recomputes
+independently as one big cokernel on an explicit operator basis.  Side identities: the
 guaranteed-torsion exponent floor((p-1)(d+1)/(p+1)), the graded line-bundle
 dimensions max(0, 2d-i(p+1)+1) that account for the kernel-lattice index, the
 summand count against the mod-p rank, and the level-lowering valuation
@@ -39,7 +43,7 @@ from .linalg import (
     is_prime,
     rank_mod_p,
 )
-from .localdata import operator_matrix, q_d_matrix
+from .localdata import operator_matrix, q_d_matrix, tensor_presentation
 
 
 def legendre_vp(n: int, p: int) -> int:
@@ -111,7 +115,8 @@ def use_disk_cache(cache) -> None:
 
 @lru_cache(maxsize=None)
 def h1_tensor(p: int, d: int) -> AbelianPGroup:
-    """Degree-d summand: cokernel of the 2d+1 tensor sections inside Q_d."""
+    """Degree-d summand: cokernel of the 2d+1 tensor sections inside Q_d,
+    read off its presentation with d nonzero rows (tensor_presentation)."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if d < 1:
@@ -120,7 +125,7 @@ def h1_tensor(p: int, d: int) -> AbelianPGroup:
         stored = _disk_cache.get(p, d)
         if stored is not None:
             return AbelianPGroup(p, stored)
-    group = cokernel_invariants(*q_d_matrix(p, d), p)
+    group = cokernel_invariants(*tensor_presentation(p, d), p)
     if _disk_cache is not None:
         _disk_cache.put(p, d, group.exponents)
     return group

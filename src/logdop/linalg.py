@@ -33,19 +33,15 @@ _MR_BOUND = 3317044064679887385961981  # the 13 prime bases 2..41 decide every n
 def is_prime(n: int) -> bool:
     """Exact primality.  Below 50^2, trial division by the primes under 50;
     below 3.317 * 10^24, Miller-Rabin with the 13 prime bases 2..41, which
-    decide every n there (Sorenson-Webster, Math. Comp. 2017); above that,
-    trial division."""
+    decide every n there (Sorenson-Webster, Math. Comp. 2017).  At or above
+    that bound there is no exact fast test, so it raises ValueError."""
     if n < 2500:
         return n > 1 and all(n % f for f in _SMALL_PRIMES if f * f <= n)
+    if n >= _MR_BOUND:
+        raise ValueError(f"p = {n} is too large to test for primality "
+                         f"(need p < {_MR_BOUND})")
     if any(n % f == 0 for f in _SMALL_PRIMES):
         return False
-    if n >= _MR_BOUND:
-        f = 53
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -254,21 +250,22 @@ def _plocal_exponents(rows, moduli, p: int) -> list:
     column touches row r alone until row r is a pivot.  The live block is
     p^shift times the stored one.  The rows are sorted once, by fewest
     nonzero entries and then by descending e_r (Markowitz's pivot order:
-    in a local-data matrix the rows at infinity and at the point 0 are unit
-    vectors, so they pivot first, at the cost of one entry).  At each shift
-    the rows are swept in that order; a row i with a unit (gcd of its row
-    prime to p) in column j becomes the pivot: it is scaled to a 1 there and
-    f times it is subtracted in place from every other row, at the pivot's
-    nonzero positions only.  Row i then splits off as Z/p^shift, and column
-    j, which it has just cleared, takes its modulus relation
-    -f*p^{e_i} mod p^{e_r} in row r: the same matrix as spending column j
-    and appending that relation, up to a column permutation.  The relation
-    scales column j by p^{e_i}, so a unit row makes the dense rows sparse.
-    A row without a unit stays without one under these updates (f is
-    divisible by p, and so is p^{e_i}).  After the sweep an all-zero row
-    splits off as Z/p^{shift + e_r}; the rest is divided by p.  A row at
-    e_r = 1 with no unit is zero, so every row is settled after max(moduli)
-    shifts.
+    in the full local-data matrix of verify_splitting the rows at infinity
+    and at the point 0 are unit vectors, so they pivot first, at the cost of
+    one entry; the zero rows of tensor_presentation settle at shift 0 at the
+    cost of none).  At each shift the rows are swept in that order; a row i
+    with a unit (gcd of its row prime to p) in column j becomes the pivot:
+    it is scaled to a 1 there and f times it is subtracted in place from
+    every other row, at the pivot's nonzero positions only.  Row i then
+    splits off as Z/p^shift, and column j, which it has just cleared, takes
+    its modulus relation -f*p^{e_i} mod p^{e_r} in row r: the same matrix
+    as spending column j and appending that relation, up to a column
+    permutation.  The relation scales column j by p^{e_i}, so a unit row
+    makes the dense rows sparse.  A row without a unit stays without one
+    under these updates (f is divisible by p, and so is p^{e_i}).  After the
+    sweep an all-zero row splits off as Z/p^{shift + e_r}; the rest is
+    divided by p.  A row at e_r = 1 with no unit is zero, so every row is
+    settled after max(moduli) shifts.
     """
     e = list(moduli)
     q = [p ** x for x in e]
@@ -317,7 +314,7 @@ def cokernel_invariants(m: IntegerMatrix, moduli, p: int) -> AbelianPGroup:
     """Invariant factors of ((+)_j Z/p^{m_j}) / im(M), by p-local elimination."""
     moduli = tuple(moduli)
     _check_moduli(m, moduli, p)
-    rows = [[a % p ** e for a in row] for row, e in zip(m.row_lists(), moduli)]
+    rows = [[a % q for a in row] for row, q in zip(m.row_lists(), (p ** e for e in moduli))]
     return AbelianPGroup(p, tuple(_plocal_exponents(rows, moduli, p)))
 
 

@@ -8,6 +8,10 @@ The residues at a finite point are the coefficients of the Taylor shift of
 the x-chart polynomial to x_a, by repeated synthetic division; the degree-d
 matrix q_d_matrix is assembled from the Pascal rows C(n, i) xi_a^{n-i}
 directly, one row per coordinate, without evaluating basis sections.
+q_d_matrix is the map itself, read where its rows or its kernel lattice are
+needed; the degree-d group is computed from tensor_presentation, where the
+p finite points have collapsed to Z[x]/(p, x^p - x)^d and only the d rows
+at infinity are left.
 
 Coordinate ordering is fixed everywhere: points 0, 1, ..., p-1, infinity, and
 within a point (k, i) lexicographic with k ascending, then i ascending.  All
@@ -17,6 +21,7 @@ matrices, vectors and serialized documents follow this order bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .calculus import (
     CHART_X,
@@ -253,7 +258,9 @@ def q_d_matrix(p: int, d: int, lifts: PointLift = None):
     finite points, so the row (a, d, i) reads C(n, i) xi_a^{n-i} mod p^{d-i}
     off the Pascal rows of xi_a (reduced mod p^d, which is exact); the row
     (inf, d, i) is the unit vector at A_i.  The divided power identification
-    makes the matrix independent of the level m, so it takes none.
+    makes the matrix independent of the level m, so it takes none.  Its
+    cokernel is the degree-d group, which h1_tensor reads off the smaller
+    tensor_presentation instead.
     """
     if d < 1:
         raise ValueError("need d >= 1")
@@ -275,6 +282,55 @@ def q_d_matrix(p: int, d: int, lifts: PointLift = None):
         row[i] = 1
         flat.extend(row)
     return IntegerMatrix((p + 1) * d, width, flat), moduli_exponents(coords_degree(p, d))
+
+
+def tensor_presentation(p: int, d: int):
+    """A presentation of the degree-d group with d rows that are not zero.
+
+    Returns (matrix, moduli exponents) whose cokernel is isomorphic to that
+    of q_d_matrix(p, d).  The tensor space is Z[x]_{<=2d}: B_{s'} is x^{s'}
+    and A_s is (-1)^d x^{2d-s}.  At a finite point a the row (a, d, i) reads
+    the i-th Taylor coefficient at xi_a mod p^{d-i}, so those rows together
+    are the map to Z[x]/(p, x - xi_a)^d.  The p ideals (p, x - xi_a) are
+    pairwise comaximal and prod_a (x - xi_a) = f = x^p - x mod p, so the p
+    finite points together are Z[x]/(p, f)^d, whatever the lifts.
+
+    Columns: the monic basis x^r f^k (0 <= r < p, pk + r <= 2d) of degree
+    n = pk + r, n = 0..2d, a unimodular triangular change of the monomial
+    columns.  Z[x] is free over Z[f] on x^0..x^{p-1}, and (p, f)^d is
+    spanned by p^{d-k} x^r f^k for k < d and x^r f^k for k >= d, so the
+    finite target is (+)_{r<p, k<d} Z/p^{d-k} and column (r, k) maps to the
+    unit vector e_(r,k) there.  Eliminating those unit columns leaves:
+
+    * a free summand Z/p^{d-k} for each (r, k) with k < d that no column
+      reaches, i.e. each degree 2d < pk + r < pd; each is a zero row with
+      modulus d - k, so that cokernel_invariants alone turns it into an
+      invariant;
+    * the d rows at infinity: row i < d, modulus p^{d-i}, reads the
+      coefficient of x^{2d-i} (up to the unit (-1)^d), and column (r, k)
+      carries p^{max(d-k, 0)} T_{i,(r,k)}, the relation p^{d-k} e_(r,k) = 0
+      moved to infinity.  T_{i,(r,k)}, the coefficient of x^{2d-i} in
+      x^r f^k, is (-1)^{k-j} C(k, j) when j = (2d-i-r-k)/(p-1) is an
+      integer in [0, k], and 0 otherwise.
+
+    The rows are the free summands by degree, then infinity by i; the 2d+1
+    columns are by degree.
+    """
+    if d < 1:
+        raise ValueError("need d >= 1")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    width = 2 * d + 1
+    moduli = tuple(d - n // p for n in range(width, p * d)) + tuple(range(d, 0, -1))
+    rows = [[0] * width for _ in moduli]
+    at_inf = rows[len(moduli) - d:]
+    for n in range(width):
+        k, r = divmod(n, p)
+        scale = p ** max(d - k, 0)
+        top = 2 * d - r - k  # x^r f^k reaches x^{2d-i} at i = top - j(p-1)
+        for j in range(max(0, (top - d) // (p - 1) + 1), min(k, top // (p - 1)) + 1):
+            at_inf[top - j * (p - 1)][n] = (-1) ** (k - j) * comb(k, j) * scale
+    return IntegerMatrix.from_rows(rows), moduli
 
 
 def operator_matrix(ops, p: int, d: int, lifts: PointLift = None):

@@ -25,7 +25,7 @@ from .calculus import (
     tensor_to_operator,
     transform_term,
 )
-from .engine import lattice_order_check, summand_count_check, verify_splitting
+from .engine import h1_tensor, lattice_order_check, summand_count_check, verify_splitting
 from .errors import ScheduleFailure, TheoremViolation
 from .lifting import lift_by_schedule, lift_by_solve, sample_kernel_section
 from .linalg import (
@@ -290,8 +290,11 @@ def suite_localdata(seed: int = 0) -> SuiteResult:
                 result.record(False, f"q_d_matrix differs from the column-wise "
                                      f"build at (p={p}, d={d})")
                 continue
-            same = cokernel_invariants(m0, mod0, p) == cokernel_invariants(m1, mod1, p)
-            result.record(same, f"lift dependence at (p={p}, d={d})")
+            # h1_tensor reads tensor_presentation, so both local-data
+            # matrices are its oracle here
+            same = (cokernel_invariants(m0, mod0, p) == cokernel_invariants(m1, mod1, p)
+                    == h1_tensor(p, d))
+            result.record(same, f"lift dependence or h1_tensor mismatch at (p={p}, d={d})")
 
     for p in (2, 3, 5):
         for d in range(1, 7):

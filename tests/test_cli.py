@@ -764,6 +764,16 @@ def test_composite_p_with_only_large_factors_exits_2_at_once():
     assert proc.stderr == f"error: p = {p} is not prime\n".encode()
 
 
+def test_p_beyond_the_primality_bound_exits_2_at_once():
+    # is_prime has no exact fast test at or above 3.317e24 and raises there;
+    # this composite has only large factors, so trial division would hang
+    p = (2 ** 61 - 1) * (2 ** 31 - 1)
+    proc = run_module("h1", "--p", str(p), "--d", "1", "--row-limit", str(10 ** 30))
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(f"error: p = {p} is too large".encode())
+    assert proc.stderr.count(b"\n") == 1
+
+
 def test_composite_p_beyond_the_row_limit_exits_3(capsys):
     code, _, err = run(capsys, "h1", "--p", "10000", "--d", "1")
     assert code == 3 and err.startswith("error: job size 10001 ")
@@ -788,10 +798,25 @@ def test_h1_and_diagnose_bytes_are_pinned(capsys):
         "fe18069a4dfd59b56f1ec95f3f763163fbdadf62448770d4640d7fcb816da4d0"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("h1", "--p", "3", "--d", "80", "--per-degree", "--format", "json",
+      "--row-limit", "13000"),
+     "f21672750231db4423434973a6dca7abd083f55dee3492fb9f2ce83df839c745"),
+    (("h1", "--p", "5", "--d", "40", "--per-degree", "--format", "json"),
+     "76807ccf9faa82b31ecd9237931f4440b88ed26c4a728d74a2086a4c99f9339a"),
+], ids=["p3-d80", "p5-d40"])
+def test_h1_bytes_are_pinned_at_large_d(capsys, argv, digest):
+    # the digests come from the elimination of the full local-data matrix;
+    # each group is now read off tensor_presentation
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_output_is_utf8_under_an_ascii_locale(tmp_path):
     # the table text holds a non-ASCII "×"; under the C locale, with locale
-    # coercion and UTF-8 mode off, stdout and --out must still carry the
-    # bytes of a UTF-8 run
+    # coercion and UTF-8 mode off, stdout, --out and the stderr note must
+    # still carry the bytes of a UTF-8 run
     argv = ("appendix", "--p", "7", "--d", "6")
     utf8 = run_module(*argv, env=dict(os.environ, PYTHONUTF8="1"))
     assert utf8.returncode == 0 and "×".encode() in utf8.stdout
@@ -802,3 +827,8 @@ def test_output_is_utf8_under_an_ascii_locale(tmp_path):
     proc = run_module(*argv, "--out", str(out), env=ascii_env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
     assert out.read_bytes() == utf8.stdout
+    argv = ("appendix", "--p", "3", "--d", "8")
+    utf8 = run_module(*argv, env=dict(os.environ, PYTHONUTF8="1"))
+    assert utf8.stderr.startswith("note: printed row differs: 28 × 3 ".encode())
+    proc = run_module(*argv, env=ascii_env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, utf8.stdout, utf8.stderr)

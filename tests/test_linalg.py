@@ -566,9 +566,13 @@ def test_is_prime_and_vp():
         assert not is_prime(n)
     assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
     assert not is_prime((2 ** 31 - 1) ** 2)
-    # above the bound 3.317e24 trial division answers; only a composite
-    # with a small factor is quick there
-    assert not is_prime(53 * 100000000000000000000117)
+    # at and above the bound 3.317e24 there is no exact fast test: it
+    # raises at once, even on a composite with a small factor or with only
+    # large ones
+    for n in (3317044064679887385961981, 53 * 100000000000000000000117,
+              (2 ** 61 - 1) * (2 ** 31 - 1)):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(n)
     assert vp(24, 2) == 3
     assert vp(24, 3) == 1
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from logdop.calculus import (
     standard_operator_basis,
     tensor_to_operator,
 )
-from logdop.linalg import cokernel_invariants
+from logdop.linalg import IntegerMatrix, cokernel_invariants
 from logdop.localdata import (
     INF,
     PointLift,
@@ -23,6 +23,7 @@ from logdop.localdata import (
     moduli_exponents,
     q_d_matrix,
     tensor_basis,
+    tensor_presentation,
 )
 from logdop.verify import q_d_matrix_by_columns
 
@@ -292,7 +293,73 @@ def test_q_d_matrix_matches_column_wise_build(p, d_max):
 
 
 def test_q_d_matrix_rejects_what_the_basis_rejects():
-    with pytest.raises(ValueError, match="not prime"):
-        q_d_matrix(4, 2)
-    with pytest.raises(ValueError):
-        q_d_matrix(3, 0)
+    for build in (q_d_matrix, tensor_presentation):
+        with pytest.raises(ValueError, match="not prime"):
+            build(4, 2)
+        with pytest.raises(ValueError):
+            build(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# the presentation h1_tensor eliminates, against the local-data matrix
+# ---------------------------------------------------------------------------
+
+PRESENTATION_RANGE = [(2, 20), (3, 20), (5, 12), (7, 10), (11, 6), (13, 6)]
+
+
+def local_data_group(p, d, lifts=None):
+    return cokernel_invariants(*q_d_matrix(p, d, lifts=lifts), p)
+
+
+@pytest.mark.parametrize("p, d_max", PRESENTATION_RANGE)
+def test_tensor_presentation_has_the_local_data_cokernel(p, d_max):
+    rng = random.Random(4000 + p)
+    for d in range(1, d_max + 1):
+        group = cokernel_invariants(*tensor_presentation(p, d), p)
+        shifted = PointLift(p, tuple(a + p * rng.randint(-9, 9) for a in range(p)))
+        assert group == local_data_group(p, d), d
+        assert group == local_data_group(p, d, shifted), (d, shifted)
+
+
+@pytest.mark.parametrize("p, d_max", PRESENTATION_RANGE)
+def test_tensor_presentation_shape(p, d_max):
+    for d in range(1, d_max + 1):
+        mat, moduli = tensor_presentation(p, d)
+        reached = sum(1 for r in range(p) for k in range(d) if p * k + r <= 2 * d)
+        assert (mat.rows, mat.cols) == (p * d - reached + d, 2 * d + 1)
+        free = mat.rows - d
+        # the unreached (r, k) are zero rows with modulus d - k; then infinity
+        assert all(not any(row) for row in mat.row_lists()[:free])
+        assert sorted(moduli[:free]) == sorted(d - k for r in range(p) for k in range(d)
+                                               if p * k + r > 2 * d)
+        assert moduli[free:] == tuple(range(d, 0, -1))
+
+
+def without_scale(p, d):
+    """The presentation with the factor p^{max(d-k, 0)} divided out."""
+    mat, moduli = tensor_presentation(p, d)
+    rows = mat.row_lists()
+    for row in rows[mat.rows - d:]:
+        for n in range(mat.cols):
+            row[n] //= p ** max(d - n // p, 0)
+    return IntegerMatrix.from_rows(rows), moduli
+
+
+def one_entry_knocked_out(p, d):
+    """The presentation with its first live T entry (nonzero modulo its
+    row's modulus), if it has one, set to zero."""
+    mat, moduli = tensor_presentation(p, d)
+    rows = mat.row_lists()
+    for row, e in zip(rows, moduli):
+        n = next((n for n, a in enumerate(row) if a % p ** e), None)
+        if n is not None:
+            row[n] = 0
+            break
+    return IntegerMatrix.from_rows(rows), moduli
+
+
+@pytest.mark.parametrize("mutant", [without_scale, one_entry_knocked_out])
+def test_the_presentation_oracle_can_fail(mutant):
+    differ = [(p, d) for p in (2, 3, 5, 7) for d in range(1, 7)
+              if cokernel_invariants(*mutant(p, d), p) != local_data_group(p, d)]
+    assert differ
