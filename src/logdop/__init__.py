@@ -31,7 +31,6 @@ from .engine import (
     level_descent_diagnostic,
     summand_count_check,
     verify_splitting,
-    vp_factorial_quotient,
 )
 from .lifting import lift_by_schedule, lift_by_solve, sample_kernel_section
 from .linalg import (
@@ -84,5 +83,4 @@ __all__ = [
     "tensor_to_operator",
     "transform_term",
     "verify_splitting",
-    "vp_factorial_quotient",
 ]

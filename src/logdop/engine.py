@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, log
 
-from .calculus import q_level, standard_operator_basis, symbol
+from .calculus import q_level, standard_operator_basis
 from .errors import InvariantViolation
 from .linalg import (
     AbelianPGroup,
@@ -160,29 +160,6 @@ def h1_filtered(p: int, d: int, m: int = 0) -> H1Report:
     return H1Report(p, d, m, per_degree, total, bounds, met, equal)
 
 
-def _assert_symbol_basis(ops, p: int, d: int, m: int) -> None:
-    # order-k symbols must form a basis of the rank-(2k+1) tensor space
-    from .calculus import OperatorSection
-
-    by_order = {}
-    for op in ops:
-        for (chart, i, k), coeff in op.terms.items():
-            if k >= 1:
-                by_order.setdefault(k, []).append((chart, i, k, coeff))
-    for k, terms in sorted(by_order.items()):
-        cols = []
-        for chart, i, kk, coeff in terms:
-            single = OperatorSection(p, m, kk, {(chart, i, kk): coeff})
-            cols.append(symbol(single, kk).coordinates())
-        if len(cols) != 2 * k + 1:
-            raise InvariantViolation(
-                f"order-{k} spanning set has {len(cols)} members, need {2 * k + 1}")
-        mat = IntegerMatrix.from_rows([[col[r] for col in cols]
-                                       for r in range(2 * k + 1)])
-        if abs(det(mat)) != 1:
-            raise InvariantViolation(f"order-{k} symbols do not form a lattice basis")
-
-
 def verify_splitting(p: int, d: int, m: int = 0) -> bool:
     """Direct degree <= d cokernel == direct sum of the degree summands.
 
@@ -191,7 +168,6 @@ def verify_splitting(p: int, d: int, m: int = 0) -> bool:
     shot, with the degree-by-degree answer assembled from h1_tensor.
     """
     ops = standard_operator_basis(p, d, m)
-    _assert_symbol_basis(ops, p, d, m)
     direct = cokernel_invariants(*operator_matrix(ops, p, d), p)
     return direct == h1_filtered(p, d, m).total
 
@@ -231,42 +207,11 @@ def summand_count_check(p: int, d: int) -> bool:
 
     The count must be (p+1)d - rank_{F_p}(M mod p); with a full-rank image
     (rank 2d+1) that is (p-1)d - 1.  The rank comes from an independent
-    mod-p Gaussian elimination, not from the p-local one.
+    mod-p Gaussian elimination, not from the p-local one, run on the matrix
+    the degree solver was built from.
     """
-    mat, _ = q_d_matrix(p, d)
-    expected = (p + 1) * d - rank_mod_p(mat, p)
+    expected = (p + 1) * d - rank_mod_p(degree_solver(p, d).matrix, p)
     return h1_tensor(p, d).num_factors == expected
-
-
-@dataclass(frozen=True)
-class VpFactorialQuotient:
-    """Exact v_p(d!/q_d!) against the closed upper bound."""
-
-    d: int
-    p: int
-    m: int
-    exact: int
-    bound_value: float  # d/(p-1) - d/((p-1)p^m) + log_p(d) + 1
-    within_bound: bool
-
-
-def vp_factorial_quotient(d: int, p: int, m: int) -> VpFactorialQuotient:
-    """Exact Legendre valuation of d!/q_d! and the analytic upper bound.
-
-    The comparison 'exact <= rational + log_p(d)' is decided exactly by an
-    integer power comparison; the float field is for display only.
-    """
-    if d < 1:
-        raise ValueError("need d >= 1")
-    q = q_level(d, p, m)
-    exact = legendre_vp(d, p) - legendre_vp(q, p)
-    rational = Fraction(d, p - 1) - Fraction(d, (p - 1) * p ** m) + 1
-    within = cmp_rational_logp(Fraction(exact) - rational, p, d) <= 0
-    if not within:
-        raise InvariantViolation(
-            f"v_{p}({d}!/{q}!) = {exact} exceeds its analytic bound")
-    return VpFactorialQuotient(d, p, m, exact,
-                               float(rational) + log(d, p), within)
 
 
 SCHEDULES = {

@@ -189,11 +189,6 @@ class AbelianPGroup:
                 out.append([n, 1])
         return [(n, m) for n, m in out]
 
-    def direct_sum(self, other: "AbelianPGroup") -> "AbelianPGroup":
-        if other.p != self.p:
-            raise ValueError("direct sum across different primes")
-        return AbelianPGroup(self.p, self.exponents + other.exponents)
-
     def contains_multiset(self, other: "AbelianPGroup") -> bool:
         """Whether other's exponent multiset is contained in this one's."""
         mine = list(self.exponents)

@@ -26,6 +26,7 @@ FORMAT_LOCAL_DATA = "local-data/1"
 FORMAT_H1_REPORT = "h1-report/1"
 FORMAT_H1_GROUP = DiskCache.FORMAT  # written by DiskCache.put
 FORMAT_DIAGNOSTIC = "diagnostic/1"
+FORMAT_APPENDIX_REPORT = "appendix-report/1"
 
 _SCHEMA_FILES = {
     FORMAT_TENSOR: "tensor_section.schema.json",
@@ -34,6 +35,7 @@ _SCHEMA_FILES = {
     FORMAT_H1_REPORT: "h1_report.schema.json",
     FORMAT_H1_GROUP: "h1_group.schema.json",
     FORMAT_DIAGNOSTIC: "diagnostic.schema.json",
+    FORMAT_APPENDIX_REPORT: "appendix_report.schema.json",
     "appendix-table/1": "appendix_table.schema.json",
 }
 
@@ -73,8 +75,8 @@ def _int_field(doc, key):
 
 def section_size(doc: dict, tag: str) -> tuple:
     """(p, max(d, 1)) of a tensor-section or operator document, read without
-    building the section: the job is sized before p is tested for primality,
-    which takes trial division."""
+    building the section: the job is sized before p is tested for primality
+    (is_prime, a Miller-Rabin test)."""
     _expect(doc, tag)
     return _int_field(doc, "p"), max(_int_field(doc, "d"), 1)
 
@@ -230,7 +232,7 @@ def appendix_report_to_doc(report: AppendixReport) -> dict:
             "bound_equal": c.bound_equal,
         })
     return {
-        "format": "appendix-report/1",
+        "format": FORMAT_APPENDIX_REPORT,
         "tables": [{"p": p, "rows": rows} for p, rows in sorted(tables.items())],
         "all_accepted": report.all_accepted,
     }

@@ -18,8 +18,8 @@ from importlib import resources
 from .engine import h1_filtered
 from .linalg import AbelianPGroup
 
-TABLE_RANGES = ((2, 11), (3, 9), (5, 8), (7, 6), (11, 5))
-TABLE_PRIMES = tuple(p for p, _ in TABLE_RANGES)
+_DATA = resources.files("logdop").joinpath("data/appendix")
+TABLE_PRIMES = (2, 3, 5, 7, 11)  # one data file p<p>.json each; its rows are the table
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ def _summands_to_group(p, summands) -> AbelianPGroup:
 
 def load_golden(p: int) -> list:
     """Reference rows for one prime, ascending d."""
-    data = resources.files("logdop").joinpath(f"data/appendix/p{p}.json")
-    doc = json.loads(data.read_text(encoding="utf-8"))
+    doc = json.loads(_DATA.joinpath(f"p{p}.json").read_text(encoding="utf-8"))
     if doc.get("p") != p:
         raise ValueError(f"corpus file for p={p} declares p={doc.get('p')}")
     return [GoldenRow(p, row["d"], _summands_to_group(p, row["summands"]),
@@ -76,13 +75,12 @@ class RowComparison:
         return "MISMATCH"
 
 
-def compare_row(p: int, d: int) -> RowComparison:
-    """One table row from one h1_filtered report; the splitting check reads
-    the printed row d-1, so it can fail even where the computed rows agree."""
-    golden = {row.d: row for row in load_golden(p)}
-    if d not in golden:
-        raise ValueError(f"no reference row for p={p}, d={d}")
+def _compare(golden: dict, d: int) -> RowComparison:
+    """Row d of one prime's table (golden: d -> GoldenRow) from one
+    h1_filtered report; the splitting check reads the printed row d-1, so it
+    can fail even where the computed rows agree."""
     printed = golden[d]
+    p = printed.p
     previous = golden[d - 1].group if d > 1 else AbelianPGroup(p, ())
     report = h1_filtered(p, d)
     computed = report.total
@@ -95,6 +93,14 @@ def compare_row(p: int, d: int) -> RowComparison:
         bound_met=report.bound_met[-1],
         bound_equal=report.bound_equal[-1],
     )
+
+
+def compare_row(p: int, d: int) -> RowComparison:
+    """One table row against its reference."""
+    golden = {row.d: row for row in load_golden(p)}
+    if d not in golden:
+        raise ValueError(f"no reference row for p={p}, d={d}")
+    return _compare(golden, d)
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,7 @@ class AppendixReport:
 
 
 def verify_appendix() -> AppendixReport:
-    """Recompute all reference tables and compare row by row, in (p, d) order."""
-    return AppendixReport(tuple(compare_row(p, d) for p, dmax in TABLE_RANGES
-                                for d in range(1, dmax + 1)))
+    """Recompute every row of every reference table, in (p, d) order; each
+    table is read once."""
+    tables = [{row.d: row for row in load_golden(p)} for p in TABLE_PRIMES]
+    return AppendixReport(tuple(_compare(golden, d) for golden in tables for d in golden))

@@ -14,7 +14,7 @@ from logdop.engine import (
     level_descent_diagnostic,
     verify_splitting,
 )
-from logdop.tables import TABLE_RANGES, verify_appendix
+from logdop.tables import TABLE_PRIMES, load_golden, verify_appendix
 from logdop.verify import (
     SuiteResult,
     group_shapes,
@@ -59,8 +59,8 @@ def test_criterion_1_appendix_reproduction(capsys):
 def test_criterion_2_exponent_bound(capsys):
     checked = equal = 0
     ok = True
-    for p, dmax in TABLE_RANGES:
-        for d in range(1, dmax + 1):
+    for p in TABLE_PRIMES:
+        for d in (row.d for row in load_golden(p)):
             bound = exponent_lower_bound(p, d)
             top = h1_tensor(p, d).max_exponent
             ok &= top >= bound

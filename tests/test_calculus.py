@@ -245,6 +245,25 @@ def test_standard_operator_basis_counts_and_globality():
         assert len(low) == d ** 2
 
 
+def test_standard_operator_basis_symbols_are_the_unit_vectors():
+    # each order-k member is one monomial whose degree-k symbol is a unit
+    # vector, and the order-k members hit each of the 2k+1 unit vectors once,
+    # so the basis of verify_splitting spans every symbol lattice
+    for p in (2, 3, 5):
+        for d in range(1, 7):
+            for m in range(4):
+                ops = standard_operator_basis(p, d, m)
+                assert ops[0].terms == {(CHART_X, 0, 0): 1}
+                for k in range(1, d + 1):
+                    symbols = sorted(
+                        symbol(OperatorSection(p, m, k, op.terms), k).coordinates()
+                        for op in ops if max(kk for _, _, kk in op.terms) == k)
+                    units = [[int(i == j) for i in range(2 * k + 1)]
+                             for j in range(2 * k + 1)]
+                    assert symbols == sorted(units), (p, d, m, k)
+                assert len(ops) == (d + 1) ** 2
+
+
 def test_operator_to_laurent_aggregates_cancellation():
     # x d_x + y d_y = 0 as a global operator identity
     op = OperatorSection(3, 0, 1, {(CHART_X, 1, 1): 1, (CHART_Y, 1, 1): 1})

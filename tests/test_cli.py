@@ -798,6 +798,23 @@ def test_h1_and_diagnose_bytes_are_pinned(capsys):
         "fe18069a4dfd59b56f1ec95f3f763163fbdadf62448770d4640d7fcb816da4d0"
 
 
+def test_appendix_bytes_are_pinned(capsys):
+    # the full report in both formats, and the flagged single row with its
+    # stderr note, as written when each row still read its table afresh
+    code, json_out, err = run(capsys, "appendix", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(json_out.encode()).hexdigest() == \
+        "1bdf139cac4d1dacbfeedafb4a60a15ef91b7b24c896bb20c76b9f02f313160f"
+    code, text_out, err = run(capsys, "appendix")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(text_out.encode()).hexdigest() == \
+        "eac600a07b7f8ab5d349cc74c866af757737034f0453a9c0f3402a364dc63074"
+    assert run(capsys, "appendix", "--p", "3", "--d", "8") == (
+        0, "28 × 3  20 × 3^2  12 × 3^3  4 × 3^4\n",
+        "note: printed row differs: 28 × 3  10 × 3^2  12 × 3^3  4 × 3^4 "
+        "[known-discrepancy]\n")
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("h1", "--p", "3", "--d", "80", "--per-degree", "--format", "json",
       "--row-limit", "13000"),

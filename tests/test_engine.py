@@ -17,7 +17,6 @@ from logdop.engine import (
     level_descent_diagnostic,
     summand_count_check,
     verify_splitting,
-    vp_factorial_quotient,
 )
 from logdop.linalg import AbelianPGroup
 
@@ -172,15 +171,14 @@ def test_cmp_rational_logp():
     assert cmp_rational_logp(Fraction(8, 5), 2, 3) == 1   # 2^1.6 > 3
 
 
-def test_vp_factorial_quotient_examples():
-    r = vp_factorial_quotient(6, 3, 1)
-    assert r.exact == 2  # v_3(6!) - v_3(2!) = 2 - 0
-    assert r.within_bound and abs(r.bound_value - 4.6309) < 1e-3
+def test_diagnostic_vp_transition_examples():
+    def vp_transition(d, p, m):  # v_p(d!/q_d!) in the row of degree d
+        return level_descent_diagnostic(p, m, d).rows[d - 1].vp_transition
+
+    assert vp_transition(6, 3, 1) == 2  # v_3(6!) - v_3(2!) = 2 - 0
     # d = p^m: the q-part contributes nothing
-    r = vp_factorial_quotient(9, 3, 2)
-    assert r.exact == legendre_vp(9, 3)
-    r = vp_factorial_quotient(8, 2, 3)
-    assert r.exact == legendre_vp(8, 2) - 0
+    assert vp_transition(9, 3, 2) == legendre_vp(9, 3) == 4
+    assert vp_transition(8, 2, 3) == legendre_vp(8, 2) == 7
 
 
 def test_diagnostic_zero_schedule_level_zero_identity():

@@ -12,7 +12,13 @@ from logdop.engine import h1_filtered, level_descent_diagnostic
 from logdop.errors import SectionFormatError
 from logdop.lifting import lift_by_solve, sample_kernel_section
 from logdop.localdata import LocalDataVector, local_data_operator, local_data_tensor
-from logdop.tables import TABLE_PRIMES, load_golden, verify_appendix
+from logdop.tables import (
+    AppendixReport,
+    TABLE_PRIMES,
+    compare_row,
+    load_golden,
+    verify_appendix,
+)
 
 
 def validate(doc, format_tag=None):
@@ -129,6 +135,8 @@ def test_appendix_data_files_validate():
         rows = load_golden(p)
         assert rows == sorted(rows, key=lambda r: r.d)
     from importlib import resources
+    files = resources.files("logdop").joinpath("data/appendix").iterdir()
+    assert sorted(f.name for f in files) == sorted(f"p{p}.json" for p in TABLE_PRIMES)
     for p in TABLE_PRIMES:
         doc = json.loads(resources.files("logdop")
                          .joinpath(f"data/appendix/p{p}.json").read_text())
@@ -138,7 +146,12 @@ def test_appendix_data_files_validate():
 def test_appendix_report_documents():
     rep = verify_appendix()
     doc = serialize.appendix_report_to_doc(rep)
+    validate(doc)
     assert doc["all_accepted"] is True
+    single = serialize.appendix_report_to_doc(AppendixReport((compare_row(3, 8),)))
+    validate(single)
+    assert [t["p"] for t in single["tables"]] == [3]
+    assert single["tables"][0]["rows"][0]["status"] == "known-discrepancy"
     flagged = [(table["p"], row["d"]) for table in doc["tables"]
                for row in table["rows"] if row["status"] != "match"]
     assert flagged == [(3, 8)]
