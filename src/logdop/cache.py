@@ -15,7 +15,10 @@ class DiskCache:
     The degree-d group does not depend on the level m, so entries carry
     none.  Files use the h1-group/2 format (FORMAT, the one spelling of its
     tag in the package), so cache entries are plain interface documents;
-    corrupt entries are reported, never silently recomputed.
+    corrupt entries are reported, never silently recomputed.  An entry that
+    cannot be a degree-d group is corrupt too: the group is a quotient of
+    the (p+1)d coordinates Z/p^{d-i}, so it has at most (p+1)d invariant
+    factors, none above p^d, and its order divides p^{(p+1)d(d+1)/2}.
     Entries are written atomically, so an interrupted write leaves no
     truncated entry behind.
     """
@@ -42,7 +45,18 @@ class DiskCache:
                 and isinstance(doc.get("exponents"), list)
                 and all(type(n) is int and n >= 1 for n in doc["exponents"])):
             raise SectionFormatError(f"corrupt cache entry {path}")
-        return tuple(doc["exponents"])
+        exponents = doc["exponents"]
+        rows = (p + 1) * d
+        if max(exponents, default=0) > d:
+            why = f"exponent {max(exponents)} exceeds d = {d}"
+        elif len(exponents) > rows:
+            why = f"{len(exponents)} exponents for {rows} rows"
+        elif sum(exponents) > rows * (d + 1) // 2:
+            why = (f"the exponents sum to {sum(exponents)}, "
+                   f"above (p+1)d(d+1)/2 = {rows * (d + 1) // 2}")
+        else:
+            return tuple(exponents)
+        raise SectionFormatError(f"corrupt cache entry {path}: {why}")
 
     def put(self, p: int, d: int, exponents) -> None:
         doc = {"format": self.FORMAT, "p": p, "d": d, "exponents": list(exponents)}

@@ -9,15 +9,19 @@ are given by an integer matrix together with a vector of prime-power moduli
 exponents, always powers of a single prime p passed alongside the exponent
 tuple, so mixed-prime targets are unrepresentable by construction.  Both of
 their eliminations work over Z_(p), where a pivot of least valuation is final
-in one pass: cokernel_invariants reads the invariant factors alone, and
-CokernelSolver records its transforms mod p^N, N the largest modulus, for
-element orders, congruence solves and the kernel lattice in Hermite normal
-form.
+in one pass.  cokernel_invariants reads the invariant factors alone, from
+sparse {column: entry} rows that stay at p^shift times the live block, so
+nothing is divided by p: each row's valuation is stored and read again only
+after a pivot has updated the row, and the rows pivot in Markowitz order,
+fewest nonzero entries first.  CokernelSolver keeps dense rows and records
+its transforms mod p^N, N the largest modulus, for element orders,
+congruence solves and the kernel lattice in Hermite normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from typing import Sequence
 
@@ -239,66 +243,82 @@ def _plocal_exponents(rows, moduli, p: int) -> list:
     """Nonzero invariant exponents of the cokernel of ``rows`` in (+)_r Z/p^{moduli[r]}.
 
     The cokernel is a finite p-group, so it is computed over Z_(p), where
-    every entry prime to p is a unit.  ``rows[r]`` must come reduced modulo
-    p^{moduli[r]} and is consumed.  The moduli columns stay implicit: row r
-    is kept reduced modulo its own p^{e_r}, which is sound because that
-    column touches row r alone until row r is a pivot.  The live block is
-    p^shift times the stored one.  The rows are sorted once, by fewest
-    nonzero entries and then by descending e_r (Markowitz's pivot order:
-    in the full local-data matrix of verify_splitting the rows at infinity
-    and at the point 0 are unit vectors, so they pivot first, at the cost of
-    one entry; the zero rows of tensor_presentation settle at shift 0 at the
-    cost of none).  At each shift the rows are swept in that order; a row i
-    with a unit (gcd of its row prime to p) in column j becomes the pivot:
-    it is scaled to a 1 there and f times it is subtracted in place from
-    every other row, at the pivot's nonzero positions only.  Row i then
-    splits off as Z/p^shift, and column j, which it has just cleared, takes
-    its modulus relation -f*p^{e_i} mod p^{e_r} in row r: the same matrix
-    as spending column j and appending that relation, up to a column
-    permutation.  The relation scales column j by p^{e_i}, so a unit row
-    makes the dense rows sparse.  A row without a unit stays without one
-    under these updates (f is divisible by p, and so is p^{e_i}).  After the
-    sweep an all-zero row splits off as Z/p^{shift + e_r}; the rest is
-    divided by p.  A row at e_r = 1 with no unit is zero, so every row is
+    every entry prime to p is a unit.  ``rows[r]`` is a {column: entry}
+    dict of the nonzero entries of row r, reduced modulo p^{E_r}, E_r =
+    moduli[r]; the rows are consumed.  The moduli columns stay implicit:
+    row r is kept reduced modulo its own p^{E_r}, which is sound because
+    that column touches row r alone until row r is a pivot.
+
+    Nothing is divided by p.  At shift s every live row is p^s times its
+    row of the live block, whose modulus is p^{E_r - s}, so its entries are
+    divisible by p^s and it holds a unit of the live block exactly when its
+    valuation (the least over its entries) is s.  Each row's valuation is
+    stored, and refreshed, from one gcd of its entries, only when the row
+    is next visited after a pivot has updated it; a row that no pivot has
+    updated is skipped without reading its entries.  The rows are sorted
+    once, by fewest nonzero entries and then by descending E_r (Markowitz's
+    pivot order: in the full local-data matrix of verify_splitting the rows
+    at infinity and at the point 0 are unit vectors, so they pivot first at
+    the cost of one entry; the zero rows of tensor_presentation settle at
+    once).
+
+    At each shift s the live rows are swept in that order.  A row i of
+    valuation s becomes the pivot at a column j where its entry is p^s
+    times a unit u, and splits off as Z/p^s.  Every live row r with an
+    entry f in column j (one dict lookup per row) loses f/p^s times the
+    pivot row scaled by u^{-1} mod p^{E_i}, at the pivot's nonzero
+    positions only, and column j, which that has cleared, takes the
+    modulus relation -(f/p^s)*p^{E_i} mod p^{E_r}: the same matrix as
+    spending column j and appending that relation, up to a column
+    permutation.  The relation scales column j by p^{E_i}, so a unit row
+    makes the dense rows sparse.  None of this lowers a row's valuation
+    (f/p^s is divisible by p^{v_r - s}), so a row kept at shift s is not a
+    pivot before shift s + 1.  A row that is or becomes zero splits off as
+    Z/p^{E_r}.  A nonzero row has valuation below E_r, so every row is
     settled after max(moduli) shifts.
     """
-    e = list(moduli)
-    q = [p ** x for x in e]
-    active = sorted(range(len(rows)), key=lambda r: (len(rows[r]) - rows[r].count(0), -e[r]))
+    q = [p ** e for e in moduli]
+    val = [None] * len(rows)  # None: not read since the last update
+    live = sorted(range(len(rows)), key=lambda r: (len(rows[r]), -moduli[r]))
     exps = []
     settled = 0
-    for shift in range(max(e, default=0)):
+    for shift in range(max(moduli, default=0)):
+        ps = p ** shift
         kept = []
-        for n, i in enumerate(active):
+        for n, i in enumerate(live):
             row = rows[i]
-            if not gcd(*row) % p:
+            if val[i] is None:
+                if not row:
+                    exps.append(moduli[i])
+                    settled += 1
+                    continue
+                val[i] = shift + vp(gcd(*row.values()) // ps, p)
+            if val[i] != shift:
                 kept.append(i)
                 continue
-            j = next(k for k, a in enumerate(row) if a % p)
+            j = next(k for k, a in row.items() if a // ps % p)
             qi = q[i]
-            inv = pow(row[j], -1, qi)
-            support = [(k, a * inv % qi) for k, a in enumerate(row) if a and k != j]
+            inv = pow(row.pop(j) // ps, -1, qi)
+            support = [(k, a * inv % qi) for k, a in row.items()]
             settled += 1
             if shift:
                 exps.append(shift)
-            for r in kept + active[n + 1:]:
+            for r in kept + live[n + 1:]:
                 other = rows[r]
-                f = other[j]
+                f = other.pop(j, 0) // ps
                 if f:
                     qr = q[r]
                     for k, b in support:
-                        other[k] = (other[k] - f * b) % qr
-                    other[j] = -f * qi % qr
-        active = []
-        for r in kept:
-            if any(rows[r]):
-                rows[r] = [a // p for a in rows[r]]
-                e[r] -= 1
-                q[r] //= p
-                active.append(r)
-            else:
-                exps.append(shift + e[r])
-                settled += 1
+                        x = (other.get(k, 0) - f * b) % qr
+                        if x:
+                            other[k] = x
+                        else:
+                            other.pop(k, None)
+                    x = -f * qi % qr
+                    if x:
+                        other[j] = x
+                    val[r] = None
+        live = kept
     if settled != len(rows):
         raise InvariantViolation(
             f"p-local elimination settled {settled} of {len(rows)} rows")
@@ -309,7 +329,12 @@ def cokernel_invariants(m: IntegerMatrix, moduli, p: int) -> AbelianPGroup:
     """Invariant factors of ((+)_j Z/p^{m_j}) / im(M), by p-local elimination."""
     moduli = tuple(moduli)
     _check_moduli(m, moduli, p)
-    rows = [[a % q for a in row] for row, q in zip(m.row_lists(), (p ** e for e in moduli))]
+    c, columns = m.cols, range(m.cols)
+    rows = []
+    for r, e in enumerate(moduli):
+        row = m.entries[r * c:(r + 1) * c]
+        q = p ** e
+        rows.append({k: b for k in compress(columns, row) if (b := row[k] % q)})
     return AbelianPGroup(p, tuple(_plocal_exponents(rows, moduli, p)))
 
 

@@ -322,15 +322,16 @@ def tensor_presentation(p: int, d: int):
         raise ValueError(f"p = {p} is not prime")
     width = 2 * d + 1
     moduli = tuple(d - n // p for n in range(width, p * d)) + tuple(range(d, 0, -1))
-    rows = [[0] * width for _ in moduli]
-    at_inf = rows[len(moduli) - d:]
+    entries = [0] * (len(moduli) * width)
+    at_inf = (len(moduli) - d) * width  # the index of row (inf, d, 0), column 0
     for n in range(width):
         k, r = divmod(n, p)
         scale = p ** max(d - k, 0)
         top = 2 * d - r - k  # x^r f^k reaches x^{2d-i} at i = top - j(p-1)
         for j in range(max(0, (top - d) // (p - 1) + 1), min(k, top // (p - 1)) + 1):
-            at_inf[top - j * (p - 1)][n] = (-1) ** (k - j) * comb(k, j) * scale
-    return IntegerMatrix.from_rows(rows), moduli
+            i = top - j * (p - 1)
+            entries[at_inf + i * width + n] = (-1) ** (k - j) * comb(k, j) * scale
+    return IntegerMatrix(len(moduli), width, entries), moduli
 
 
 def operator_matrix(ops, p: int, d: int, lifts: PointLift = None):

@@ -195,7 +195,11 @@ def test_cache_entry_that_is_a_directory_exits_2(tmp_path, capsys):
     lambda text: text[:10],
     lambda text: "not json",
     lambda text: text.replace("[", "[0, ", 1),
-], ids=["truncated", "not-json", "zero-exponent"])
+    lambda text: text.replace("[", "[3, ", 1),
+    lambda text: text.replace("[", "[" + "1, " * 6, 1),
+    lambda text: text.replace("[", "[" + "2, " * 5, 1),
+], ids=["truncated", "not-json", "zero-exponent", "exponent-above-d",
+        "more-exponents-than-rows", "order-above-the-target"])
 @pytest.mark.parametrize("argv", [
     ("h1", "--p", "3", "--d", "3"),
     ("appendix", "--format", "json"),
@@ -271,6 +275,8 @@ REFUSAL_FILES = {
     "huge.json": serialize.dump_json(
         {"format": "tensor-section/1", "p": 3, "d": 60, "m": 0, "a": [], "b": []}),
     "cache/h1-p3-d1.json": "not json",
+    "bounds/h1-p3-d2.json": serialize.dump_json(
+        {"format": "h1-group/2", "p": 3, "d": 2, "exponents": [99] + [1] * 10}),
     "not-utf8.json": b"\xff\xfe{",
 }
 
@@ -318,6 +324,9 @@ REFUSALS = {
     "cache-corrupt": (("h1", "--p", "3", "--d", "2", "--cache", "{tmp}/cache"), None, 2,
                       "error: corrupt cache entry {tmp}/cache/h1-p3-d1.json: "
                       "Expecting value: line 1 column 1 (char 0)"),
+    "cache-out-of-bounds": (("h1", "--p", "3", "--d", "2", "--cache", "{tmp}/bounds"),
+                            None, 2, "error: corrupt cache entry "
+                            "{tmp}/bounds/h1-p3-d2.json: exponent 99 exceeds d = 2"),
     "appendix-half-row": (("appendix", "--p", "7"), None, 2,
                           "error: single-row mode needs both --p and --d"),
     "appendix-p": (("appendix", "--p", "13", "--d", "2"), None, 2,

@@ -327,6 +327,13 @@ def test_plocal_invariants_edge_cases():
     m = IntegerMatrix.from_rows([[1, 2], [0, 0], [2, 9]])
     g = cokernel_invariants(m, (2, 4, 1), 3)
     assert g == z_invariants(m, (2, 4, 1), 3) and 4 in g.exponents
+    # a lone entry of valuation 2 pivots at shift 2: Z/3^4 / <9> = Z/3^2
+    assert cokernel_invariants(IntegerMatrix.from_rows([[9]]), (4,), 3).exponents == (2,)
+    # row 1 is 3 times row 0: once row 0 pivots, the update clears row 1 and
+    # its modulus relation -3 * 3^3 vanishes mod 3^2, so row 1 settles whole
+    m = IntegerMatrix.from_rows([[1, 2], [3, 6]])
+    assert cokernel_invariants(m, (3, 2), 3) == z_invariants(m, (3, 2), 3)
+    assert cokernel_invariants(m, (3, 2), 3).exponents == (2,)
     # all moduli 1: an F_p cokernel of dimension R - rank
     rng = random.Random(12)
     for p in (2, 3, 5):
@@ -388,12 +395,50 @@ def test_plocal_invariants_with_planted_unit_rows():
         assert cokernel_invariants(planted, moduli, p) == z_invariants(planted, moduli, p)
 
 
+def planted_sparse_system(rng, p):
+    """A seeded sparse mixed-moduli system, shuffled, with the p-local core's
+    edge cases planted: a zero row; a lone entry p^s*u, s > 0, below its
+    modulus; a unit row i and p^t times it at a modulus E_r <= E_i.  Once
+    row i pivots, that multiple is cleared and its modulus relation
+    -(f/p^s)*p^{E_i} vanishes mod p^{E_r}, so it becomes zero.  The other
+    rows hold an entry in about one column of four, of valuation 0 to 3."""
+    units = [u for u in range(-3 * p, 3 * p) if u % p]
+    cols = rng.randint(1, 8)
+
+    def sparse_row():
+        return [p ** rng.randint(0, 3) * rng.choice(units) if rng.random() < 0.25 else 0
+                for _ in range(cols)]
+
+    rows = [sparse_row() for _ in range(rng.randint(0, 6))]
+    moduli = [rng.randint(1, 6) for _ in rows]
+    rows.append([0] * cols)
+    moduli.append(rng.randint(1, 6))
+    s, lone = rng.randint(1, 4), rng.randrange(cols)
+    rows.append([p ** s * rng.choice(units) if c == lone else 0 for c in range(cols)])
+    moduli.append(rng.randint(s + 1, 6))
+    unit_row, e_i = sparse_row(), rng.randint(1, 6)
+    unit_row[rng.randrange(cols)] = rng.choice(units)
+    rows += [unit_row, [p ** rng.randint(1, 3) * a for a in unit_row]]
+    moduli += [e_i, rng.randint(1, e_i)]
+    m = IntegerMatrix(len(rows), cols, [a for row in rows for a in row])
+    return shuffled_system(rng, m, tuple(moduli))
+
+
+def test_plocal_invariants_on_planted_sparse_systems():
+    rng = random.Random(8086)
+    for _ in range(1500):
+        p = rng.choice((2, 3, 5, 7))
+        m, moduli = planted_sparse_system(rng, p)
+        assert cokernel_invariants(m, moduli, p) == z_invariants(m, moduli, p)
+
+
 def test_plocal_postcondition_fires_on_a_row_left_unreduced():
-    # the core assumes row r arrives reduced mod p^{e_r}; 9 mod 3^1 is not,
-    # so the row is never settled and the postcondition reports it
+    # the core assumes row r arrives reduced mod p^{E_r}; 9 mod 3^1 is not,
+    # so the row's valuation 2 never meets a shift below 1, the row is
+    # never settled and the postcondition reports it
     with pytest.raises(InvariantViolation, match="settled 0 of 1 rows"):
-        linalg._plocal_exponents([[9]], (1,), 3)
-    assert linalg._plocal_exponents([[0]], (1,), 3) == [1]
+        linalg._plocal_exponents([{0: 9}], (1,), 3)
+    assert linalg._plocal_exponents([{}], (1,), 3) == [1]
 
 
 # ---------------------------------------------------------------------------
