@@ -20,7 +20,8 @@ class DiskCache:
     the (p+1)d coordinates Z/p^{d-i}, so it has at most (p+1)d invariant
     factors, none above p^d, and its order divides p^{(p+1)d(d+1)/2}.
     Entries are written atomically, so an interrupted write leaves no
-    truncated entry behind.
+    truncated entry behind.  An instance remembers what it has read or
+    written, so a command reads each file at most once.
     """
 
     FORMAT = "h1-group/2"
@@ -28,11 +29,17 @@ class DiskCache:
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._seen = {}
 
     def _path(self, p: int, d: int) -> Path:
         return self.directory / f"h1-p{p}-d{d}.json"
 
     def get(self, p: int, d: int):
+        if (p, d) not in self._seen:
+            self._seen[p, d] = self._read(p, d)
+        return self._seen[p, d]
+
+    def _read(self, p: int, d: int):
         path = self._path(p, d)
         if not path.exists():
             return None
@@ -67,3 +74,4 @@ class DiskCache:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
+        self._seen[p, d] = tuple(exponents)

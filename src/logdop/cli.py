@@ -5,7 +5,8 @@ reference tables), verify (property suites), lift (sample/lift sections),
 data (local data of a file), diagnose (level-lowering order table).  Exit
 codes: 0 success, 1 verification or comparison failure, 2 usage/parse error,
 3 resource guard, 4 lift input with nonvanishing local data; main prints each
-one-line ``error:`` refusal (a _Refusal).  A --cache ends with its command.
+one-line ``error:`` refusal (a _Refusal).  A --cache ends with its command:
+the handler passes its DiskCache down as an argument, and no module keeps it.
 Standard output, output files and standard error are UTF-8 whatever the
 locale (_emit and _stderr).
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import serialize
 from .cache import DiskCache
-from .engine import h1_filtered, level_descent_diagnostic, use_disk_cache
+from .engine import h1_filtered, level_descent_diagnostic
 from .errors import (
     NonvanishingLocalData,
     ScheduleFailure,
@@ -108,14 +109,15 @@ def _stderr(line: str) -> None:
     sys.stderr.buffer.flush()
 
 
-def _install_cache(args) -> None:
-    if getattr(args, "cache", None):
-        try:
-            cache = DiskCache(args.cache)
-        except OSError as exc:
-            raise _Refusal(f"cannot use {args.cache} as the cache directory: "
-                           f"{exc.strerror}") from exc
-        use_disk_cache(cache)
+def _install_cache(args):
+    """--cache's DiskCache or None.  The name stays: perfbench wraps it by name."""
+    if not args.cache:
+        return None
+    try:
+        return DiskCache(args.cache)
+    except OSError as exc:
+        raise _Refusal(f"cannot use {args.cache} as the cache directory: "
+                       f"{exc.strerror}") from exc
 
 
 @contextmanager
@@ -143,8 +145,7 @@ def cmd_h1(args) -> int:
     _require_at_least("--level", args.level, 0)
     _guard(args.p, args.d, args)
     _require_prime(args.p)
-    _install_cache(args)
-    report = h1_filtered(args.p, args.d, args.level)
+    report = h1_filtered(args.p, args.d, args.level, _install_cache(args))
     if args.format == "json":
         text = serialize.dump_json(serialize.h1_report_to_doc(report))
     elif args.format == "csv":
@@ -162,12 +163,12 @@ def cmd_h1(args) -> int:
 def cmd_appendix(args) -> int:
     if (args.p is None) != (args.d is None):
         raise _Refusal("single-row mode needs both --p and --d")
-    _install_cache(args)
+    cache = _install_cache(args)
     if args.p is not None:
         if args.p not in TABLE_PRIMES:
             raise _Refusal(f"no reference table for p = {args.p}")
         try:
-            comparison = compare_row(args.p, args.d)
+            comparison = compare_row(args.p, args.d, cache)
         except ValueError as exc:
             raise _Refusal(str(exc)) from exc
         if args.format == "json":
@@ -180,7 +181,7 @@ def cmd_appendix(args) -> int:
                         f"[{comparison.status()}]")
         return EXIT_OK if comparison.accepted else EXIT_FAILED
 
-    report = verify_appendix()
+    report = verify_appendix(cache)
     if args.format == "json":
         text = serialize.dump_json(serialize.appendix_report_to_doc(report))
     else:
@@ -294,8 +295,8 @@ def cmd_diagnose(args) -> int:
     _require_at_least("--dmax", args.dmax, 1)
     _guard(args.p, args.dmax, args)
     _require_prime(args.p)
-    _install_cache(args)
-    diag = level_descent_diagnostic(args.p, args.m, args.dmax, args.schedule)
+    cache = _install_cache(args)
+    diag = level_descent_diagnostic(args.p, args.m, args.dmax, args.schedule, cache)
     if args.format == "json":
         text = serialize.dump_json(serialize.diagnostic_to_doc(diag))
     elif args.format == "csv":
@@ -403,8 +404,6 @@ def main(argv=None) -> int:
     except (_Refusal, SectionFormatError) as exc:  # the latter: a corrupt cache entry
         _stderr(f"error: {exc}")
         return exc.code if isinstance(exc, _Refusal) else EXIT_USAGE
-    finally:
-        use_disk_cache(None)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ The degree-d group is the cokernel of the degree-d local-data map on the
 rank-(2d+1) tensor space.  That map does not depend on the level m, so each
 degree-d group, its solver and its disk-cache entry are keyed by (p, d)
 alone; m only tags the reports and enters verify_splitting through the
-a^(m) coefficients.  h1_tensor eliminates tensor_presentation, where the p
+a^(m) coefficients.  degree_group reads or fills a caller's disk cache
+(cache=); h1_tensor, a pure memo, eliminates tensor_presentation, where the p
 finite points have collapsed to Z[x]/(p, x^p - x)^d and only the d rows at
 infinity are left; the local-data matrix q_d_matrix itself is read where
 its kernel lattice or its rows are (degree_solver, the summand count) and
@@ -97,22 +98,6 @@ def degree_solver(p: int, d: int) -> CokernelSolver:
     return CokernelSolver(mat, moduli, p)
 
 
-_disk_cache = None
-
-
-def use_disk_cache(cache) -> None:
-    """Install (or remove, with None) an on-disk (p, d) result cache.
-
-    Installing one clears h1_tensor's in-memory entries, so every group of
-    the command reads or fills the new cache.  Removing one keeps them:
-    groups are pure, so an entry stays right with or without a disk cache.
-    """
-    global _disk_cache
-    _disk_cache = cache
-    if cache is not None:
-        h1_tensor.cache_clear()
-
-
 @lru_cache(maxsize=None)
 def h1_tensor(p: int, d: int) -> AbelianPGroup:
     """Degree-d summand: cokernel of the 2d+1 tensor sections inside Q_d,
@@ -121,13 +106,19 @@ def h1_tensor(p: int, d: int) -> AbelianPGroup:
         raise ValueError(f"p = {p} is not prime")
     if d < 1:
         raise ValueError("need d >= 1")
-    if _disk_cache is not None:
-        stored = _disk_cache.get(p, d)
-        if stored is not None:
-            return AbelianPGroup(p, stored)
-    group = cokernel_invariants(*tensor_presentation(p, d), p)
-    if _disk_cache is not None:
-        _disk_cache.put(p, d, group.exponents)
+    return cokernel_invariants(*tensor_presentation(p, d), p)
+
+
+def degree_group(p: int, d: int, cache=None) -> AbelianPGroup:
+    """h1_tensor(p, d), read from the DiskCache ``cache`` when it holds the
+    entry, else computed and written there."""
+    if cache is None:
+        return h1_tensor(p, d)
+    stored = cache.get(p, d)
+    if stored is not None:
+        return AbelianPGroup(p, stored)
+    group = h1_tensor(p, d)
+    cache.put(p, d, group.exponents)
     return group
 
 
@@ -145,14 +136,15 @@ class H1Report:
     bound_equal: tuple  # max exponent == bound (observed, reported not asserted)
 
 
-def h1_filtered(p: int, d: int, m: int = 0) -> H1Report:
-    """Groups for all degrees d' <= d plus their direct sum (one table row).
+def h1_filtered(p: int, d: int, m: int = 0, cache=None) -> H1Report:
+    """Groups for all degrees d' <= d (degree_group with ``cache``) plus
+    their direct sum (one table row).
 
     The groups do not depend on the level; m tags the report.
     """
     if m < 0:
         raise ValueError("need m >= 0")
-    per_degree = tuple(h1_tensor(p, dd) for dd in range(1, d + 1))
+    per_degree = tuple(degree_group(p, dd, cache) for dd in range(1, d + 1))
     total = AbelianPGroup(p, tuple(n for g in per_degree for n in g.exponents))
     bounds = tuple(exponent_lower_bound(p, dd) for dd in range(1, d + 1))
     met = tuple(g.max_exponent >= b for g, b in zip(per_degree, bounds))
@@ -280,7 +272,7 @@ class LevelDiagnostic:
 
 
 def level_descent_diagnostic(p: int, m: int, d_max: int,
-                             schedule: str = "sqrt") -> LevelDiagnostic:
+                             schedule: str = "sqrt", cache=None) -> LevelDiagnostic:
     """Track orders of maximal-torsion classes pushed from level 0 to level m.
 
     For each d a class c_d of maximal order p^e in the degree-d group (e its
@@ -301,7 +293,7 @@ def level_descent_diagnostic(p: int, m: int, d_max: int,
     coeff = Fraction(p * p - 3 * p, p * p - 1) + Fraction(1, (p - 1) * p ** m)
     rows = []
     for d in range(1, d_max + 1):
-        max_exp = h1_tensor(p, d).max_exponent
+        max_exp = degree_group(p, d, cache).max_exponent
         n_d = n_of(d)
         vp_lam = legendre_vp(d, p) - legendre_vp(q_level(d, p, m), p)
         pushed = max(0, max_exp - vp_lam)

@@ -3,7 +3,9 @@
 All integer payloads (coefficients, residues) travel as decimal strings so
 arbitrary-precision values survive any JSON reader.  Every document carries a
 ``format`` tag; the matching JSON schemas ship under logdop/schemas and the
-test suite validates each emitted document against them.  Text output for H^1
+test suite validates each emitted document against them.  The readers take
+only what those schemas allow: no float, bool or string where an integer
+belongs, and no coefficient but an ASCII decimal string.  Text output for H^1
 groups mirrors the reference-table notation 'm x p^n'.
 """
 
@@ -14,7 +16,7 @@ import json
 from importlib import resources
 
 from .cache import DiskCache
-from .calculus import OperatorSection, TensorSection
+from .calculus import CHARTS, OperatorSection, TensorSection
 from .engine import H1Report, LevelDiagnostic
 from .errors import SectionFormatError
 from .localdata import INF, LocalDataVector
@@ -53,6 +55,8 @@ def parse_json_document(text: str) -> dict:
         raise SectionFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             lineno=exc.lineno, colno=exc.colno) from exc
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise SectionFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SectionFormatError("document root must be an object")
     return doc
@@ -64,13 +68,23 @@ def _expect(doc: dict, tag: str) -> None:
             f"expected a {tag} document, found format={doc.get('format')!r}")
 
 
+def _decimals(values) -> tuple:
+    """A JSON list of ASCII decimal strings (the schemas' ^-?[0-9]+$) as ints;
+    ValueError for anything else."""
+    if not (isinstance(values, list) and all(
+            isinstance(x, str) and x.isascii() and x.removeprefix("-").isdigit()
+            for x in values)):
+        raise ValueError("not a list of decimal strings")
+    return tuple(map(int, values))  # ValueError past int's digit limit
+
+
 def _int_field(doc, key):
-    try:
-        return int(doc[key])
-    except KeyError:
-        raise SectionFormatError(f"missing field {key!r}") from None
-    except (TypeError, ValueError):
-        raise SectionFormatError(f"field {key!r} is not an integer") from None
+    """A JSON integer: no float, bool or string is read as one."""
+    if key not in doc:
+        raise SectionFormatError(f"missing field {key!r}")
+    if type(doc[key]) is not int:
+        raise SectionFormatError(f"field {key!r} is not an integer")
+    return doc[key]
 
 
 def section_size(doc: dict, tag: str) -> tuple:
@@ -98,9 +112,8 @@ def tensor_from_doc(doc: dict) -> TensorSection:
     _expect(doc, FORMAT_TENSOR)
     p, d, m = (_int_field(doc, k) for k in ("p", "d", "m"))
     try:
-        a = tuple(int(x) for x in doc["a"])
-        b = tuple(int(x) for x in doc["b"])
-    except (KeyError, TypeError, ValueError):
+        a, b = _decimals(doc.get("a")), _decimals(doc.get("b"))
+    except ValueError:
         raise SectionFormatError("coefficient lists must hold decimal strings") from None
     try:
         return TensorSection(p, d, m, a, b)
@@ -126,11 +139,15 @@ def operator_to_doc(op: OperatorSection) -> dict:
 def operator_from_doc(doc: dict) -> OperatorSection:
     _expect(doc, FORMAT_OPERATOR)
     p, m, d = (_int_field(doc, k) for k in ("p", "m", "d"))
+    if not isinstance(doc.get("terms"), list):
+        raise SectionFormatError("need a 'terms' list")
     terms = {}
-    for entry in doc.get("terms", []):
+    for entry in doc["terms"]:
         try:
-            key = (entry["chart"], int(entry["power"]), int(entry["order"]))
-            coeff = int(entry["coeff"])
+            chart, power, order = key = entry["chart"], entry["power"], entry["order"]
+            if chart not in CHARTS or type(power) is not int or type(order) is not int:
+                raise ValueError("not a term")
+            (coeff,) = _decimals([entry["coeff"]])
         except (KeyError, TypeError, ValueError):
             raise SectionFormatError(f"malformed term entry: {entry!r}") from None
         terms[key] = terms.get(key, 0) + coeff

@@ -75,14 +75,14 @@ class RowComparison:
         return "MISMATCH"
 
 
-def _compare(golden: dict, d: int) -> RowComparison:
+def _compare(golden: dict, d: int, cache) -> RowComparison:
     """Row d of one prime's table (golden: d -> GoldenRow) from one
     h1_filtered report; the splitting check reads the printed row d-1, so it
     can fail even where the computed rows agree."""
     printed = golden[d]
     p = printed.p
     previous = golden[d - 1].group if d > 1 else AbelianPGroup(p, ())
-    report = h1_filtered(p, d)
+    report = h1_filtered(p, d, cache=cache)
     computed = report.total
     return RowComparison(
         p=p, d=d, printed=printed.group, computed=computed,
@@ -95,12 +95,12 @@ def _compare(golden: dict, d: int) -> RowComparison:
     )
 
 
-def compare_row(p: int, d: int) -> RowComparison:
-    """One table row against its reference."""
+def compare_row(p: int, d: int, cache=None) -> RowComparison:
+    """One table row against its reference; ``cache`` as in h1_filtered."""
     golden = {row.d: row for row in load_golden(p)}
     if d not in golden:
         raise ValueError(f"no reference row for p={p}, d={d}")
-    return _compare(golden, d)
+    return _compare(golden, d, cache)
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ class AppendixReport:
         return [c for c in self.comparisons if c.p == p]
 
 
-def verify_appendix() -> AppendixReport:
+def verify_appendix(cache=None) -> AppendixReport:
     """Recompute every row of every reference table, in (p, d) order; each
-    table is read once."""
+    table is read once, and ``cache`` is as in h1_filtered."""
     tables = [{row.d: row for row in load_golden(p)} for p in TABLE_PRIMES]
-    return AppendixReport(tuple(_compare(golden, d) for golden in tables for d in golden))
+    return AppendixReport(tuple(_compare(golden, d, cache) for golden in tables for d in golden))

@@ -238,6 +238,23 @@ def test_a_corrupt_entry_does_not_reach_a_later_command(tmp_path, capsys):
     assert out
 
 
+def test_a_warm_appendix_reads_each_cache_entry_once(tmp_path, monkeypatch):
+    cold = tables.verify_appendix(cache.DiskCache(tmp_path))
+    entries = sorted(f.name for f in tmp_path.iterdir())
+    assert len(entries) == 39
+    reads = []
+    read_text = Path.read_text
+
+    def counted(path, *args, **kwargs):
+        if path.parent == tmp_path:
+            reads.append(path.name)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    assert tables.verify_appendix(cache.DiskCache(tmp_path)) == cold
+    assert sorted(reads) == entries
+
+
 def test_cache_put_replaces_entries_atomically(tmp_path, monkeypatch):
     store = cache.DiskCache(tmp_path)
     store.put(3, 2, [1, 1, 1])
@@ -278,6 +295,25 @@ REFUSAL_FILES = {
     "bounds/h1-p3-d2.json": serialize.dump_json(
         {"format": "h1-group/2", "p": 3, "d": 2, "exponents": [99] + [1] * 10}),
     "not-utf8.json": b"\xff\xfe{",
+    # documents that int() would have read: each field must be what its schema says
+    **{f"strict/{name}.json": serialize.dump_json(
+        {"format": "tensor-section/1", "p": 3, "d": 2, "m": 0,
+         "a": ["0", "0"], "b": ["0", "0", "0"], **fields})
+       for name, fields in {"float-p": {"p": 3.9}, "bool-p": {"p": True},
+                            "string-m": {"m": "0"}, "float-a": {"a": [2.5, 0]},
+                            "string-a": {"a": "12"}, "underscore": {"a": ["1_000", "0"]},
+                            "plus": {"b": ["+5", "0", "0"]},
+                            "arabic-digits": {"b": ["\u0661\u0662", "0", "0"]}}.items()},
+    **{f"strict/{name}.json": serialize.dump_json(
+        {"format": "operator/1", "p": 3, "m": 0, "d": 1, **fields})
+       for name, fields in {
+           "no-terms": {},
+           "string-terms": {"terms": "none"},
+           "float-power": {"terms": [{"chart": "y", "power": 1.0, "order": 1,
+                                      "coeff": "1"}]},
+           "int-coeff": {"terms": [{"chart": "y", "power": 1, "order": 1, "coeff": 1}]},
+           "list-chart": {"terms": [{"chart": [], "power": 1, "order": 1,
+                                     "coeff": "1"}]}}.items()},
 }
 
 _GUARD = ("error: job size {rows} skyscraper coordinates exceeds the row limit "
@@ -364,6 +400,25 @@ REFUSALS = {
     "data-non-global": (("data", "--input", "{tmp}/operator.json"), None, 2,
                         "error: operator is not a global section; "
                         "local data undefined"),
+    "lift-float-p": (("lift", "--input", "{tmp}/strict/float-p.json"), None, 2,
+                     "error: {tmp}/strict/float-p.json: field 'p' is not an integer"),
+    **{f"data-{name}": (("data", "--input", f"{{tmp}}/strict/{name}.json"), None, 2,
+                        f"error: {{tmp}}/strict/{name}.json: {why}")
+       for name, why in {
+           "float-p": "field 'p' is not an integer",
+           "bool-p": "field 'p' is not an integer",
+           "string-m": "field 'm' is not an integer",
+           **{name: "coefficient lists must hold decimal strings"
+              for name in ("float-a", "string-a", "underscore", "plus", "arabic-digits")},
+           "no-terms": "need a 'terms' list",
+           "string-terms": "need a 'terms' list",
+           # the message echoes the entry; its braces are doubled for format()
+           "float-power": "malformed term entry: "
+                          "{{'chart': 'y', 'power': 1.0, 'order': 1, 'coeff': '1'}}",
+           "int-coeff": "malformed term entry: "
+                        "{{'chart': 'y', 'power': 1, 'order': 1, 'coeff': 1}}",
+           "list-chart": "malformed term entry: "
+                         "{{'chart': [], 'power': 1, 'order': 1, 'coeff': '1'}}"}.items()},
 }
 
 

@@ -3,6 +3,8 @@ from math import factorial, isqrt
 
 import pytest
 
+from logdop import engine
+from logdop.cache import DiskCache
 from logdop.calculus import q_level
 from logdop.engine import (
     cmp_rational_logp,
@@ -149,6 +151,20 @@ def test_order_checks_reuse_the_filtered_groups():
     h1_tensor(3, 4)
     assert h1_filtered(3, 4, 2).total == h1_filtered(3, 4, 0).total
     assert h1_tensor.cache_info().currsize == 4
+
+
+def test_a_disk_cache_passed_down_serves_its_groups(tmp_path, monkeypatch):
+    cold = h1_filtered(3, 4, cache=DiskCache(tmp_path))
+    assert len(list(tmp_path.iterdir())) == 4
+    h1_tensor.cache_clear()
+
+    def no_presentation(p, d):
+        raise AssertionError(f"group (p={p}, d={d}) recomputed")
+
+    monkeypatch.setattr(engine, "tensor_presentation", no_presentation)
+    assert h1_filtered(3, 4, cache=DiskCache(tmp_path)) == cold
+    # a group read from disk stays out of the in-process memo
+    assert h1_tensor.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -180,3 +181,18 @@ def test_parse_errors_carry_positions():
         serialize.tensor_from_doc(
             {"format": "tensor-section/1", "p": 3, "d": 1, "m": 0,
              "a": ["1", "2"], "b": ["0"]})
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() has no digit limit on this Python")
+def test_integers_past_the_digit_limit_are_format_errors():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(SectionFormatError, match="invalid JSON"):
+        serialize.parse_json_document('{"p": %s}' % digits)
+    with pytest.raises(SectionFormatError, match="decimal strings"):
+        serialize.tensor_from_doc({"format": "tensor-section/1", "p": 3, "d": 1,
+                                   "m": 0, "a": [digits], "b": ["0", "0"]})
+    with pytest.raises(SectionFormatError, match="malformed term entry"):
+        serialize.operator_from_doc(
+            {"format": "operator/1", "p": 3, "m": 0, "d": 1,
+             "terms": [{"chart": "y", "power": 1, "order": 1, "coeff": digits}]})
