@@ -18,8 +18,8 @@ summand count against the mod-p rank, and the level-lowering valuation
 diagnostics built on v_p(d!/q_d!).
 
 Invariant factors always come from the p-local elimination of
-cokernel_invariants; a CokernelSolver, which also records its transforms,
-is built only where they are read (the kernel lattice here, sections and
+cokernel_invariants; a CokernelSolver, which replays the same elimination's
+pivot log for its transforms, is built only where they are read (the kernel lattice here, sections and
 corrections in lifting).  The level diagnostic needs no
 transform either: a class c of order p^e has ord(lam c) =
 p^max(0, e - v_p(lam)), so the pushed and scheduled orders of a

@@ -7,15 +7,15 @@ operation reduces modulo anything unless its contract says so.  Maps
 
 are given by an integer matrix together with a vector of prime-power moduli
 exponents, always powers of a single prime p passed alongside the exponent
-tuple, so mixed-prime targets are unrepresentable by construction.  Both of
-their eliminations work over Z_(p), where a pivot of least valuation is final
-in one pass.  cokernel_invariants reads the invariant factors alone, from
-sparse {column: entry} rows that stay at p^shift times the live block, so
-nothing is divided by p: each row's valuation is stored and read again only
-after a pivot has updated the row, and the rows pivot in Markowitz order,
-fewest nonzero entries first.  CokernelSolver keeps dense rows and records
-its transforms mod p^N, N the largest modulus, for element orders,
-congruence solves and the kernel lattice in Hermite normal form.
+tuple, so mixed-prime targets are unrepresentable by construction.  One
+elimination serves every answer.  It works over Z_(p), where a pivot of least
+valuation is final in one pass, on sparse {column: entry} rows that stay at
+p^shift times the live block, so nothing is divided by p: each row's
+valuation is stored and read again only after a pivot has updated the row,
+and the rows pivot in Markowitz order, fewest nonzero entries first.
+cokernel_invariants reads the invariant factors off it; CokernelSolver has
+it log its pivots and replays the log for element orders, congruence solves
+and the kernel lattice in Hermite normal form.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ def _check_moduli(m: IntegerMatrix, moduli, p):
         raise ValueError("moduli exponents must be >= 1")
 
 
-def _plocal_exponents(rows, moduli, p: int) -> list:
+def _plocal_exponents(rows, moduli, p: int, log=None) -> list:
     """Nonzero invariant exponents of the cokernel of ``rows`` in (+)_r Z/p^{moduli[r]}.
 
     The cokernel is a finite p-group, so it is computed over Z_(p), where
@@ -276,6 +276,11 @@ def _plocal_exponents(rows, moduli, p: int) -> list:
     pivot before shift s + 1.  A row that is or becomes zero splits off as
     Z/p^{E_r}.  A nonzero row has valuation below E_r, so every row is
     settled after max(moduli) shifts.
+
+    Given a list ``log``, each pivot appends (i, j, s, inv, support,
+    [(r, f), ...]): its row, column, shift, u^{-1} mod p^{E_i}, the scaled
+    pivot row and the rows it updated with their multipliers f, from which
+    CokernelSolver replays the transforms.
     """
     q = [p ** e for e in moduli]
     val = [None] * len(rows)  # None: not read since the last update
@@ -303,10 +308,16 @@ def _plocal_exponents(rows, moduli, p: int) -> list:
             settled += 1
             if shift:
                 exps.append(shift)
+            ops = None
+            if log is not None:
+                ops = []
+                log.append((i, j, shift, inv, support, ops))
             for r in kept + live[n + 1:]:
                 other = rows[r]
                 f = other.pop(j, 0) // ps
                 if f:
+                    if ops is not None:
+                        ops.append((r, f))
                     qr = q[r]
                     for k, b in support:
                         x = (other.get(k, 0) - f * b) % qr
@@ -325,9 +336,8 @@ def _plocal_exponents(rows, moduli, p: int) -> list:
     return exps
 
 
-def cokernel_invariants(m: IntegerMatrix, moduli, p: int) -> AbelianPGroup:
-    """Invariant factors of ((+)_j Z/p^{m_j}) / im(M), by p-local elimination."""
-    moduli = tuple(moduli)
+def _sparse_rows(m: IntegerMatrix, moduli, p: int) -> list:
+    """Row r of m as a {column: entry} dict of its nonzero entries mod p^{moduli[r]}."""
     _check_moduli(m, moduli, p)
     c, columns = m.cols, range(m.cols)
     rows = []
@@ -335,6 +345,13 @@ def cokernel_invariants(m: IntegerMatrix, moduli, p: int) -> AbelianPGroup:
         row = m.entries[r * c:(r + 1) * c]
         q = p ** e
         rows.append({k: b for k in compress(columns, row) if (b := row[k] % q)})
+    return rows
+
+
+def cokernel_invariants(m: IntegerMatrix, moduli, p: int) -> AbelianPGroup:
+    """Invariant factors of ((+)_j Z/p^{m_j}) / im(M), by p-local elimination."""
+    moduli = tuple(moduli)
+    rows = _sparse_rows(m, moduli, p)
     return AbelianPGroup(p, tuple(_plocal_exponents(rows, moduli, p)))
 
 
@@ -387,93 +404,58 @@ def _hermite_basis(gens, cols: int, p: int, n: int) -> list:
 
 class CokernelSolver:
     """Element orders, congruence solves and the kernel lattice of one map
-    M: Z^cols -> (+)_r Z/p^{e_r}, from one p-local elimination mod p^N.
+    M: Z^cols -> (+)_r Z/p^{e_r}, from the p-local elimination of
+    cokernel_invariants.
 
-    Every answer is fixed mod p^N, N = max e_r.  Scaling row r by p^{N-e_r}
-    embeds Z/p^{e_r} in Z/p^N, so M v = b modulo the moduli becomes
-    M'v = b' mod p^N with b'_r = p^{N-e_r} b_r.  M' is eliminated by the
-    pivot step of _plocal_exponents, without its modulus columns: row r is
-    stored modulo p^{e[r]} as p^{-(N-e[r])} times its row of M', and joins
-    the sweep at shift N - e_r, when it can first hold a unit.  A pivot of
-    least valuation is final at once (no gcd rounds, no divisibility
-    repair).  Its row operations are recorded, so U b' is a replay; its
-    column operations change only the spent pivot row, so they are applied
-    to V alone, kept reduced mod p^N.  U M' V is then zero but for p^k times
-    a unit at each pivot (row i, column j, shift k).  The kernel lattice,
-    spanned by p^{N-k} V e_j over the pivots, V e_j over the other columns
-    and p^N Z^cols, is kept in Hermite normal form, and each solve is
-    reduced modulo it.  Both are unique, so neither depends on the pivot
-    order.  Immutable after construction.
+    _plocal_exponents logs its pivots, and the transforms are replays of
+    that log.  Its row operations give U: y = U b is kept with y_r mod
+    p^{e_r}, and the cokernel is (+)_r Z/p^{k_r}, k_r the shift at which
+    row r pivots or e_r for a row that went to zero.  Its column
+    operations give V, kept mod p^N, N = max e_r: a pivot (row i, column
+    j, shift s) takes b/p^s times column j from every column k of its
+    scaled row's support, and column j, which then holds row i's modulus
+    relation, becomes -p^{e_i - s} times it.  With the modulus columns
+    appended, U M V is zero but for p^s at each pivot and p^{e_r} at each
+    row that went to zero, so the kernel lattice is spanned by the final
+    columns of V and p^N Z^cols.  It is kept in Hermite normal form,
+    and each solve is reduced modulo it.  Both are unique, so neither
+    depends on the pivot order.  Immutable after construction.
     """
 
     def __init__(self, m: IntegerMatrix, moduli, p: int):
         self.matrix = m
         self.moduli = tuple(moduli)
         self.p = p
-        _check_moduli(m, self.moduli, p)
-        self._n = n = max(self.moduli, default=0)
+        log = []
+        _plocal_exponents(_sparse_rows(m, self.moduli, p), self.moduli, p, log)
+        n = max(self.moduli, default=0)
         q = p ** n
-        e = list(self.moduli)
-        rows = [[a % p ** x for a in row] for row, x in zip(m.row_lists(), e)]
-        columns = list(range(m.cols))
         v = [[int(s == c) for s in range(m.cols)] for c in range(m.cols)]  # v[c] = V e_c
-        self._pivots = []  # (row i, shift k, unit inverse, V e_j, [(row r, multiplier)])
-        self._row_exponent = [n] * m.rows  # coker(M') = (+)_r Z/p^{k_r}
-        active = sorted(range(m.rows), key=lambda r: -e[r])
-        for shift in range(n):
-            ready = [r for r in active if e[r] == n - shift]  # a prefix of active
-            waiting = active[len(ready):]
-            kept = []
-            for t, i in enumerate(ready):
-                row = rows[i]
-                j = next((c for c, a in enumerate(row) if a % p), None)
-                if j is None:
-                    kept.append(i)
-                    continue
-                qi = p ** e[i]
-                inv = pow(row[j], -1, qi)
-                piv = [a * inv % qi for a in row]
-                del piv[j]
-                vj = v[columns.pop(j)]
-                v_support = [(s, x) for s, x in enumerate(vj) if x]
-                support = [(c, b) for c, b in enumerate(piv) if b]
-                for c, b in support:
-                    vc = v[columns[c]]
-                    for s, x in v_support:
-                        vc[s] = (vc[s] - b * x) % q
-                ops = []
-                for r in kept + ready[t + 1:] + waiting:
-                    other = rows[r]
-                    f = other.pop(j)
-                    if f:
-                        qr = p ** e[r]
-                        for c, b in support:
-                            other[c] = (other[c] - f * b) % qr
-                        ops.append((r, f * inv * p ** (n - e[r] - shift) % q))
-                self._pivots.append((i, shift, inv, vj, ops))
-                self._row_exponent[i] = shift
-            active = []
-            for r in kept:
-                if any(rows[r]):
-                    rows[r] = [a // p for a in rows[r]]
-                    e[r] -= 1
-                    active.append(r)
-            active += waiting
-        gens = [[x * p ** (n - k) for x in vj] for _, k, _, vj, _ in self._pivots]
-        self._basis = _hermite_basis(gens + [v[c] for c in columns], m.cols, p, n)
+        self._pivots = []  # (row i, shift s, unit inverse, V e_j, [(row r, multiplier)])
+        self._row_exponent = list(self.moduli)
+        for i, j, s, inv, support, ops in log:
+            vj = v[j]
+            v_support = [(t, x) for t, x in enumerate(vj) if x]
+            for k, b in support:
+                vk, f = v[k], b // p ** s
+                for t, x in v_support:
+                    vk[t] = (vk[t] - f * x) % q
+            v[j] = [-x * p ** (self.moduli[i] - s) % q for x in vj]
+            self._pivots.append((i, s, inv, vj, ops))
+            self._row_exponent[i] = s
+        self._basis = _hermite_basis(v, m.cols, p, n)
 
     def _replay(self, b) -> list:
-        """U b' mod p^N."""
+        """U b, coordinate r mod p^{e_r}."""
         if len(b) != len(self.moduli):
             raise ValueError(f"vector has {len(b)} coordinates, expected {len(self.moduli)}")
-        p, n = self.p, self._n
-        q = p ** n
-        y = [x * p ** (n - e) % q for x, e in zip(b, self.moduli)]
-        for i, _, _, _, ops in self._pivots:
-            yi = y[i]
+        q = [self.p ** e for e in self.moduli]
+        y = [x % qr for x, qr in zip(b, q)]
+        for i, _, inv, _, ops in self._pivots:
+            yi = y[i] = y[i] * inv % q[i]
             if yi:
                 for r, f in ops:
-                    y[r] = (y[r] - f * yi) % q
+                    y[r] = (y[r] - f * yi) % q[r]
         return y
 
     def element_order_exponent(self, c) -> int:
@@ -490,8 +472,8 @@ class CokernelSolver:
         if any(yr % p ** k for yr, k in zip(y, self._row_exponent)):
             return None
         sol = [0] * self.matrix.cols
-        for i, k, inv, vj, _ in self._pivots:
-            w = y[i] // p ** k * inv
+        for i, k, _, vj, _ in self._pivots:
+            w = y[i] // p ** k
             if w:
                 for s, x in enumerate(vj):
                     if x:

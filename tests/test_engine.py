@@ -107,6 +107,23 @@ def test_exponent_bound_met_with_equality_on_small_range():
             assert h1_tensor(p, d).max_exponent == e  # observed on table rows
 
 
+@pytest.mark.parametrize("p, d_max", [(2, 60), (3, 60), (5, 40), (7, 30), (11, 20),
+                                      (13, 18), (17, 12), (19, 10), (23, 8)])
+def test_h1_tensor_matches_the_graded_profile(p, d_max):
+    """An observation, not a theorem: on these 258 cells the degree-d group
+    has #{exponents >= k} = h^1(P^1_{F_p}, O(2d - (d+1-k)(p+1)))
+    = max(0, (d+1-k)(p+1) - 2d - 1) for k = 1..d+1, and no exponent above
+    d+1, so the profile fixes the whole group.  k = 1 is the summand count
+    (p-1)d - 1 and the largest k with a nonzero count is the exponent
+    floor((p-1)(d+1)/(p+1))."""
+    for d in range(1, d_max + 1):
+        exps = h1_tensor(p, d).exponents
+        assert max(exps, default=0) <= d + 1
+        for k in range(1, d + 2):
+            want = max(0, (d + 1 - k) * (p + 1) - 2 * d - 1)
+            assert sum(e >= k for e in exps) == want, (p, d, k)
+
+
 # ---------------------------------------------------------------------------
 # order bookkeeping
 # ---------------------------------------------------------------------------

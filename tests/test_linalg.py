@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -268,14 +269,13 @@ def test_kernel_basis_is_a_hermite_form_and_ignores_row_order():
 
 
 def assert_plocal_matches_z_oracle(m, moduli, p):
-    """cokernel_invariants, and the diagonal of CokernelSolver's tracked form:
-    the cokernel of M' (row r times p^{N-e_r}) in (Z/p^N)^R."""
-    assert cokernel_invariants(m, moduli, p) == z_invariants(m, moduli, p)
-    n = max(moduli, default=0)
-    scaled = IntegerMatrix(m.rows, m.cols, [a * p ** (n - e) for row, e in
-                                            zip(m.row_lists(), moduli) for a in row])
+    """cokernel_invariants, and the diagonal of CokernelSolver's tracked form
+    (the shift at which each row pivots, or the modulus of a row that went
+    to zero), both against the Smith form over Z."""
+    want = z_invariants(m, moduli, p)
+    assert cokernel_invariants(m, moduli, p) == want
     diagonal = tuple(k for k in CokernelSolver(m, moduli, p)._row_exponent if k)
-    assert AbelianPGroup(p, diagonal) == z_invariants(scaled, (n,) * m.rows, p)
+    assert AbelianPGroup(p, diagonal) == want
 
 
 def test_plocal_invariants_match_tracked_form_randoms():
@@ -529,6 +529,44 @@ def test_solve_is_canonical():
     # Z/9 with the zero map: 1 is not in the image, 9 is
     solver = CokernelSolver(IntegerMatrix.zero(1, 1), (2,), 3)
     assert solver.solve([1]) is None and solver.solve([9]) == [0]
+
+
+def pinned_solver_systems():
+    """Degree-d local-data matrices, correction-solver operator matrices at
+    levels 0..2 and seeded mixed-moduli systems."""
+    rng = random.Random(1616)
+    systems = [q_d_matrix(p, d) + (p,) for p, d_max in ((2, 12), (3, 10), (5, 6), (7, 4), (11, 3))
+               for d in range(1, d_max + 1)]
+    systems += [operator_matrix(standard_operator_basis(p, d, m, max_order=d - 1), p, d) + (p,)
+                for p, d in ((2, 5), (3, 5), (5, 3)) for m in range(3)]
+    for _ in range(2000):
+        p = rng.choice((2, 3, 5, 7))
+        systems.append(random_moduli_system(rng, p) + (p,))
+    return systems
+
+
+def test_solver_outputs_are_pinned():
+    # kernel bases, solves of image and random vectors, and element orders,
+    # hashed; the digest comes from an independent implementation, a dense
+    # elimination of the rows scaled to (Z/p^N)^R, and all three answers
+    # are canonical (reduced modulo a Hermite form, or an invariant)
+    rng = random.Random(61)
+    digest = hashlib.sha256()
+    solved = unsolvable = 0
+    for m, moduli, p in pinned_solver_systems():
+        solver = CokernelSolver(m, moduli, p)
+        out = [solver.kernel_basis()]
+        for _ in range(3):
+            x = [rng.randint(-p ** 3, p ** 3) for _ in range(m.cols)]
+            b = [sum(a * t for a, t in zip(row, x)) for row in m.row_lists()]
+            c = [rng.randint(-p ** 6, p ** 6) for _ in moduli]
+            out += [solver.solve(b), solver.solve(c), solver.element_order_exponent(c)]
+            solved += out[-2] is not None
+            unsolvable += out[-2] is None
+        digest.update(repr(out).encode())
+    assert solved > 100 and unsolvable > 1000
+    assert digest.hexdigest() == (
+        "6b95ecb91b263637ceddab1d0ba816b01fae22da0e2407415db8526417eed41a")
 
 
 # ---------------------------------------------------------------------------
