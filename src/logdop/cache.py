@@ -6,7 +6,7 @@ import json
 import os
 from pathlib import Path
 
-from .errors import SectionFormatError
+from .errors import CacheWriteError, SectionFormatError
 
 
 class DiskCache:
@@ -20,7 +20,8 @@ class DiskCache:
     the (p+1)d coordinates Z/p^{d-i}, so it has at most (p+1)d invariant
     factors, none above p^d, and its order divides p^{(p+1)d(d+1)/2}.
     Entries are written atomically, so an interrupted write leaves no
-    truncated entry behind.  An instance remembers what it has read or
+    truncated entry behind; a write the directory refuses raises
+    CacheWriteError.  An instance remembers what it has read or
     written, so a command reads each file at most once.
     """
 
@@ -72,6 +73,9 @@ class DiskCache:
         try:
             tmp.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
             os.replace(tmp, path)
+        except OSError as exc:
+            raise CacheWriteError(f"cannot write the cache entry {path}: "
+                                  f"{exc.strerror or exc}") from exc
         finally:
             tmp.unlink(missing_ok=True)
         self._seen[p, d] = tuple(exponents)

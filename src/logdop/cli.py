@@ -5,7 +5,8 @@ reference tables), verify (property suites), lift (sample/lift sections),
 data (local data of a file), diagnose (level-lowering order table).  Exit
 codes: 0 success, 1 verification or comparison failure, 2 usage/parse error,
 3 resource guard, 4 lift input with nonvanishing local data; main prints each
-one-line ``error:`` refusal (a _Refusal).  A --cache ends with its command:
+one-line ``error:`` refusal (a _Refusal, a corrupt cache entry or a cache
+entry that cannot be written).  A --cache ends with its command:
 the handler passes its DiskCache down as an argument, and no module keeps it.
 Standard output, output files and standard error are UTF-8 whatever the
 locale (_emit and _stderr).
@@ -24,6 +25,7 @@ from . import serialize
 from .cache import DiskCache
 from .engine import h1_filtered, level_descent_diagnostic
 from .errors import (
+    CacheWriteError,
     NonvanishingLocalData,
     ScheduleFailure,
     SectionFormatError,
@@ -401,7 +403,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_Refusal, SectionFormatError) as exc:  # the latter: a corrupt cache entry
+    except (_Refusal, SectionFormatError, CacheWriteError) as exc:  # the latter two: --cache
         _stderr(f"error: {exc}")
         return exc.code if isinstance(exc, _Refusal) else EXIT_USAGE
 

@@ -7,9 +7,9 @@ alone; m only tags the reports and enters verify_splitting through the
 a^(m) coefficients.  degree_group reads or fills a caller's disk cache
 (cache=); h1_tensor, a pure memo, eliminates tensor_presentation, where the p
 finite points have collapsed to Z[x]/(p, x^p - x)^d and only the d rows at
-infinity are left; the local-data matrix q_d_matrix itself is read where
-its kernel lattice or its rows are (degree_solver, the summand count) and
-by the oracles that check the presentation.  The degree <= d group is the
+infinity are left; the local-data matrix q_d_matrix itself is built for
+its kernel lattice (degree_solver), its mod-p rank (summand_count_check)
+and the oracles that check the presentation.  The degree <= d group is the
 direct sum over degrees (the splitting), which verify_splitting recomputes
 independently as one big cokernel on an explicit operator basis.  Side identities: the
 guaranteed-torsion exponent floor((p-1)(d+1)/(p+1)), the graded line-bundle
@@ -199,10 +199,10 @@ def summand_count_check(p: int, d: int) -> bool:
 
     The count must be (p+1)d - rank_{F_p}(M mod p); with a full-rank image
     (rank 2d+1) that is (p-1)d - 1.  The rank comes from an independent
-    mod-p Gaussian elimination, not from the p-local one, run on the matrix
-    the degree solver was built from.
+    mod-p Gaussian elimination, not from the p-local one, run on
+    q_d_matrix(p, d), the matrix the degree solver is built from.
     """
-    expected = (p + 1) * d - rank_mod_p(degree_solver(p, d).matrix, p)
+    expected = (p + 1) * d - rank_mod_p(q_d_matrix(p, d)[0], p)
     return h1_tensor(p, d).num_factors == expected
 
 

@@ -16,6 +16,10 @@ class ScheduleFailure(RuntimeError):
     """A correction step of the hand-rolled lifting schedule left residual data."""
 
 
+class CacheWriteError(OSError):
+    """A --cache directory refused a new entry; the message names the entry."""
+
+
 class SectionFormatError(ValueError):
     """A section/operator file failed to parse.
 

@@ -7,9 +7,10 @@ operation reduces modulo anything unless its contract says so.  Maps
 
 are given by an integer matrix together with a vector of prime-power moduli
 exponents, always powers of a single prime p passed alongside the exponent
-tuple, so mixed-prime targets are unrepresentable by construction.  One
-elimination serves every answer.  It works over Z_(p), where a pivot of least
-valuation is final in one pass, on sparse {column: entry} rows that stay at
+tuple, so mixed-prime targets are unrepresentable by construction.  A matrix
+is only ever sparse {column: entry} rows; the det and rank_mod_p oracles read
+them densely.  One elimination serves every answer.  It works over Z_(p),
+where a pivot of least valuation is final in one pass, on rows that stay at
 p^shift times the live block, so nothing is divided by p: each row's
 valuation is stored and read again only after a pivot has updated the row,
 and the rows pivot in Markowitz order, fewest nonzero entries first.
@@ -21,7 +22,6 @@ and the kernel lattice in Hermite normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from math import gcd
 from typing import Sequence
 
@@ -76,40 +76,29 @@ def vp(n: int, p: int) -> int:
 
 
 class IntegerMatrix:
-    """Dense integer matrix, row-major, arbitrary precision."""
+    """Integer matrix, arbitrary precision, as ``row_maps``: one dict per row
+    of its nonzero entries, {column: entry} with the columns ascending."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "row_maps")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[int]):
-        entries = list(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
+    def __init__(self, cols: int, row_maps: Sequence[dict]):
+        self.rows = len(row_maps)
         self.cols = cols
-        self.entries = entries
+        self.row_maps = row_maps
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(r, c, flat)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        c = len(rows[0]) if rows else 0
+        if any(len(row) != c for row in rows):
+            raise ValueError("ragged rows")
+        return cls(c, [{k: a for k, a in enumerate(row) if a} for row in rows])
 
     def row_lists(self) -> list:
-        c = self.cols
-        return [self.entries[i * c:(i + 1) * c] for i in range(self.rows)]
+        return [[row.get(k, 0) for k in range(self.cols)] for row in self.row_maps]
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, IntegerMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+        return (isinstance(other, IntegerMatrix) and self.cols == other.cols
+                and self.row_maps == other.row_maps)
 
     def __repr__(self) -> str:
         return f"IntegerMatrix({self.rows}x{self.cols})"
@@ -337,15 +326,11 @@ def _plocal_exponents(rows, moduli, p: int, log=None) -> list:
 
 
 def _sparse_rows(m: IntegerMatrix, moduli, p: int) -> list:
-    """Row r of m as a {column: entry} dict of its nonzero entries mod p^{moduli[r]}."""
+    """A fresh copy of each row of m for the elimination to consume, row r
+    reduced mod p^{moduli[r]}, with the entries that vanish there dropped."""
     _check_moduli(m, moduli, p)
-    c, columns = m.cols, range(m.cols)
-    rows = []
-    for r, e in enumerate(moduli):
-        row = m.entries[r * c:(r + 1) * c]
-        q = p ** e
-        rows.append({k: b for k in compress(columns, row) if (b := row[k] % q)})
-    return rows
+    return [{k: b for k, a in row.items() if (b := a % q)}
+            for row, q in zip(m.row_maps, [p ** e for e in moduli])]
 
 
 def cokernel_invariants(m: IntegerMatrix, moduli, p: int) -> AbelianPGroup:
@@ -419,11 +404,12 @@ class CokernelSolver:
     row that went to zero, so the kernel lattice is spanned by the final
     columns of V and p^N Z^cols.  It is kept in Hermite normal form,
     and each solve is reduced modulo it.  Both are unique, so neither
-    depends on the pivot order.  Immutable after construction.
+    depends on the pivot order.  It keeps M's width, not M.  Immutable
+    after construction.
     """
 
     def __init__(self, m: IntegerMatrix, moduli, p: int):
-        self.matrix = m
+        self.cols = m.cols
         self.moduli = tuple(moduli)
         self.p = p
         log = []
@@ -471,7 +457,7 @@ class CokernelSolver:
         p = self.p
         if any(yr % p ** k for yr, k in zip(y, self._row_exponent)):
             return None
-        sol = [0] * self.matrix.cols
+        sol = [0] * self.cols
         for i, k, _, vj, _ in self._pivots:
             w = y[i] // p ** k
             if w:
@@ -496,8 +482,8 @@ def quotient_by_cyclic(group: AbelianPGroup, a) -> AbelianPGroup:
     a = list(a)
     if len(a) != group.num_factors:
         raise ValueError(f"element has {len(a)} coordinates, group has {group.num_factors} factors")
-    col = IntegerMatrix(group.num_factors, 1, a)
-    return cokernel_invariants(col, group.exponents, group.p)
+    return cokernel_invariants(IntegerMatrix.from_rows([[x] for x in a]),
+                               group.exponents, group.p)
 
 
 def cyclic_quotient_dominates(group: AbelianPGroup, quotient: AbelianPGroup) -> bool:

@@ -11,7 +11,8 @@ directly, one row per coordinate, without evaluating basis sections.
 q_d_matrix is the map itself, read where its rows or its kernel lattice are
 needed; the degree-d group is computed from tensor_presentation, where the
 p finite points have collapsed to Z[x]/(p, x^p - x)^d and only the d rows
-at infinity are left.
+at infinity are left.  Each matrix is written as sparse rows, columns
+ascending, the one form of linalg.IntegerMatrix.
 
 Coordinate ordering is fixed everywhere: points 0, 1, ..., p-1, infinity, and
 within a point (k, i) lexicographic with k ascending, then i ascending.  All
@@ -268,20 +269,17 @@ def q_d_matrix(p: int, d: int, lifts: PointLift = None):
         raise ValueError(f"p = {p} is not prime")
     if lifts is None:
         lifts = PointLift.canonical(p)
-    width = 2 * d + 1
     mods = [p ** (d - i) for i in range(d)]
     sgn = -1 if d % 2 else 1
-    flat = []
+    rows = []
     for a in range(p):
         pascal = _pascal_rows(lifts[a] % p ** d, 2 * d, d)
         for i, mod in enumerate(mods):
-            flat.extend([sgn * pascal[2 * d - s][i] % mod for s in range(d)])
-            flat.extend([pascal[sp][i] % mod if i <= sp else 0 for sp in range(d + 1)])
-    for i in range(d):
-        row = [0] * width
-        row[i] = 1
-        flat.extend(row)
-    return IntegerMatrix((p + 1) * d, width, flat), moduli_exponents(coords_degree(p, d))
+            values = ([sgn * pascal[2 * d - s][i] for s in range(d)]
+                      + [pascal[sp][i] if i <= sp else 0 for sp in range(d + 1)])
+            rows.append({k: x for k, v in enumerate(values) if (x := v % mod)})
+    rows += [{i: 1} for i in range(d)]
+    return IntegerMatrix(2 * d + 1, rows), moduli_exponents(coords_degree(p, d))
 
 
 def tensor_presentation(p: int, d: int):
@@ -321,22 +319,24 @@ def tensor_presentation(p: int, d: int):
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     width = 2 * d + 1
-    moduli = tuple(d - n // p for n in range(width, p * d)) + tuple(range(d, 0, -1))
-    entries = [0] * (len(moduli) * width)
-    at_inf = (len(moduli) - d) * width  # the index of row (inf, d, 0), column 0
+    free = tuple(d - n // p for n in range(width, p * d))
+    at_inf = [{} for _ in range(d)]
     for n in range(width):
         k, r = divmod(n, p)
         scale = p ** max(d - k, 0)
         top = 2 * d - r - k  # x^r f^k reaches x^{2d-i} at i = top - j(p-1)
         for j in range(max(0, (top - d) // (p - 1) + 1), min(k, top // (p - 1)) + 1):
             i = top - j * (p - 1)
-            entries[at_inf + i * width + n] = (-1) ** (k - j) * comb(k, j) * scale
-    return IntegerMatrix(len(moduli), width, entries), moduli
+            at_inf[i][n] = (-1) ** (k - j) * comb(k, j) * scale
+    return IntegerMatrix(width, [{} for _ in free] + at_inf), free + tuple(range(d, 0, -1))
 
 
 def operator_matrix(ops, p: int, d: int, lifts: PointLift = None):
-    """Matrix of the full degree <= d local-data map on the given operators."""
+    """Matrix of the full degree <= d local-data map; column n is ops[n]."""
     coords = coords_le(p, d)
-    columns = [local_data_operator(op, lifts).vector() for op in ops]
-    rows = [[col[r] for col in columns] for r in range(len(coords))]
-    return IntegerMatrix.from_rows(rows), moduli_exponents(coords)
+    index = {c: r for r, c in enumerate(coords)}
+    rows = [{} for _ in coords]
+    for n, op in enumerate(ops):
+        for c, x in local_data_operator(op, lifts).entries.items():
+            rows[index[c]][n] = x
+    return IntegerMatrix(len(ops), rows), moduli_exponents(coords)

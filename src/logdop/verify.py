@@ -201,8 +201,8 @@ def suite_linalg(seed: int = 0) -> SuiteResult:
         p = rng.choice((2, 3, 5))
         rows_n, cols_n = rng.randint(1, 4), rng.randint(1, 4)
         moduli = tuple(rng.randint(1, 3) for _ in range(rows_n))
-        m = IntegerMatrix(rows_n, cols_n,
-                          [rng.randint(-p ** 3, p ** 3) for _ in range(rows_n * cols_n)])
+        m = IntegerMatrix.from_rows([[rng.randint(-p ** 3, p ** 3) for _ in range(cols_n)]
+                                     for _ in range(rows_n)])
         coker = cokernel_invariants(m, moduli, p)
         basis = CokernelSolver(m, moduli, p).kernel_basis()
         index = abs(det(IntegerMatrix.from_rows(basis)))

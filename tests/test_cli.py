@@ -271,6 +271,18 @@ def test_cache_put_replaces_entries_atomically(tmp_path, monkeypatch):
     assert store.get(3, 2) == (1, 1, 1)
 
 
+def test_a_cache_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch):
+    def refused(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cache.os, "replace", refused)
+    code, out, err = run(capsys, "h1", "--p", "3", "--d", "2", "--cache", str(tmp_path))
+    assert code == 2 and out == ""
+    entry = tmp_path / "h1-p3-d1.json"
+    assert err == f"error: cannot write the cache entry {entry}: Permission denied\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # refusals: every way a command says no, with its exact stderr and exit code
 # ---------------------------------------------------------------------------

@@ -165,8 +165,8 @@ def test_cokernel_order_identity_randoms():
         rows_n = rng.randint(1, 4)
         cols_n = rng.randint(1, 4)
         moduli = tuple(rng.randint(1, 3) for _ in range(rows_n))
-        m = IntegerMatrix(rows_n, cols_n,
-                          [rng.randint(-p ** 3, p ** 3) for _ in range(rows_n * cols_n)])
+        m = IntegerMatrix.from_rows([[rng.randint(-p ** 3, p ** 3) for _ in range(cols_n)]
+                                     for _ in range(rows_n)])
         coker = cokernel_invariants(m, moduli, p)
         basis = CokernelSolver(m, moduli, p).kernel_basis()
         assert len(basis) == cols_n
@@ -175,7 +175,7 @@ def test_cokernel_order_identity_randoms():
 
 
 def test_kernel_lattice_zero_map():
-    m = IntegerMatrix.zero(1, 3)
+    m = IntegerMatrix(3, [{}])
     basis = CokernelSolver(m, (2,), 5).kernel_basis()
     assert abs(det(IntegerMatrix.from_rows(basis))) == 1
 
@@ -207,9 +207,14 @@ def random_moduli_system(rng, p, max_rows=7, max_cols=7, max_modulus=5):
     moduli = tuple(rng.randint(1, max_modulus) for _ in range(rows_n))
     # high-valuation entries, so that many rows carry no unit at shift 0
     pool = (0, 1, p, p ** 2, p ** 3)
-    entries = [rng.choice(pool) * rng.randint(-p ** 2, p ** 2) if rng.random() < 0.7
-               else rng.randint(-p ** 5, p ** 5) for _ in range(rows_n * cols_n)]
-    return IntegerMatrix(rows_n, cols_n, entries), moduli
+
+    def entry():
+        return (rng.choice(pool) * rng.randint(-p ** 2, p ** 2) if rng.random() < 0.7
+                else rng.randint(-p ** 5, p ** 5))
+
+    # rows_n may be 0, so the shape is given, not read off the rows
+    row_maps = [{k: a for k in range(cols_n) if (a := entry())} for _ in range(rows_n)]
+    return IntegerMatrix(cols_n, row_maps), moduli
 
 
 def reduce_modulo(basis, v):
@@ -254,7 +259,7 @@ def test_kernel_basis_is_a_hermite_form_and_ignores_row_order():
         rows = m.row_lists()
         order = list(range(m.rows))
         rng.shuffle(order)
-        shuffled = IntegerMatrix(m.rows, m.cols, [a for r in order for a in rows[r]])
+        shuffled = IntegerMatrix(m.cols, [m.row_maps[r] for r in order])
         one = CokernelSolver(m, moduli, p)
         other = CokernelSolver(shuffled, tuple(moduli[r] for r in order), p)
         basis = one.kernel_basis()
@@ -319,9 +324,9 @@ def test_plocal_invariants_match_sympy():
 
 def test_plocal_invariants_edge_cases():
     # no rows: the target is 0
-    assert cokernel_invariants(IntegerMatrix(0, 3, []), (), 5).is_trivial
+    assert cokernel_invariants(IntegerMatrix(3, []), (), 5).is_trivial
     # no columns: the cokernel is the target itself
-    g = cokernel_invariants(IntegerMatrix(3, 0, []), (3, 1, 2), 3)
+    g = cokernel_invariants(IntegerMatrix(0, [{}, {}, {}]), (3, 1, 2), 3)
     assert g == AbelianPGroup(3, (1, 2, 3))
     # a zero row splits off with its own modulus
     m = IntegerMatrix.from_rows([[1, 2], [0, 0], [2, 9]])
@@ -337,7 +342,7 @@ def test_plocal_invariants_edge_cases():
     # all moduli 1: an F_p cokernel of dimension R - rank
     rng = random.Random(12)
     for p in (2, 3, 5):
-        m = IntegerMatrix(5, 3, [rng.randint(-9, 9) for _ in range(15)])
+        m = IntegerMatrix.from_rows([[rng.randint(-9, 9) for _ in range(3)] for _ in range(5)])
         g = cokernel_invariants(m, (1,) * 5, p)
         assert g.exponents == (1,) * (5 - rank_mod_p(m, p))
 
@@ -357,8 +362,8 @@ def shuffled_system(rng, m, moduli):
     order, cols = list(range(m.rows)), list(range(m.cols))
     rng.shuffle(order)
     rng.shuffle(cols)
-    entries = [rows[r][c] for r in order for c in cols]
-    return IntegerMatrix(m.rows, m.cols, entries), tuple(moduli[r] for r in order)
+    row_maps = [{k: rows[r][c] for k, c in enumerate(cols) if rows[r][c]} for r in order]
+    return IntegerMatrix(m.cols, row_maps), tuple(moduli[r] for r in order)
 
 
 def test_plocal_invariants_ignore_row_and_column_order():
@@ -390,7 +395,7 @@ def test_plocal_invariants_with_planted_unit_rows():
             j, unit = rng.randrange(m.cols), rng.choice((1, -1, p + 1))
             rows.append([unit * (c == j) for c in range(m.cols)])
             moduli += (rng.randint(1, 5),)
-        planted = IntegerMatrix(len(rows), m.cols, [a for row in rows for a in row])
+        planted = IntegerMatrix.from_rows(rows)
         planted, moduli = shuffled_system(rng, planted, moduli)
         assert cokernel_invariants(planted, moduli, p) == z_invariants(planted, moduli, p)
 
@@ -420,8 +425,7 @@ def planted_sparse_system(rng, p):
     unit_row[rng.randrange(cols)] = rng.choice(units)
     rows += [unit_row, [p ** rng.randint(1, 3) * a for a in unit_row]]
     moduli += [e_i, rng.randint(1, e_i)]
-    m = IntegerMatrix(len(rows), cols, [a for row in rows for a in row])
-    return shuffled_system(rng, m, tuple(moduli))
+    return shuffled_system(rng, IntegerMatrix.from_rows(rows), tuple(moduli))
 
 
 def test_plocal_invariants_on_planted_sparse_systems():
@@ -446,8 +450,7 @@ def test_plocal_postcondition_fires_on_a_row_left_unreduced():
 # ---------------------------------------------------------------------------
 
 def test_element_order_trivial_cases():
-    m = IntegerMatrix.zero(1, 1)
-    solver = CokernelSolver(m, (3,), 5)
+    solver = CokernelSolver(IntegerMatrix(1, [{}]), (3,), 5)
     assert solver.element_order_exponent([0]) == 0
     assert solver.element_order_exponent([1]) == 3
     assert solver.element_order_exponent([25]) == 1
@@ -461,7 +464,7 @@ def test_element_order_against_brute_force():
         cols_n = rng.randint(0, 2)
         moduli = tuple(rng.randint(1, 2) for _ in range(rows_n))
         rows = [[rng.randint(-6, 6) for _ in range(cols_n)] for _ in range(rows_n)]
-        m = IntegerMatrix(rows_n, cols_n, [x for row in rows for x in row])
+        m = IntegerMatrix.from_rows(rows)
         c = [rng.randint(0, p ** e - 1) for e in moduli]
         got = CokernelSolver(m, moduli, p).element_order_exponent(c)
         want = brute_order_in_cokernel(rows, moduli, p, c)
@@ -509,8 +512,7 @@ def test_solve_is_canonical():
         for b in rhs:
             got = solver.solve(b)
             # b is in the image iff adjoining it as a column keeps the order
-            with_b = IntegerMatrix(m.rows, m.cols + 1,
-                                   [a for row, bi in zip(rows, b) for a in row + [bi]])
+            with_b = IntegerMatrix.from_rows([row + [bi] for row, bi in zip(rows, b)])
             assert (got is None) == (cokernel_invariants(with_b, moduli, p).order_vp
                                      < order_vp)
             if got is None:
@@ -527,7 +529,7 @@ def test_solve_is_canonical():
             assert solver.solve(moved) == reduce_modulo(basis, [g + t for g, t in zip(got, y)])
     assert unsolvable > 0
     # Z/9 with the zero map: 1 is not in the image, 9 is
-    solver = CokernelSolver(IntegerMatrix.zero(1, 1), (2,), 3)
+    solver = CokernelSolver(IntegerMatrix(1, [{}]), (2,), 3)
     assert solver.solve([1]) is None and solver.solve([9]) == [0]
 
 

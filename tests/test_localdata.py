@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import comb
 
@@ -21,6 +22,7 @@ from logdop.localdata import (
     local_data_operator,
     local_data_tensor,
     moduli_exponents,
+    operator_matrix,
     q_d_matrix,
     tensor_basis,
     tensor_presentation,
@@ -290,6 +292,38 @@ def test_q_d_matrix_matches_column_wise_build(p, d_max):
             mat, moduli = q_d_matrix(p, d, lifts=lifts)
             assert mat == q_d_matrix_by_columns(p, d, lifts), (d, lifts)
             assert moduli == moduli_exponents(coords_degree(p, d))
+
+
+def producer_matrices():
+    """q_d_matrix with canonical and shifted lifts and tensor_presentation
+    for p in {2, 3, 5, 7}, d <= 20, and operator_matrix on the standard
+    operator basis at levels 0..2."""
+    rng = random.Random(1717)
+    out = []
+    for p in (2, 3, 5, 7):
+        for d in range(1, 21):
+            shifted = PointLift(p, tuple(a + p * rng.randint(-9, 9) for a in range(p)))
+            out += [q_d_matrix(p, d), q_d_matrix(p, d, shifted), tensor_presentation(p, d)]
+    for p, d_max in ((2, 5), (3, 5), (5, 3)):
+        for m in range(3):
+            for d in range(1, d_max + 1):
+                out.append(operator_matrix(standard_operator_basis(p, d, m), p, d))
+    return out
+
+
+def test_producer_matrices_are_pinned():
+    # the dense rows and moduli, hashed; the digest comes from a dense build
+    # of the same matrices.  Each sparse row holds nonzero
+    # entries only, in ascending column order, which the elimination's
+    # pivot choice (the first qualifying column) reads
+    digest = hashlib.sha256()
+    for mat, moduli in producer_matrices():
+        for row in mat.row_maps:
+            assert 0 not in row.values() and list(row) == sorted(row)
+        assert IntegerMatrix.from_rows(mat.row_lists()) == mat
+        digest.update(repr((mat.rows, mat.cols, mat.row_lists(), moduli)).encode())
+    assert digest.hexdigest() == (
+        "2fe4b3c6635358cb203bb213155b4f8d69a658d25e9676bc8e67dbb21d067e9d")
 
 
 def test_q_d_matrix_rejects_what_the_basis_rejects():
