@@ -21,8 +21,9 @@ class DiskCache:
     factors, none above p^d, and its order divides p^{(p+1)d(d+1)/2}.
     Entries are written atomically, so an interrupted write leaves no
     truncated entry behind; a write the directory refuses raises
-    CacheWriteError.  An instance remembers what it has read or
-    written, so a command reads each file at most once.
+    CacheWriteError.  An instance keeps no memo: engine.h1_filtered, its one
+    caller, asks for each (p, d) once per command, so each file is read at
+    most once.
     """
 
     FORMAT = "h1-group/2"
@@ -30,17 +31,11 @@ class DiskCache:
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._seen = {}
 
     def _path(self, p: int, d: int) -> Path:
         return self.directory / f"h1-p{p}-d{d}.json"
 
     def get(self, p: int, d: int):
-        if (p, d) not in self._seen:
-            self._seen[p, d] = self._read(p, d)
-        return self._seen[p, d]
-
-    def _read(self, p: int, d: int):
         path = self._path(p, d)
         if not path.exists():
             return None
@@ -78,4 +73,3 @@ class DiskCache:
                                   f"{exc.strerror or exc}") from exc
         finally:
             tmp.unlink(missing_ok=True)
-        self._seen[p, d] = tuple(exponents)

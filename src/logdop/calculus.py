@@ -50,9 +50,15 @@ def coeff_a_recurrence(s: int, t: int) -> int:
 
 
 def q_level(d: int, p: int, m: int) -> int:
-    """q with d = q p^m + r, 0 <= r < p^m."""
+    """q with d = q p^m + r, 0 <= r < p^m.
+
+    q is 0 once p^m > d, which holds for m >= d.bit_length() since p >= 2;
+    that test comes first, so a huge level never builds p^m.
+    """
     if d < 0 or m < 0:
         raise ValueError("need d >= 0 and m >= 0")
+    if m >= d.bit_length():
+        return 0
     return d // p ** m
 
 

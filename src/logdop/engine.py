@@ -2,13 +2,13 @@
 
 The degree-d group is the cokernel of the degree-d local-data map on the
 rank-(2d+1) tensor space.  That map does not depend on the level m, so each
-degree-d group, its solver and its disk-cache entry are keyed by (p, d)
-alone; m only tags the reports and enters verify_splitting through the
-a^(m) coefficients.  degree_group reads or fills a caller's disk cache
-(cache=); h1_tensor, a pure memo, eliminates tensor_presentation, where the p
-finite points have collapsed to Z[x]/(p, x^p - x)^d and only the d rows at
-infinity are left; the local-data matrix q_d_matrix itself is built for
-its kernel lattice (degree_solver), its mod-p rank (summand_count_check)
+degree-d group, its kernel lattice and its disk-cache entry are keyed by
+(p, d) alone; m only tags the reports and enters verify_splitting through
+the a^(m) coefficients.  h1_filtered alone reads or fills a caller's disk
+cache (cache=), once per group and command; h1_tensor, a pure
+memo, eliminates tensor_presentation, where the p finite points have
+collapsed to Z[x]/(p, x^p - x)^d and only the d rows at infinity are left;
+the local-data matrix q_d_matrix serves kernel_index_vp, summand_count_check
 and the oracles that check the presentation.  The degree <= d group is the
 direct sum over degrees (the splitting), which verify_splitting recomputes
 independently as one big cokernel on an explicit operator basis.  Side identities: the
@@ -60,7 +60,15 @@ def legendre_vp(n: int, p: int) -> int:
 
 
 def cmp_rational_logp(r: Fraction, p: int, d: int) -> int:
-    """Exact sign of r - log_p(d) for d >= 1, via integer power comparison."""
+    """Exact sign of r - log_p(d) for d >= 1, in integers only.
+
+    Walks the continued fraction of log_p(d) = log_y(x), y = p and x = d:
+    each term t is the largest with y^t <= x, and the rest is
+    log_{x/y^t}(y).  log_p(d) lies between any two consecutive convergents,
+    so the walk stops once r lies strictly outside them, or at the exact
+    value when y^t = x.  It never builds p^a or d^b for r = a/b, whose b
+    grows like p^m in the level diagnostic.
+    """
     if d < 1:
         raise ValueError("need d >= 1")
     if d == 1:
@@ -68,9 +76,22 @@ def cmp_rational_logp(r: Fraction, p: int, d: int) -> int:
     if r <= 0:
         return -1
     a, b = r.numerator, r.denominator
-    lhs = p ** a
-    rhs = d ** b
-    return (lhs > rhs) - (lhs < rhs)
+
+    def side(h, c):                    # sign of r - h/c, c >= 0
+        return (a * c > h * b) - (a * c < h * b)
+
+    xn, xd, yn, yd = d, 1, p, 1        # x = xn/xd and y = yn/yd, both > 1
+    h0, c0, h1, c1 = 0, 1, 1, 0        # the two latest convergents h/c
+    while True:
+        t, tn, td = 0, 1, 1            # y^t = tn/td
+        while tn * yn * xd <= xn * td * yd:
+            t, tn, td = t + 1, tn * yn, td * yd
+        h0, c0, h1, c1 = h1, c1, t * h1 + h0, t * c1 + c0
+        # log_p(d) = h1/c1 exactly, or r on one side of both convergents
+        # (consecutive convergents differ, so the sides are not both 0)
+        if tn * xd == xn * td or side(h0, c0) == side(h1, c1):
+            return side(h1, c1)
+        xn, xd, yn, yd = yn, yd, xn * td, xd * tn
 
 
 def exponent_lower_bound(p: int, d: int) -> int:
@@ -88,17 +109,6 @@ def graded_piece_dim(p: int, d: int, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def degree_solver(p: int, d: int) -> CokernelSolver:
-    """Cached solver for the degree-d tensor local-data map.
-
-    Only for callers that read its kernel lattice; the group itself is
-    h1_tensor's.
-    """
-    mat, moduli = q_d_matrix(p, d)
-    return CokernelSolver(mat, moduli, p)
-
-
-@lru_cache(maxsize=None)
 def h1_tensor(p: int, d: int) -> AbelianPGroup:
     """Degree-d summand: cokernel of the 2d+1 tensor sections inside Q_d,
     read off its presentation with d nonzero rows (tensor_presentation)."""
@@ -107,19 +117,6 @@ def h1_tensor(p: int, d: int) -> AbelianPGroup:
     if d < 1:
         raise ValueError("need d >= 1")
     return cokernel_invariants(*tensor_presentation(p, d), p)
-
-
-def degree_group(p: int, d: int, cache=None) -> AbelianPGroup:
-    """h1_tensor(p, d), read from the DiskCache ``cache`` when it holds the
-    entry, else computed and written there."""
-    if cache is None:
-        return h1_tensor(p, d)
-    stored = cache.get(p, d)
-    if stored is not None:
-        return AbelianPGroup(p, stored)
-    group = h1_tensor(p, d)
-    cache.put(p, d, group.exponents)
-    return group
 
 
 @dataclass(frozen=True)
@@ -137,19 +134,26 @@ class H1Report:
 
 
 def h1_filtered(p: int, d: int, m: int = 0, cache=None) -> H1Report:
-    """Groups for all degrees d' <= d (degree_group with ``cache``) plus
-    their direct sum (one table row).
+    """Groups for all degrees d' <= d plus their direct sum (one table row).
 
-    The groups do not depend on the level; m tags the report.
+    The one reader and writer of a DiskCache: each group is read from
+    ``cache``, or computed by h1_tensor and written there.  The groups do
+    not depend on the level; m tags the report.
     """
     if m < 0:
         raise ValueError("need m >= 0")
-    per_degree = tuple(degree_group(p, dd, cache) for dd in range(1, d + 1))
+    per_degree = []
+    for dd in range(1, d + 1):
+        stored = None if cache is None else cache.get(p, dd)
+        group = h1_tensor(p, dd) if stored is None else AbelianPGroup(p, stored)
+        if cache is not None and stored is None:
+            cache.put(p, dd, group.exponents)
+        per_degree.append(group)
     total = AbelianPGroup(p, tuple(n for g in per_degree for n in g.exponents))
     bounds = tuple(exponent_lower_bound(p, dd) for dd in range(1, d + 1))
     met = tuple(g.max_exponent >= b for g, b in zip(per_degree, bounds))
     equal = tuple(g.max_exponent == b for g, b in zip(per_degree, bounds))
-    return H1Report(p, d, m, per_degree, total, bounds, met, equal)
+    return H1Report(p, d, m, tuple(per_degree), total, bounds, met, equal)
 
 
 def verify_splitting(p: int, d: int, m: int = 0) -> bool:
@@ -166,7 +170,7 @@ def verify_splitting(p: int, d: int, m: int = 0) -> bool:
 
 def kernel_index_vp(p: int, d: int) -> int:
     """v_p of the index of the vanishing-local-data lattice in Z^{2d+1}."""
-    basis = degree_solver(p, d).kernel_basis()
+    basis = CokernelSolver(*q_d_matrix(p, d), p).kernel_basis()
     index = det(IntegerMatrix.from_rows(basis))
     if index == 0:
         raise InvariantViolation("kernel lattice is not full rank")
@@ -291,9 +295,10 @@ def level_descent_diagnostic(p: int, m: int, d_max: int,
         raise ValueError(f"unknown schedule {schedule!r}")
     n_of = SCHEDULES[schedule]
     coeff = Fraction(p * p - 3 * p, p * p - 1) + Fraction(1, (p - 1) * p ** m)
+    groups = h1_filtered(p, d_max, m, cache).per_degree
     rows = []
-    for d in range(1, d_max + 1):
-        max_exp = degree_group(p, d, cache).max_exponent
+    for d, group in enumerate(groups, start=1):
+        max_exp = group.max_exponent
         n_d = n_of(d)
         vp_lam = legendre_vp(d, p) - legendre_vp(q_level(d, p, m), p)
         pushed = max(0, max_exp - vp_lam)

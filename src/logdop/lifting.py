@@ -30,14 +30,21 @@ from .calculus import (
     tensor_to_operator,
 )
 from .errors import NonvanishingLocalData, ScheduleFailure, TheoremViolation
-from .engine import degree_solver
 from .linalg import CokernelSolver
 from .localdata import (
     LocalDataVector,
     local_data_operator,
     local_data_tensor,
     operator_matrix,
+    q_d_matrix,
 )
+
+
+@lru_cache(maxsize=None)
+def degree_solver(p: int, d: int) -> CokernelSolver:
+    """Cached solver for q_d_matrix(p, d), whose kernel lattice
+    sample_kernel_section reads once per sampled section."""
+    return CokernelSolver(*q_d_matrix(p, d), p)
 
 
 @lru_cache(maxsize=None)

@@ -76,6 +76,11 @@ def test_q_level():
     assert q_level(8, 2, 3) == 1
     for d in range(10):
         assert q_level(d, 5, 0) == d
+    # the early 0 for m >= d.bit_length() agrees with d // p^m everywhere
+    for p in (2, 3, 5, 7):
+        for m in range(12):
+            for d in range(0, 2 ** 11 + 3):
+                assert q_level(d, p, m) == d // p ** m, (d, p, m)
 
 
 def test_coeff_a_level_anchors():

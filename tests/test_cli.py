@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import logdop
-from logdop import cache, cli, lifting, localdata, serialize, tables
+from logdop import cache, cli, engine, lifting, localdata, serialize, tables
 from logdop.calculus import TensorSection, symbol, tensor_to_operator
 from logdop.cli import main
 from logdop.errors import SectionFormatError
@@ -238,10 +238,18 @@ def test_a_corrupt_entry_does_not_reach_a_later_command(tmp_path, capsys):
     assert out
 
 
-def test_a_warm_appendix_reads_each_cache_entry_once(tmp_path, monkeypatch):
-    cold = tables.verify_appendix(cache.DiskCache(tmp_path))
+@pytest.mark.parametrize("argv, count", [
+    (("appendix", "--format", "json"), 39),
+    (("diagnose", "--p", "5", "--m", "2", "--dmax", "12"), 12),
+    (("h1", "--p", "3", "--d", "10", "--per-degree"), 10),
+], ids=["appendix", "diagnose", "h1"])
+def test_a_warm_command_reads_each_cache_entry_once(tmp_path, capsys, monkeypatch,
+                                                    argv, count):
+    # a DiskCache keeps no memo: each command asks for each group once
+    argv = (*argv, "--cache", str(tmp_path))
+    cold = run(capsys, *argv)
     entries = sorted(f.name for f in tmp_path.iterdir())
-    assert len(entries) == 39
+    assert len(entries) == count
     reads = []
     read_text = Path.read_text
 
@@ -251,8 +259,22 @@ def test_a_warm_appendix_reads_each_cache_entry_once(tmp_path, monkeypatch):
         return read_text(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "read_text", counted)
-    assert tables.verify_appendix(cache.DiskCache(tmp_path)) == cold
+    assert run(capsys, *argv) == cold
     assert sorted(reads) == entries
+
+
+def test_a_cold_appendix_builds_each_presentation_once(monkeypatch):
+    built = []
+    presentation = engine.tensor_presentation
+
+    def counted(p, d):
+        built.append((p, d))
+        return presentation(p, d)
+
+    monkeypatch.setattr(engine, "tensor_presentation", counted)
+    engine.h1_tensor.cache_clear()
+    assert tables.verify_appendix().all_accepted
+    assert len(built) == len(set(built)) == 39
 
 
 def test_cache_put_replaces_entries_atomically(tmp_path, monkeypatch):
@@ -790,6 +812,26 @@ def test_data_consumes_tensor_files_and_rejects_non_global(tmp_path, capsys):
     assert "global" in err
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("data", {"format": "operator/1", "p": 3, "d": 2,
+              "terms": [{"chart": "x", "power": 0, "order": 2, "coeff": "1"}]}),
+    ("lift", {"format": "tensor-section/1", "p": 3, "d": 2,
+              "a": ["0", "0"], "b": ["0", "0", "0"]}),
+], ids=["data-operator", "lift-zero-section"])
+def test_a_huge_level_answers_at_once(tmp_path, capsys, command, doc):
+    # once p^m > d every q_level is 0, so m = 10^9 reads as m = 2 (3^2 > 2);
+    # neither run may build 3^(10^9)
+    huge = tmp_path / "huge.json"
+    huge.write_text(serialize.dump_json(dict(doc, m=10 ** 9)))
+    proc = run_module(command, "--input", str(huge), timeout=20)
+    assert proc.returncode == 0 and proc.stderr == b""
+    small = tmp_path / "small.json"
+    small.write_text(serialize.dump_json(dict(doc, m=2)))
+    code, out, _ = run(capsys, command, "--input", str(small))
+    assert code == 0
+    assert json.loads(proc.stdout) == dict(json.loads(out), m=10 ** 9)
+
+
 # ---------------------------------------------------------------------------
 # a huge prime
 # ---------------------------------------------------------------------------
@@ -904,6 +946,34 @@ def test_h1_bytes_are_pinned_at_large_d(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+DIAGNOSE_P5_DIGESTS = [
+    "525fb427b32cf4031c92a7b9b9e0e540c2a3a59c38deee8e8d91671ee821a300",
+    "b2b8a21b1d1549ee0d461ef032319b413d8d68c38fbbc7aecc92922b8bb7a8e7",
+    "fe18069a4dfd59b56f1ec95f3f763163fbdadf62448770d4640d7fcb816da4d0",
+    "350fb0cd6338d2d26d9caeffc148772ba2ee2a6bf3226a407f5244bdfe6b7d78",
+    "0967aa6e891fa33854dcdba3273ae2fbc04b4dfa8e068cd2fa29629f6d776685",
+    "ff4c3cd19a3bcc0901c2caab0f1eaccae54e7f0a8e2b2a0600ceab8c723f1a05",
+    "de38e990e2dcfd53288829315406a7fa5c3c081ab07827c751f51ec1829b1d68",
+    "9e3bd6c3041f51d39c63368fc71f4725b047675277c30c2218c97ceb72c39993",
+    "90aefbfa530f47b764be0c1b5c53fed9d8cb47af0528ac6578226ff6d5ccf84b",
+]
+
+
+@pytest.mark.parametrize("m", range(len(DIAGNOSE_P5_DIGESTS)))
+def test_diagnose_bytes_are_pinned_at_every_level(capsys, m):
+    # digests written by the power comparison p^a against d^b, whose d^b
+    # took 4.5 s at m = 8; the bound's sign now comes from a continued fraction
+    code, out, _ = run(capsys, "diagnose", "--p", "5", "--m", str(m), "--dmax", "20",
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIAGNOSE_P5_DIGESTS[m]
+
+
+def test_diagnose_at_a_high_level_answers_at_once():
+    proc = run_module("diagnose", "--p", "5", "--m", "40", "--dmax", "20", timeout=20)
+    assert proc.returncode == 0 and proc.stderr == b""
 
 
 def test_output_is_utf8_under_an_ascii_locale(tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial, isqrt
 
@@ -8,7 +9,6 @@ from logdop.cache import DiskCache
 from logdop.calculus import q_level
 from logdop.engine import (
     cmp_rational_logp,
-    degree_solver,
     exponent_lower_bound,
     graded_piece_dim,
     h1_filtered,
@@ -20,6 +20,7 @@ from logdop.engine import (
     summand_count_check,
     verify_splitting,
 )
+from logdop.lifting import degree_solver
 from logdop.linalg import AbelianPGroup
 
 
@@ -202,6 +203,47 @@ def test_cmp_rational_logp():
     assert cmp_rational_logp(Fraction(3), 3, 9) == 1
     assert cmp_rational_logp(Fraction(3, 2), 2, 3) == -1  # 2^1.5 < 3
     assert cmp_rational_logp(Fraction(8, 5), 2, 3) == 1   # 2^1.6 > 3
+
+
+def _cmp_by_powers(r, p, d):
+    # the oracle: sign of p^a - d^b for r = a/b > 0
+    if d == 1:
+        return (r > 0) - (r < 0)
+    if r <= 0:
+        return -1
+    lhs, rhs = p ** r.numerator, d ** r.denominator
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def test_cmp_rational_logp_against_power_comparison():
+    rng = random.Random(7)
+    for _ in range(3000):
+        p, d = rng.choice((2, 3, 4, 5, 7, 9, 11)), rng.randint(1, 300)
+        b = rng.randint(1, 40)
+        r = Fraction(rng.randint(-3, 9 * b), b)
+        assert cmp_rational_logp(r, p, d) == _cmp_by_powers(r, p, d), (r, p, d)
+    # exact values: log_p(d) integral, or 3/2 for log_4(8), and the
+    # convergents of log_2(3) themselves, which r may equal
+    for p in (2, 3, 4):
+        for d in range(1, 300):
+            for r in (Fraction(k, j) for k in range(12) for j in (1, 2, 3)):
+                assert cmp_rational_logp(r, p, d) == _cmp_by_powers(r, p, d), (r, p, d)
+    for r in (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(8, 5), Fraction(19, 12),
+              Fraction(65, 41), Fraction(84, 53)):
+        assert cmp_rational_logp(r, 2, 3) == _cmp_by_powers(r, 2, 3), r
+
+
+def test_cmp_rational_logp_on_the_level_bounds():
+    # the level diagnostic's r = coeff d - n - 2 and r - e, whose denominator
+    # (p^2-1)(p-1)p^m makes d^b large; the oracle runs at levels it can afford
+    for p in (2, 3, 5, 7):
+        for m in range(3):
+            coeff = Fraction(p * p - 3 * p, p * p - 1) + Fraction(1, (p - 1) * p ** m)
+            for d in range(1, 25):
+                for n in range(4):
+                    for e in range(3):
+                        r = coeff * d - n - 2 - e
+                        assert cmp_rational_logp(r, p, d) == _cmp_by_powers(r, p, d)
 
 
 def test_diagnostic_vp_transition_examples():
