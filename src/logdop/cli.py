@@ -226,7 +226,7 @@ def cmd_lift(args) -> int:
         _guard(args.p, args.d, args)
         _require_prime(args.p)
         delta = sample_kernel_section(args.p, args.d, seed=args.seed, m=args.level)
-        _emit(serialize.dump_json(serialize.tensor_to_doc(delta)), args.out)
+        _emit(serialize.tensor_text(delta), args.out)
         return EXIT_OK
 
     if not args.input:
@@ -261,7 +261,7 @@ def cmd_lift(args) -> int:
     except (TheoremViolation, ScheduleFailure) as exc:
         raise _Refusal(str(exc), EXIT_FAILED) from exc
 
-    _emit(serialize.dump_json(serialize.operator_to_doc(lift)), args.out)
+    _emit(serialize.operator_text(lift), args.out)
     if args.check:
         _emit(serialize.local_data_text(check),
               _check_path(args.out) if args.out else None)

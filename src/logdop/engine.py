@@ -127,10 +127,15 @@ class H1Report:
     d: int
     m: int
     per_degree: tuple  # AbelianPGroup for d' = 1..d
-    total: AbelianPGroup
     bounds: tuple      # exponent_lower_bound(p, d') per degree
     bound_met: tuple   # max exponent >= bound
     bound_equal: tuple  # max exponent == bound (observed, reported not asserted)
+
+    @property
+    def total(self) -> AbelianPGroup:
+        """The direct sum of per_degree, built when read: level_descent_diagnostic
+        reads only the degrees."""
+        return AbelianPGroup(self.p, tuple(n for g in self.per_degree for n in g.exponents))
 
 
 def h1_filtered(p: int, d: int, m: int = 0, cache=None) -> H1Report:
@@ -149,11 +154,10 @@ def h1_filtered(p: int, d: int, m: int = 0, cache=None) -> H1Report:
         if cache is not None and stored is None:
             cache.put(p, dd, group.exponents)
         per_degree.append(group)
-    total = AbelianPGroup(p, tuple(n for g in per_degree for n in g.exponents))
     bounds = tuple(exponent_lower_bound(p, dd) for dd in range(1, d + 1))
     met = tuple(g.max_exponent >= b for g, b in zip(per_degree, bounds))
     equal = tuple(g.max_exponent == b for g, b in zip(per_degree, bounds))
-    return H1Report(p, d, m, tuple(per_degree), total, bounds, met, equal)
+    return H1Report(p, d, m, tuple(per_degree), bounds, met, equal)
 
 
 def verify_splitting(p: int, d: int, m: int = 0) -> bool:

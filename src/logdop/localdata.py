@@ -5,9 +5,13 @@ fiber; at a point a the (order k, power i) coordinate with i < k is a residue
 modulo p^{k-i}.  Finite points use the shifted coordinate x_a = x - xi_a for a
 chosen lift xi_a of a (canonically xi_a = a); infinity uses y directly.
 The residues at a finite point are the coefficients of the Taylor shift of
-the x-chart polynomial to x_a, by repeated synthetic division; the degree-d
-matrix q_d_matrix is assembled from the Pascal rows C(n, i) xi_a^{n-i}
-directly, one row per coordinate, without evaluating basis sections.
+the x-chart polynomial to x_a.  For a tensor section that shift runs by
+repeated synthetic division; for an operator each residue is a dot product
+of one order's coefficients with a Pascal column C(n, i) xi_a^{n-i}, and the
+y chart is read only where its entries can be nonzero at infinity or
+negative (local_data_operator).  The degree-d matrix q_d_matrix is assembled
+from the same Pascal rows directly, one row per coordinate, without
+evaluating basis sections.
 q_d_matrix is the map itself, read where its rows or its kernel lattice are
 needed; the degree-d group is computed from tensor_presentation, where the
 p finite points have collapsed to Z[x]/(p, x^p - x)^d and only the d rows
@@ -22,18 +26,20 @@ matrices, vectors and serialized documents follow this order bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .calculus import (
     CHART_X,
-    CHART_Y,
     OperatorSection,
     TensorSection,
-    operator_to_laurent,
+    _level_row,
 )
 from .linalg import IntegerMatrix, is_prime
 
 INF = "inf"  # the point at infinity in coordinate keys
+_NOT_GLOBAL = "operator is not a global section; local data undefined"
 
 
 def points(p: int) -> list:
@@ -148,18 +154,6 @@ def _store(entries, a, k: int, values, p: int) -> None:
         mod //= p
 
 
-def _shifted_residues(entries, lifts: PointLift, k: int, poly, p: int) -> None:
-    """Order-k residues at every finite point of the x-chart polynomial ``poly``.
-
-    Coefficients and lifts are reduced mod p^k first: each residue is read
-    mod p^{k-i}, which divides p^k, so the reduction is exact.
-    """
-    pk = p ** k
-    poly = [c % pk for c in poly]
-    for a in range(p):
-        _store(entries, a, k, _taylor_shift(poly, lifts[a] % pk, k), p)
-
-
 def local_data_tensor(delta: TensorSection, lifts: PointLift = None) -> LocalDataVector:
     """Degree-d slice of the local data of a tensor section.
 
@@ -167,7 +161,9 @@ def local_data_tensor(delta: TensorSection, lifts: PointLift = None) -> LocalDat
     contributes y-powers 2d-s' >= d only.  At a finite point the section is
     one polynomial P(x) = sum B_{s'} x^{s'} + (-1)^d sum A_s x^{2d-s} times
     d_x^(x)d; its Taylor shift to x = x_a + xi_a gives the coefficients of
-    x_a^i, i < d, as the residues.
+    x_a^i, i < d, as the residues.  Coefficients and lifts are reduced mod
+    p^d first: each residue is read mod p^{d-i}, which divides p^d, so the
+    reduction is exact.
     """
     p, d = delta.p, delta.d
     if lifts is None:
@@ -176,46 +172,95 @@ def local_data_tensor(delta: TensorSection, lifts: PointLift = None) -> LocalDat
     _store(entries, INF, d, delta.A, p)
     sgn = -1 if d % 2 else 1
     # B_{s'} sits at x^{s'} (s' <= d), A_s at x^{2d-s} (2d-s > d)
-    poly = list(delta.B) + [sgn * a_c for a_c in reversed(delta.A)]
-    _shifted_residues(entries, lifts, d, poly, p)
+    pd = p ** d
+    poly = [c % pd for c in delta.B] + [sgn * a_c % pd for a_c in reversed(delta.A)]
+    for a in range(p):
+        _store(entries, a, d, _taylor_shift(poly, lifts[a] % pd, d), p)
     return LocalDataVector(p, d, delta.m, entries, degree_only=True)
 
 
 def local_data_operator(op: OperatorSection, lifts: PointLift = None) -> LocalDataVector:
     """Full degree <= d local data of a global operator.
 
-    Requires a global operator (is_global_section).  The operator is
-    aggregated once per chart, and the regularity check reads the same two
-    aggregates; at infinity the (inf, k, i) entry is the y-chart coefficient of
-    y^i d_y^<k>, at a finite point the x-chart polynomial of each order is
-    Taylor-shifted by the lift and read off coefficientwise.  Divided-power
-    bases at level m are identified with the level-0 coordinates, so residues
-    land in the same Z/p^{k-i} lattice at every level.
+    Requires a global operator (is_global_section), and checks it in the
+    same one pass over ``op.terms`` that gathers the data, without building
+    either chart's full Laurent aggregate.  The pass keeps:
+
+    * in the x chart, every coefficient of every order 1..d: each y-term
+      y^i d^<k> moves there at powers k+t-i for each order t <= k;
+    * in the y chart, only the entries whose power is below their order,
+      the only ones read: the (inf, k, i) entries, i < k, and the negative
+      powers of the globality test.  An x-term x^i d^<k> moves to powers
+      k+t-i >= t when i <= k, so it is moved only when i > k (for a global
+      monomial, i = k+1).  An order-0 term x^i or y^i with i > 0 moves to
+      the power -i, which no other term reaches.
+
+    At a finite point the (a, k, i) residue is sum_n c_n C(n, i) xi_a^{n-i}
+    mod p^{k-i} for the order-k polynomial sum_n c_n x^n, a dot product of
+    its coefficients (reduced mod p^k) with the Pascal column i of xi_a
+    (reduced mod p^d), both exact reductions.  Divided-power bases at level
+    m are identified with the level-0 coordinates, so residues land in the
+    same Z/p^{k-i} lattice at every level.
     """
-    p, d = op.p, op.d
-    if lifts is None:
-        lifts = PointLift.canonical(p)
-    lx = operator_to_laurent(op, CHART_X)
-    ly = operator_to_laurent(op, CHART_Y)
-    if not (lx.is_regular and ly.is_regular):
-        raise ValueError("operator is not a global section; local data undefined")
+    p, d, m = op.p, op.d, op.m
+    xis = range(p) if lifts is None else lifts  # the canonical lifts xi_a = a
+    at_x = [{} for _ in range(d + 1)]   # order k: x power -> coefficient
+    below = [{} for _ in range(d + 1)]  # order k: y power < k -> coefficient
+    negative = False  # whether a moved term reaches a negative power k+1-i
+    for (chart, i, k), c in op.terms.items():
+        if not k:
+            if i:
+                raise ValueError(_NOT_GLOBAL)
+            continue
+        if chart == CHART_X:
+            row = at_x[k]
+            row[i] = row.get(i, 0) + c
+            if i <= k:
+                continue
+            target = below
+        else:
+            if i < k:
+                row = below[k]
+                row[i] = row.get(i, 0) + c
+            target = at_x
+        negative = negative or i > k + 1
+        if k % 2:
+            c = -c
+        for t, a in enumerate(_level_row(k, p, m), start=1):
+            row = target[t]
+            n = k + t - i
+            row[n] = row.get(n, 0) + c * a
+    if negative and any(c for rows in (at_x, below) for row in rows
+                        for n, c in row.items() if n < 0):
+        raise ValueError(_NOT_GLOBAL)
     entries = {}
-    at_inf = {}
-    for (i, k), c in ly.coeffs.items():
-        if 1 <= k <= d and i < k:
-            at_inf.setdefault(k, [0] * k)[i] = c
-    for k, values in at_inf.items():
-        _store(entries, INF, k, values, p)
-    by_order = {}
-    for (n, k), c in lx.coeffs.items():
-        if 1 <= k <= d:
-            poly = by_order.setdefault(k, [])
-            if n >= len(poly):
-                poly.extend([0] * (n + 1 - len(poly)))
-            poly[n] = c  # aggregation already merged duplicate (n, k) keys
-    for k, poly in by_order.items():
-        _shifted_residues(entries, lifts, k, poly, p)
-    return LocalDataVector(p, d, op.m, entries, degree_only=False)
+    for k in range(1, d + 1):
+        if below[k]:
+            _store(entries, INF, k, [below[k].get(i, 0) for i in range(k)], p)
+    polys = []
+    # a global operator's x powers stay <= 2d, but the columns follow the real degree
+    top = 2 * d
+    for k in range(1, d + 1):
+        pk = p ** k
+        poly = [0] * (max(at_x[k], default=-1) + 1)
+        for n, c in at_x[k].items():
+            if n >= 0:
+                poly[n] = c % pk
+        if any(poly):
+            polys.append((k, poly))
+            top = max(top, len(poly) - 1)
+    if polys:
+        pd = p ** d
+        for a in range(p):
+            columns = _pascal_columns(xis[a] % pd, top, d, pd)
+            for k, poly in polys:
+                mod = p ** k
+                for i in range(min(k, len(poly))):
+                    r = sum(map(mul, poly[i:], columns[i])) % mod
+                    if r:
+                        entries[(a, k, i)] = r
+                    mod //= p
+    return LocalDataVector(p, d, m, entries, degree_only=False)
 
 
 def tensor_basis(p: int, d: int, m: int = 0) -> list:
@@ -248,6 +293,29 @@ def _pascal_rows(xi: int, top: int, width: int) -> list:
         rows.append(nxt)
         row = nxt
     return rows
+
+
+@lru_cache(maxsize=256)
+def _pascal_columns(xi: int, top: int, width: int, mod: int) -> tuple:
+    """Columns i < width of the Pascal rows of xi, reduced mod ``mod``.
+
+    Column i lists C(n, i) xi^{n-i} for n = i..top, so its dot product with
+    the coefficients c_i, c_{i+1}, ... of a polynomial of degree <= top is
+    that polynomial's i-th Taylor coefficient at xi.  Trailing zeros are cut
+    (for xi = 0 each column is the single entry 1): a product with them is
+    zero, so a dot product may stop where the column does.  local_data_operator
+    reads each point's columns once for all orders; the memo is bounded
+    like calculus._level_row's, and keyed by the reduced xi, since every
+    residue it serves is read modulo a divisor of ``mod``.
+    """
+    rows = _pascal_rows(xi, top, width)
+    columns = []
+    for i in range(min(width, top + 1)):
+        column = [row[i] % mod for row in rows[i:]]
+        while column[-1] == 0:
+            column.pop()
+        columns.append(tuple(column))
+    return tuple(columns)
 
 
 def q_d_matrix(p: int, d: int, lifts: PointLift = None):

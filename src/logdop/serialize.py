@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import io
 import json
+from functools import lru_cache
 from importlib import resources
+from itertools import chain
 
 from .cache import DiskCache
 from .calculus import CHARTS, OperatorSection, TensorSection
 from .engine import H1Report, LevelDiagnostic
 from .errors import SectionFormatError
-from .localdata import INF, LocalDataVector
+from .localdata import INF, LocalDataVector, coords_degree, coords_le
 from .tables import AppendixReport
 
 FORMAT_TENSOR = "tensor-section/1"
@@ -108,6 +110,22 @@ def tensor_to_doc(delta: TensorSection) -> dict:
     }
 
 
+def _decimal_list(values) -> str:
+    """A nonempty top-level list field of decimal strings, laid out as
+    ``indent=1``."""
+    items = ",\n".join(f'  "{x}"' for x in values)
+    return f"[\n{items}\n ]"
+
+
+def tensor_text(delta: TensorSection) -> str:
+    """The tensor-section/1 document of ``delta``, as ``dump_json`` would
+    write it from tensor_to_doc, written directly like local_data_text; a
+    section has d >= 1 A- and d+1 B-coefficients, so neither list is empty."""
+    return (f'{{\n "format": "{FORMAT_TENSOR}",\n "p": {delta.p},\n'
+            f' "d": {delta.d},\n "m": {delta.m},\n'
+            f' "a": {_decimal_list(delta.A)},\n "b": {_decimal_list(delta.B)}\n}}\n')
+
+
 def tensor_from_doc(doc: dict) -> TensorSection:
     _expect(doc, FORMAT_TENSOR)
     p, d, m = (_int_field(doc, k) for k in ("p", "d", "m"))
@@ -136,6 +154,20 @@ def operator_to_doc(op: OperatorSection) -> dict:
     }
 
 
+def operator_text(op: OperatorSection) -> str:
+    """The operator/1 document of ``op``, as ``dump_json`` would write it
+    from operator_to_doc: one fixed 4-field block per term, sorted, written
+    directly like local_data_text.  The charts "x" and "y" and the format
+    tag are the only strings besides the decimal coefficients."""
+    blocks = ",\n".join(
+        f'  {{\n   "chart": "{chart}",\n   "power": {i},\n   "order": {k},\n'
+        f'   "coeff": "{c}"\n  }}'
+        for (chart, i, k), c in op.sorted_terms())
+    terms = f"[\n{blocks}\n ]" if blocks else "[]"
+    return (f'{{\n "format": "{FORMAT_OPERATOR}",\n "p": {op.p},\n'
+            f' "m": {op.m},\n "d": {op.d},\n "terms": {terms}\n}}\n')
+
+
 def operator_from_doc(doc: dict) -> OperatorSection:
     _expect(doc, FORMAT_OPERATOR)
     p, m, d = (_int_field(doc, k) for k in ("p", "m", "d"))
@@ -161,22 +193,39 @@ def operator_from_doc(doc: dict) -> OperatorSection:
 # local data
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _local_data_frame(p: int, d: int, degree_only: bool) -> tuple:
+    """(coordinates, pieces) of the entries list of a local-data/1 document.
+
+    The list is pieces[0] r_0 pieces[1] ... r_{n-1} pieces[n], with r_j the
+    residue at coordinates[j]: each piece closes the previous 5-field block
+    and opens the next one up to its residue's opening quote.  Bounded like
+    localdata._pascal_columns; a lift writes one shape per (p, d).
+    """
+    coords = coords_degree(p, d) if degree_only else coords_le(p, d)
+    point = {INF: f'"{INF}"'}.get
+    heads = [f'  {{\n   "point": {point(a, a)},\n   "order": {k},\n   "power": {i},\n'
+             f'   "modulus_exponent": {k - i},\n   "residue": "' for a, k, i in coords]
+    if not heads:
+        return (), ("[]",)
+    return tuple(coords), (("[\n" + heads[0],) + tuple('"\n  },\n' + h for h in heads[1:])
+                           + ('"\n  }\n ]',))
+
+
 def local_data_text(data: LocalDataVector) -> str:
     """The local-data/1 document of ``data``, as ``dump_json`` would write it.
 
     The format's only writer, and the bulk of a lift's output: a fixed header,
     then one fixed 5-field block per coordinate in ``data.coords()`` order,
-    written directly rather than through the pure-Python ``indent=1`` encoder.
-    Every int goes through str(); "inf" and the format tag are the only
-    strings, and residues are decimal strings.
+    written directly rather than through the pure-Python ``indent=1`` encoder;
+    only the residues are written per document, into the blocks' memoized
+    text (_local_data_frame).  Every int goes through str(); "inf" and the
+    format tag are the only strings, and residues are decimal strings.
     """
-    residue, point = data.entries.get, {INF: f'"{INF}"'}.get
-    blocks = ",\n".join(
-        f'  {{\n   "point": {point(a, a)},\n'
-        f'   "order": {k},\n   "power": {i},\n   "modulus_exponent": {k - i},\n'
-        f'   "residue": "{residue((a, k, i), 0)}"\n  }}'
-        for a, k, i in data.coords())
-    entries = f"[\n{blocks}\n ]" if blocks else "[]"
+    coords, pieces = _local_data_frame(data.p, data.d, data.degree_only)
+    residue = data.entries.get
+    entries = "".join(chain.from_iterable(
+        zip(pieces, [str(residue(c, 0)) for c in coords]))) + pieces[-1]
     return (f'{{\n "format": "{FORMAT_LOCAL_DATA}",\n "p": {data.p},\n'
             f' "d": {data.d},\n "m": {data.m},\n'
             f' "degree_only": {"true" if data.degree_only else "false"},\n'

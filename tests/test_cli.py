@@ -933,6 +933,51 @@ def test_appendix_bytes_are_pinned(capsys):
         "[known-discrepancy]\n")
 
 
+def _lift_round_trip(tmp_path, capsys, p, d, seed, level=0, method="both"):
+    """Sample a section, lift it with --check; (stderr, SHA-256 of the
+    section, lift and check files in that order)."""
+    section, lift = tmp_path / "section.json", tmp_path / "lift.json"
+    assert run(capsys, "lift", "--sample", "--p", str(p), "--d", str(d),
+               "--level", str(level), "--seed", str(seed),
+               "--out", str(section)) == (0, "", "")
+    code, out, err = run(capsys, "lift", "--input", str(section), "--method", method,
+                         "--check", "--out", str(lift))
+    assert (code, out) == (0, "")
+    digest = hashlib.sha256()
+    for path in (section, lift, tmp_path / "lift.check.json"):
+        digest.update(path.read_bytes())
+    return err, digest.hexdigest()
+
+
+LIFT_DIGESTS = {
+    (3, 8): ["b280a7709d194e6f186da97d2db9d9642756dab83261b2b0ebb8c9662fe428fd",
+             "a4c2fffcbc6b5d0edb46263d44aa7efdbca5d27085caa6591eed9c0303427975",
+             "719ce55cc6c8a20bec5d7d75505318cef152c9913925995242d6a316616ea64b",
+             "dc857b9faba2ff2abb2ff8ce0a4d2b6d29cc461d2509a436a5b78d6d05d87a33",
+             "63b5a3190c2a577e4adb7483471a84b5ce86863b429f55abdb00630132088d8e"],
+    (5, 6): ["fa169cb95cbe5f4d3477b16538fd1506b56bc1a1e755d4b9a9e71e6f5f98835c",
+             "ce2611eacdfb1550cda7340690e75254d59b2eb1ed594a7b99c14620021354d6",
+             "1dccce88a4b66219c5caca65bed3be5df17fa9d315effc71269a328a97e0dfdd",
+             "04be62dd59142150f79ea21504e796f2d3463b7a758161ef0ba84ce96503bd81",
+             "d0686b2cff257909cc3ddd387bbe1ee53ba3ba943ec2b624b9d4715d0b8624c8"],
+}
+
+
+@pytest.mark.parametrize("cell", sorted(LIFT_DIGESTS), ids=lambda c: f"p{c[0]}-d{c[1]}")
+def test_lift_bytes_are_pinned(tmp_path, capsys, cell):
+    # every file of the sample -> lift --method both --check round trip for
+    # seeds 0..4, as written when operator local data came from the two
+    # chart aggregates and Taylor shifts and the documents from dump_json
+    results = [_lift_round_trip(tmp_path, capsys, *cell, seed) for seed in range(5)]
+    assert results == [("solve/schedule outputs differ by a lift of zero: True\n", digest)
+                       for digest in LIFT_DIGESTS[cell]]
+
+
+def test_level_one_lift_bytes_are_pinned(tmp_path, capsys):
+    assert _lift_round_trip(tmp_path, capsys, 3, 6, 0, level=1, method="solve") == (
+        "", "a43ed3f28c69e3a81c4fa3b4a3ee5fdf8dafcffc944aec871e7fc60c4091306f")
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("h1", "--p", "3", "--d", "80", "--per-degree", "--format", "json",
       "--row-limit", "13000"),

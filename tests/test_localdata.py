@@ -9,9 +9,11 @@ from logdop.calculus import (
     CHART_Y,
     OperatorSection,
     TensorSection,
+    is_global_section,
     operator_to_laurent,
     standard_operator_basis,
     tensor_to_operator,
+    transform_term,
 )
 from logdop.linalg import IntegerMatrix, cokernel_invariants
 from logdop.localdata import (
@@ -268,20 +270,73 @@ def test_tensor_local_data_matches_binomial_sums(p):
                 assert local_data_tensor(delta, lifts).entries == tensor_oracle(delta, lifts)
 
 
+def mixed_global_terms(rng, p, d, m):
+    """Terms of a random global operator at level m, 200-bit coefficients.
+
+    Each monomial of the standard basis is kept, or written out in the other
+    chart by transform_term.  Written out, y^s d^<k> is a sum of x-monomials
+    x^{k+t-s} d^<t>, which for s < k-1 are not global one by one: their
+    negative y powers cancel.  y^0 d^<d> reaches the x power 2d.
+    """
+    terms = {}
+    for op in standard_operator_basis(p, d, m):
+        ((chart, s, k), _), = op.terms.items()
+        c = rng.randint(-BIG, BIG)
+        if k and rng.random() < 0.5:
+            other = CHART_Y if chart == CHART_X else CHART_X
+            moved = {(other, i, t): v
+                     for (i, t), v in transform_term(chart, s, k, p, m, c).coeffs.items()}
+        else:
+            moved = {(chart, s, k): c}
+        for key, v in moved.items():
+            terms[key] = terms.get(key, 0) + v
+    return terms
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_operator_local_data_matches_binomial_sums(p):
     rng = random.Random(2000 + p)
-    for d in range(1, 6):
-        basis = standard_operator_basis(p, d)
-        for lifts in (PointLift.canonical(p), random_lifts(rng, p)):
-            for _ in range(3):
-                # a global operator with 200-bit coefficients on every monomial
-                terms = {}
-                for op in basis:
-                    for key, c in op.terms.items():
-                        terms[key] = terms.get(key, 0) + rng.randint(-BIG, BIG) * c
-                op = OperatorSection(p, 0, d, terms)
-                assert local_data_operator(op, lifts).entries == operator_oracle(op, lifts)
+    for m in range(3):
+        for d in range(1, 6):
+            for lifts in (PointLift.canonical(p), random_lifts(rng, p)):
+                for _ in range(3):
+                    op = OperatorSection(p, m, d, mixed_global_terms(rng, p, d, m))
+                    assert local_data_operator(op, lifts).entries == operator_oracle(op, lifts)
+
+
+def test_cancelling_monomials_are_global_at_one_level_only():
+    # y^0 d^<2> written in the x chart at p = 3: 2 x^3 d^<1> + x^4 d^<2> at
+    # level 0, where a_{2,1} = 2.  At level 1, a^(1)_{2,1} = 1, so the same
+    # terms leave -y^{-1} d^<1> in the y chart
+    terms = {(CHART_X, 4, 2): 1, (CHART_X, 3, 1): 2}
+    op = OperatorSection(3, 0, 2, terms)
+    assert is_global_section(op)
+    assert local_data_operator(op).entries == operator_oracle(op, PointLift.canonical(3))
+    assert local_data_operator(op).residue(INF, 2, 0) == 1  # y^0 d^<2>
+    at_level_one = OperatorSection(3, 1, 2, terms)
+    assert not is_global_section(at_level_one)
+    with pytest.raises(ValueError):
+        local_data_operator(at_level_one)
+
+
+def test_operator_local_data_raises_exactly_off_global_sections():
+    rng = random.Random(2100)
+    raised = 0
+    for _ in range(400):
+        p, d, m = rng.choice((2, 3, 5)), rng.randint(1, 4), rng.randint(0, 2)
+        # the terms are global at level m' and read at level m
+        terms = mixed_global_terms(rng, p, d, rng.randint(0, 2))
+        if rng.random() < 0.3:
+            key = (rng.choice((CHART_X, CHART_Y)), rng.randint(0, 2 * d + 2), rng.randint(0, d))
+            terms[key] = terms.get(key, 0) + rng.choice((-1, 1))
+        op = OperatorSection(p, m, d, terms)
+        if is_global_section(op):
+            assert local_data_operator(op).entries == operator_oracle(op, PointLift.canonical(p))
+        else:
+            raised += 1
+            with pytest.raises(ValueError):
+                local_data_operator(op)
+    assert 100 < raised < 300, raised
 
 
 @pytest.mark.parametrize("p, d_max", [(2, 16), (3, 14), (5, 10), (7, 8), (11, 6)])

@@ -96,6 +96,45 @@ def test_local_data_text_is_the_json_encoders_text():
     assert serialize.dump_json(json.loads(text)) == text
 
 
+def _seeded_operator(rng, p, d, m, n_terms):
+    terms = {}
+    for _ in range(n_terms):
+        key = (rng.choice(("x", "y")), rng.randint(0, 2 * d + 1), rng.randint(0, d))
+        terms[key] = rng.choice((-1, 1)) * rng.choice((1, rng.randrange(2 ** 64),
+                                                     2 ** 200 + rng.randrange(2 ** 210)))
+    return OperatorSection(p, m, d, terms)
+
+
+def test_operator_and_tensor_texts_are_the_json_encoders_text():
+    # the stdlib encoder is the byte oracle for the direct writers
+    rng = random.Random(11)
+    validators = {tag: jsonschema.Draft7Validator(serialize.load_schema(tag))
+                  for tag in (serialize.FORMAT_OPERATOR, serialize.FORMAT_TENSOR)}
+    charts = set()
+    for p in (2, 3, 5, 7):
+        for d in range(0, 7):
+            for m in range(3):
+                for n_terms in (0, 1, 12):
+                    op = _seeded_operator(rng, p, d, m, n_terms)
+                    charts.update(chart for chart, _, _ in op.terms)
+                    text = serialize.operator_text(op)
+                    assert text == serialize.dump_json(serialize.operator_to_doc(op))
+                    if d <= 3:  # the schema is slow; larger d adds only entries
+                        validators[serialize.FORMAT_OPERATOR].validate(json.loads(text))
+                if d:
+                    coeffs = [rng.choice((0, -1, 1)) * rng.randrange(2 ** 201)
+                              for _ in range(2 * d + 1)]
+                    delta = TensorSection.from_coordinates(p, d, m, coeffs)
+                    text = serialize.tensor_text(delta)
+                    assert text == serialize.dump_json(serialize.tensor_to_doc(delta))
+                    if d <= 3:
+                        validators[serialize.FORMAT_TENSOR].validate(json.loads(text))
+    assert charts == {"x", "y"}
+    empty = OperatorSection(3, 0, 2)
+    assert serialize.operator_text(empty) == serialize.dump_json(serialize.operator_to_doc(empty))
+    assert '"terms": []' in serialize.operator_text(empty)
+
+
 def test_local_data_text_of_computed_data():
     rng = random.Random(3)
     for p, d in ((2, 5), (3, 4), (5, 3), (7, 2)):
