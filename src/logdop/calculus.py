@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import InvariantViolation
-from .linalg import is_prime
+from .linalg import require_prime
 
 CHART_X = "x"
 CHART_Y = "y"
@@ -94,8 +94,7 @@ def coeff_a_level(s: int, t: int, p: int, m: int) -> int:
 
 
 def _check_pm(p, m):
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_prime(p)
     if m < 0:
         raise ValueError("level m must be >= 0")
 

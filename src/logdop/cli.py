@@ -32,7 +32,7 @@ from .errors import (
     TheoremViolation,
 )
 from .lifting import lift_by_schedule, lift_by_solve, sample_kernel_section
-from .linalg import is_prime
+from .linalg import require_prime
 from .localdata import local_data_operator, local_data_tensor
 from .tables import AppendixReport, TABLE_PRIMES, compare_row, verify_appendix
 from .verify import SUITES, run_suites
@@ -73,16 +73,14 @@ def _guard(p: int, d: int, args) -> None:
 
 
 def _require_prime(p: int) -> None:
-    """Refuse a p that is not prime, or one at or above 3.317 * 10^24, where
-    is_prime has no exact fast test and raises.  No such p could run anyway:
-    its job has more than p rows.  Callers test only a p whose job has
-    passed _guard."""
+    """Refuse, with linalg.require_prime's message, a composite p or one at
+    or above 3.317 * 10^24, where is_prime has no exact fast test.  No such
+    p could run anyway: its job has more than p rows.  Callers test only a p
+    whose job has passed _guard."""
     try:
-        prime = is_prime(p)
+        require_prime(p)
     except ValueError as exc:
         raise _Refusal(str(exc)) from exc
-    if not prime:
-        raise _Refusal(f"p = {p} is not prime")
 
 
 def _require_at_least(flag: str, value: int, low: int) -> None:

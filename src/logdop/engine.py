@@ -41,8 +41,9 @@ from .linalg import (
     IntegerMatrix,
     cokernel_invariants,
     det,
-    is_prime,
     rank_mod_p,
+    require_prime,
+    vp,
 )
 from .localdata import operator_matrix, q_d_matrix, tensor_presentation
 
@@ -110,12 +111,8 @@ def graded_piece_dim(p: int, d: int, i: int) -> int:
 
 @lru_cache(maxsize=None)
 def h1_tensor(p: int, d: int) -> AbelianPGroup:
-    """Degree-d summand: cokernel of the 2d+1 tensor sections inside Q_d,
-    read off its presentation with d nonzero rows (tensor_presentation)."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if d < 1:
-        raise ValueError("need d >= 1")
+    """Degree-d summand: cokernel of the 2d+1 tensor sections inside Q_d, read
+    off its presentation with d nonzero rows (tensor_presentation checks p, d)."""
     return cokernel_invariants(*tensor_presentation(p, d), p)
 
 
@@ -178,12 +175,8 @@ def kernel_index_vp(p: int, d: int) -> int:
     index = det(IntegerMatrix.from_rows(basis))
     if index == 0:
         raise InvariantViolation("kernel lattice is not full rank")
-    index = abs(index)
-    v = 0
-    while index % p == 0:
-        index //= p
-        v += 1
-    if index != 1:
+    v = vp(index, p)
+    if abs(index) != p ** v:
         raise InvariantViolation("kernel lattice index is not a power of p")
     return v
 
@@ -291,8 +284,7 @@ def level_descent_diagnostic(p: int, m: int, d_max: int,
     transform is materialized.  The bound column is the analytic expression
     ((p^2-3p)/(p^2-1) + 1/((p-1)p^m)) d - n_d - log_p(d) - 2.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_prime(p)
     if m < 0 or d_max < 1:
         raise ValueError("need m >= 0 and d_max >= 1")
     if schedule not in SCHEDULES:

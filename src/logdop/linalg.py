@@ -63,6 +63,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    """The package's one refusal of a p that is not prime: raises
+    ValueError("p = N is not prime").  is_prime's own ValueError for a p too
+    large to test passes through unchanged."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer; raises on n == 0."""
     if n == 0:
@@ -147,8 +155,7 @@ class AbelianPGroup:
     exponents: tuple
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        require_prime(self.p)
         exps = tuple(sorted(self.exponents))
         if any(n < 1 for n in exps):
             raise ValueError("invariant exponents must be >= 1")
@@ -222,8 +229,7 @@ def dominates(a_desc: Sequence[int], b_desc: Sequence[int]) -> bool:
 def _check_moduli(m: IntegerMatrix, moduli, p):
     if m.rows != len(moduli):
         raise ValueError(f"matrix has {m.rows} rows but {len(moduli)} moduli")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_prime(p)
     if any(e < 1 for e in moduli):
         raise ValueError("moduli exponents must be >= 1")
 

@@ -3,15 +3,16 @@
 The degree <= d quotient splits over the p+1 rational points of the special
 fiber; at a point a the (order k, power i) coordinate with i < k is a residue
 modulo p^{k-i}.  Finite points use the shifted coordinate x_a = x - xi_a for a
-chosen lift xi_a of a (canonically xi_a = a); infinity uses y directly.
-The residues at a finite point are the coefficients of the Taylor shift of
-the x-chart polynomial to x_a.  For a tensor section that shift runs by
-repeated synthetic division; for an operator each residue is a dot product
-of one order's coefficients with a Pascal column C(n, i) xi_a^{n-i}, and the
-y chart is read only where its entries can be nonzero at infinity or
-negative (local_data_operator).  The degree-d matrix q_d_matrix is assembled
-from the same Pascal rows directly, one row per coordinate, without
-evaluating basis sections.
+chosen lift xi_a of a; infinity uses y directly.  With no lifts given,
+xi_a = a; a given PointLift is bound to its p, and one for another prime is
+refused.  The residues at a finite point are the coefficients of the Taylor
+shift of the x-chart polynomial to x_a.  For a tensor section that shift
+runs by repeated synthetic division; for an operator each residue is a dot
+product of one order's coefficients with a Pascal column C(n, i) xi_a^{n-i},
+and the y chart is read only where its entries can be nonzero at infinity
+or negative (local_data_operator).  The degree-d matrix q_d_matrix reads
+its rows off the same memoized Pascal columns, one row per coordinate,
+without evaluating basis sections.
 q_d_matrix is the map itself, read where its rows or its kernel lattice are
 needed; the degree-d group is computed from tensor_presentation, where the
 p finite points have collapsed to Z[x]/(p, x^p - x)^d and only the d rows
@@ -36,7 +37,7 @@ from .calculus import (
     TensorSection,
     _level_row,
 )
-from .linalg import IntegerMatrix, is_prime
+from .linalg import IntegerMatrix, require_prime
 
 INF = "inf"  # the point at infinity in coordinate keys
 _NOT_GLOBAL = "operator is not a global section; local data undefined"
@@ -68,8 +69,7 @@ class PointLift:
     lifts: tuple
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        require_prime(self.p)
         lifts = tuple(int(x) for x in self.lifts)
         if len(lifts) != self.p:
             raise ValueError(f"need {self.p} lifts, got {len(lifts)}")
@@ -84,6 +84,16 @@ class PointLift:
 
     def __getitem__(self, a: int) -> int:
         return self.lifts[a]
+
+
+def _lift_values(p: int, lifts: PointLift = None):
+    """xi_0..xi_{p-1}: range(p) for the canonical lifts xi_a = a when
+    ``lifts`` is None, else the values of ``lifts``, which must be for p."""
+    if lifts is None:
+        return range(p)
+    if lifts.p != p:
+        raise ValueError(f"lifts are for p = {lifts.p}, not p = {p}")
+    return lifts.lifts
 
 
 @dataclass
@@ -166,16 +176,14 @@ def local_data_tensor(delta: TensorSection, lifts: PointLift = None) -> LocalDat
     reduction is exact.
     """
     p, d = delta.p, delta.d
-    if lifts is None:
-        lifts = PointLift.canonical(p)
     entries = {}
     _store(entries, INF, d, delta.A, p)
     sgn = -1 if d % 2 else 1
     # B_{s'} sits at x^{s'} (s' <= d), A_s at x^{2d-s} (2d-s > d)
     pd = p ** d
     poly = [c % pd for c in delta.B] + [sgn * a_c % pd for a_c in reversed(delta.A)]
-    for a in range(p):
-        _store(entries, a, d, _taylor_shift(poly, lifts[a] % pd, d), p)
+    for a, xi in enumerate(_lift_values(p, lifts)):
+        _store(entries, a, d, _taylor_shift(poly, xi % pd, d), p)
     return LocalDataVector(p, d, delta.m, entries, degree_only=True)
 
 
@@ -203,7 +211,7 @@ def local_data_operator(op: OperatorSection, lifts: PointLift = None) -> LocalDa
     same Z/p^{k-i} lattice at every level.
     """
     p, d, m = op.p, op.d, op.m
-    xis = range(p) if lifts is None else lifts  # the canonical lifts xi_a = a
+    xis = _lift_values(p, lifts)
     at_x = [{} for _ in range(d + 1)]   # order k: x power -> coefficient
     below = [{} for _ in range(d + 1)]  # order k: y power < k -> coefficient
     negative = False  # whether a moved term reaches a negative power k+1-i
@@ -251,8 +259,8 @@ def local_data_operator(op: OperatorSection, lifts: PointLift = None) -> LocalDa
             top = max(top, len(poly) - 1)
     if polys:
         pd = p ** d
-        for a in range(p):
-            columns = _pascal_columns(xis[a] % pd, top, d, pd)
+        for a, xi in enumerate(xis):
+            columns = _pascal_columns(xi % pd, top, d, pd)
             for k, poly in polys:
                 mod = p ** k
                 for i in range(min(k, len(poly))):
@@ -263,26 +271,35 @@ def local_data_operator(op: OperatorSection, lifts: PointLift = None) -> LocalDa
     return LocalDataVector(p, d, m, entries, degree_only=False)
 
 
-def tensor_basis(p: int, d: int, m: int = 0) -> list:
+def tensor_basis(p: int, d: int) -> list:
     """Standard basis of the rank-(2d+1) space: A_0..A_{d-1}, B_0..B_d."""
     out = []
     for s in range(d):
         a = [0] * d
         a[s] = 1
-        out.append(TensorSection(p, d, m, tuple(a), (0,) * (d + 1)))
+        out.append(TensorSection(p, d, 0, tuple(a), (0,) * (d + 1)))
     for sp in range(d + 1):
         b = [0] * (d + 1)
         b[sp] = 1
-        out.append(TensorSection(p, d, m, (0,) * d, tuple(b)))
+        out.append(TensorSection(p, d, 0, (0,) * d, tuple(b)))
     return out
 
 
-def _pascal_rows(xi: int, top: int, width: int) -> list:
-    """Rows n = 0..top of C(n, i) xi^{n-i}, each cut to i < width (0 for i > n).
+@lru_cache(maxsize=256)
+def _pascal_columns(xi: int, top: int, width: int, mod: int) -> tuple:
+    """Columns i < width of the Pascal rows of xi, reduced mod ``mod``.
 
-    Row n comes from row n-1 by Pascal's rule: its first entry is xi times
-    the previous first entry, the middle ones xi*prev[i] + prev[i-1], and
-    while i = n is inside the width the last entry is C(n, n) = 1.
+    Column i lists C(n, i) xi^{n-i} for n = i..top, so its dot product with
+    the coefficients c_i, c_{i+1}, ... of a polynomial of degree <= top is
+    that polynomial's i-th Taylor coefficient at xi.  Row n comes from row
+    n-1 by Pascal's rule: its first entry is xi times the previous first
+    entry, the middle ones xi*prev[i] + prev[i-1], and while i = n is inside
+    the width the last entry is C(n, n) = 1.  Trailing zeros are cut (for
+    xi = 0 each column is the single entry 1): a product with them is zero,
+    so a dot product may stop where the column does.  local_data_operator
+    and q_d_matrix read each point's columns once for all orders and rows;
+    the memo is bounded like calculus._level_row's, and keyed by the reduced
+    xi, since every residue it serves is read modulo a divisor of ``mod``.
     """
     row = [1]
     rows = [row]
@@ -292,23 +309,6 @@ def _pascal_rows(xi: int, top: int, width: int) -> list:
             nxt.append(1)
         rows.append(nxt)
         row = nxt
-    return rows
-
-
-@lru_cache(maxsize=256)
-def _pascal_columns(xi: int, top: int, width: int, mod: int) -> tuple:
-    """Columns i < width of the Pascal rows of xi, reduced mod ``mod``.
-
-    Column i lists C(n, i) xi^{n-i} for n = i..top, so its dot product with
-    the coefficients c_i, c_{i+1}, ... of a polynomial of degree <= top is
-    that polynomial's i-th Taylor coefficient at xi.  Trailing zeros are cut
-    (for xi = 0 each column is the single entry 1): a product with them is
-    zero, so a dot product may stop where the column does.  local_data_operator
-    reads each point's columns once for all orders; the memo is bounded
-    like calculus._level_row's, and keyed by the reduced xi, since every
-    residue it serves is read modulo a divisor of ``mod``.
-    """
-    rows = _pascal_rows(xi, top, width)
     columns = []
     for i in range(min(width, top + 1)):
         column = [row[i] % mod for row in rows[i:]]
@@ -325,7 +325,7 @@ def q_d_matrix(p: int, d: int, lifts: PointLift = None):
     A_0..A_{d-1}, B_0..B_d; returns (matrix, moduli exponents).  The basis
     section B_{s'} is the monomial x^{s'} and A_s is (-1)^d x^{2d-s} at the
     finite points, so the row (a, d, i) reads C(n, i) xi_a^{n-i} mod p^{d-i}
-    off the Pascal rows of xi_a (reduced mod p^d, which is exact); the row
+    off the memoized Pascal column i of xi_a (reduced mod p^d, exact); the row
     (inf, d, i) is the unit vector at A_i.  The divided power identification
     makes the matrix independent of the level m, so it takes none.  Its
     cokernel is the degree-d group, which h1_tensor reads off the smaller
@@ -333,18 +333,17 @@ def q_d_matrix(p: int, d: int, lifts: PointLift = None):
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if lifts is None:
-        lifts = PointLift.canonical(p)
+    require_prime(p)
+    pd = p ** d
     mods = [p ** (d - i) for i in range(d)]
     sgn = -1 if d % 2 else 1
     rows = []
-    for a in range(p):
-        pascal = _pascal_rows(lifts[a] % p ** d, 2 * d, d)
-        for i, mod in enumerate(mods):
-            values = ([sgn * pascal[2 * d - s][i] for s in range(d)]
-                      + [pascal[sp][i] if i <= sp else 0 for sp in range(d + 1)])
+    for xi in _lift_values(p, lifts):
+        columns = _pascal_columns(xi % pd, 2 * d, d, pd)
+        for i, (column, mod) in enumerate(zip(columns, mods)):
+            cut = i + len(column)  # column[n - i] is C(n, i) xi^{n-i} for i <= n < cut
+            values = ([sgn * column[n - i] if n < cut else 0 for n in range(2 * d, d, -1)]
+                      + [column[n - i] if i <= n < cut else 0 for n in range(d + 1)])
             rows.append({k: x for k, v in enumerate(values) if (x := v % mod)})
     rows += [{i: 1} for i in range(d)]
     return IntegerMatrix(2 * d + 1, rows), moduli_exponents(coords_degree(p, d))
@@ -384,8 +383,7 @@ def tensor_presentation(p: int, d: int):
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_prime(p)
     width = 2 * d + 1
     free = tuple(d - n // p for n in range(width, p * d))
     at_inf = [{} for _ in range(d)]
@@ -399,12 +397,12 @@ def tensor_presentation(p: int, d: int):
     return IntegerMatrix(width, [{} for _ in free] + at_inf), free + tuple(range(d, 0, -1))
 
 
-def operator_matrix(ops, p: int, d: int, lifts: PointLift = None):
-    """Matrix of the full degree <= d local-data map; column n is ops[n]."""
+def operator_matrix(ops, p: int, d: int):
+    """Matrix of the full degree <= d local-data map at xi_a = a; column n is ops[n]."""
     coords = coords_le(p, d)
     index = {c: r for r, c in enumerate(coords)}
     rows = [{} for _ in coords]
     for n, op in enumerate(ops):
-        for c, x in local_data_operator(op, lifts).entries.items():
+        for c, x in local_data_operator(op).entries.items():
             rows[index[c]][n] = x
     return IntegerMatrix(len(ops), rows), moduli_exponents(coords)

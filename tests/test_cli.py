@@ -325,6 +325,9 @@ REFUSAL_FILES = {
          "a": ["0", "0"], "b": ["0", "0", "0"]}),
     "huge.json": serialize.dump_json(
         {"format": "tensor-section/1", "p": 3, "d": 60, "m": 0, "a": [], "b": []}),
+    "p4.json": serialize.dump_json(
+        {"format": "tensor-section/1", "p": 4, "d": 2, "m": 0,
+         "a": ["0", "0"], "b": ["0", "0", "0"]}),
     "cache/h1-p3-d1.json": "not json",
     "bounds/h1-p3-d2.json": serialize.dump_json(
         {"format": "h1-group/2", "p": 3, "d": 2, "exponents": [99] + [1] * 10}),
@@ -387,6 +390,12 @@ REFUSALS = {
     "job-guard": (("h1", "--p", "3", "--d", "9", "--row-limit", "10"), None, 3,
                   _GUARD.format(rows=180, limit=10)),
     "non-prime": (("h1", "--p", "4", "--d", "2"), None, 2, "error: p = 4 is not prime"),
+    "non-prime-sample": (("lift", "--sample", "--p", "4", "--d", "2"), None, 2,
+                         "error: p = 4 is not prime"),
+    "non-prime-diagnose": (("diagnose", "--p", "4", "--m", "1", "--dmax", "2"), None, 2,
+                           "error: p = 4 is not prime"),
+    "data-non-prime": (("data", "--input", "{tmp}/p4.json"), None, 2,
+                       "error: {tmp}/p4.json: p = 4 is not prime"),
     "out-directory": (("h1", "--p", "3", "--d", "2", "--out", "{tmp}"), None, 2,
                       "error: cannot write {tmp}: Is a directory"),
     "cache-file": (("h1", "--p", "3", "--d", "2", "--cache", "{tmp}/file"), None, 2,

@@ -389,6 +389,22 @@ def test_q_d_matrix_rejects_what_the_basis_rejects():
             build(3, 0)
 
 
+@pytest.mark.parametrize("lifts", [PointLift(5, (5, 6, 7, 8, 9)), PointLift(2, (0, 1))],
+                         ids=["larger-prime", "smaller-prime"])
+def test_a_point_lift_is_bound_to_its_prime(lifts):
+    # neither read as if it were for p = 3: the larger one would give wrong
+    # residues, the smaller one too few points
+    delta = TensorSection(3, 2, 0, (0, 0), (0, 1, 0))
+    op = standard_operator_basis(3, 2)[-1]
+    message = f"lifts are for p = {lifts.p}, not p = 3"
+    with pytest.raises(ValueError, match=message):
+        local_data_tensor(delta, lifts)
+    with pytest.raises(ValueError, match=message):
+        local_data_operator(op, lifts)
+    with pytest.raises(ValueError, match=message):
+        q_d_matrix(3, 2, lifts)
+
+
 # ---------------------------------------------------------------------------
 # the presentation h1_tensor eliminates, against the local-data matrix
 # ---------------------------------------------------------------------------
