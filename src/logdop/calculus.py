@@ -127,10 +127,6 @@ class TensorSection:
                 f"got {len(self.A)} and {len(self.B)}")
 
     @classmethod
-    def zero(cls, p: int, d: int, m: int = 0) -> "TensorSection":
-        return cls(p, d, m, (0,) * d, (0,) * (d + 1))
-
-    @classmethod
     def from_coordinates(cls, p: int, d: int, m: int, coords) -> "TensorSection":
         coords = list(coords)
         if len(coords) != 2 * d + 1:
@@ -190,10 +186,6 @@ class OperatorSection:
                 raise ValueError(f"power {i} must be >= 0")
             clean[(chart, i, k)] = coeff
         self.terms = clean
-
-    @classmethod
-    def zero(cls, p: int, m: int, d: int) -> "OperatorSection":
-        return cls(p, m, d)
 
     @property
     def is_zero(self) -> bool:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import serialize
 from .cache import DiskCache
-from .engine import h1_filtered, level_descent_diagnostic
+from .engine import SCHEDULES, h1_filtered, level_descent_diagnostic
 from .errors import (
     CacheWriteError,
     NonvanishingLocalData,
@@ -235,16 +235,16 @@ def cmd_lift(args) -> int:
 
     try:
         if args.method == "schedule":
-            lift, check = lift_by_schedule(delta, return_local_data=True)
+            lift, check = lift_by_schedule(delta)
         else:
-            lift, check = lift_by_solve(delta, return_local_data=True)
+            lift, check = lift_by_solve(delta)
             if args.method == "both":
                 # Each path's _assert_lift has checked that its symbol is the
                 # input's and that its local data is zero.  Local data is
                 # Z-linear modulo each p^(k-i), so lift - other has zero symbol
                 # and zero local data: a lift of zero whenever both checks
                 # passed, and the two checked vectors already say so.
-                _, other = lift_by_schedule(delta, return_local_data=True)
+                _, other = lift_by_schedule(delta)
                 _stderr("solve/schedule outputs differ by a lift of zero: "
                         f"{check.is_zero and other.is_zero}")
     except NonvanishingLocalData as exc:
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--dmax", type=int, required=True)
-    sp.add_argument("--schedule", choices=("sqrt", "zero"), default="sqrt")
+    sp.add_argument("--schedule", choices=tuple(SCHEDULES), default="sqrt")
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common(sp, "--out", "--row-limit", "--cache")
     sp.set_defaults(func=cmd_diagnose)

@@ -166,7 +166,7 @@ def verify_splitting(p: int, d: int, m: int = 0) -> bool:
     """
     ops = standard_operator_basis(p, d, m)
     direct = cokernel_invariants(*operator_matrix(ops, p, d), p)
-    return direct == h1_filtered(p, d, m).total
+    return direct == h1_filtered(p, d).total
 
 
 def kernel_index_vp(p: int, d: int) -> int:
@@ -254,10 +254,6 @@ class LevelDiagnostic:
         exps = self.pushed_exponents()
         return bool(exps) and max(exps) > exps[0]
 
-    @property
-    def all_bounds_satisfied(self) -> bool:
-        return all(r.bound_satisfied for r in self.rows)
-
     def trend_note(self) -> str:
         exps = self.pushed_exponents()
         if self.p == 2:
@@ -291,7 +287,7 @@ def level_descent_diagnostic(p: int, m: int, d_max: int,
         raise ValueError(f"unknown schedule {schedule!r}")
     n_of = SCHEDULES[schedule]
     coeff = Fraction(p * p - 3 * p, p * p - 1) + Fraction(1, (p - 1) * p ** m)
-    groups = h1_filtered(p, d_max, m, cache).per_degree
+    groups = h1_filtered(p, d_max, cache=cache).per_degree
     rows = []
     for d, group in enumerate(groups, start=1):
         max_exp = group.max_exponent

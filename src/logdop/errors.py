@@ -21,16 +21,8 @@ class CacheWriteError(OSError):
 
 
 class SectionFormatError(ValueError):
-    """A section/operator file failed to parse.
-
-    ``lineno``/``colno`` are 1-based positions when the underlying JSON
-    decoder provides them, else None.
-    """
-
-    def __init__(self, message, lineno=None, colno=None):
-        super().__init__(message)
-        self.lineno = lineno
-        self.colno = colno
+    """A section/operator file failed to parse; a JSON syntax error's message
+    gives its line and column."""
 
 
 class NonvanishingLocalData(ValueError):

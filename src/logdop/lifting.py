@@ -81,13 +81,13 @@ def _require_kernel_section(delta: TensorSection):
             data)
 
 
-def lift_by_solve(delta: TensorSection, return_local_data: bool = False):
+def lift_by_solve(delta: TensorSection):
     """Solve for an order <= d-1 correction killing all residual local data.
 
     The correction terms are summed into one term dict, and the lift is built
-    from it as a single OperatorSection.  With ``return_local_data`` the
-    result is the pair (lift, its local data as checked zero), so a caller
-    needing that data does not compute it again.
+    from it as a single OperatorSection.  Returns the pair (lift, its local
+    data as checked zero), so a caller needing that data does not compute it
+    again.
     """
     _require_kernel_section(delta)
     p, d, m = delta.p, delta.d, delta.m
@@ -105,8 +105,7 @@ def lift_by_solve(delta: TensorSection, return_local_data: bool = False):
             for key, v in op.terms.items():
                 terms[key] = terms.get(key, 0) + c * v
     lift = OperatorSection(p, m, d, terms)
-    data = _assert_lift(lift, delta, TheoremViolation)
-    return (lift, data) if return_local_data else lift
+    return lift, _assert_lift(lift, delta, TheoremViolation)
 
 
 def schedule_multipliers(d: int) -> list:
@@ -124,7 +123,7 @@ def schedule_multipliers(d: int) -> list:
     return out
 
 
-def lift_by_schedule(delta: TensorSection, return_local_data: bool = False):
+def lift_by_schedule(delta: TensorSection):
     """Apply the degree-descending corrections; level 0 only.
 
     Step j adds c_j * A_s y^{s-j} d_y^{d-j} for j < s < d, all at order
@@ -139,8 +138,8 @@ def lift_by_schedule(delta: TensorSection, return_local_data: bool = False):
     points, where the final _assert_lift looks; that check is the
     schedule's (ScheduleFailure).  The section is checked before the level,
     so a nonvanishing input is reported as such at every level.
-    lift_by_solve stays the authoritative path; ``return_local_data`` is as
-    there.
+    lift_by_solve stays the authoritative path; the result is the pair
+    (lift, checked local data) as there.
     """
     _require_kernel_section(delta)
     if delta.m != 0:
@@ -153,8 +152,7 @@ def lift_by_schedule(delta: TensorSection, return_local_data: bool = False):
             if delta.A[s]:
                 terms[(CHART_Y, s - j, d - j)] = c_j * delta.A[s]
     op = OperatorSection(delta.p, 0, d, terms)
-    data = _assert_lift(op, delta, ScheduleFailure)
-    return (op, data) if return_local_data else op
+    return op, _assert_lift(op, delta, ScheduleFailure)
 
 
 def _assert_lift(lift: OperatorSection, delta: TensorSection, exc) -> LocalDataVector:

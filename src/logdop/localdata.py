@@ -3,8 +3,9 @@
 The degree <= d quotient splits over the p+1 rational points of the special
 fiber; at a point a the (order k, power i) coordinate with i < k is a residue
 modulo p^{k-i}.  Finite points use the shifted coordinate x_a = x - xi_a for a
-chosen lift xi_a of a; infinity uses y directly.  With no lifts given,
-xi_a = a; a given PointLift is bound to its p, and one for another prime is
+lift xi_a of a; infinity uses y directly.  Operator local data is always
+taken at xi_a = a.  A PointLift serves only local_data_tensor and q_d_matrix
+(xi_a = a without one); it is bound to its p, and one for another prime is
 refused.  The residues at a finite point are the coefficients of the Taylor
 shift of the x-chart polynomial to x_a.  For a tensor section that shift
 runs by repeated synthetic division; for an operator each residue is a dot
@@ -78,17 +79,11 @@ class PointLift:
                 raise ValueError(f"lift {xi} of {a} is not congruent mod {self.p}")
         object.__setattr__(self, "lifts", lifts)
 
-    @classmethod
-    def canonical(cls, p: int) -> "PointLift":
-        return cls(p, tuple(range(p)))
-
-    def __getitem__(self, a: int) -> int:
-        return self.lifts[a]
-
 
 def _lift_values(p: int, lifts: PointLift = None):
-    """xi_0..xi_{p-1}: range(p) for the canonical lifts xi_a = a when
-    ``lifts`` is None, else the values of ``lifts``, which must be for p."""
+    """xi_0..xi_{p-1} for local_data_tensor and q_d_matrix: range(p), the
+    lifts xi_a = a that operator local data always takes, when ``lifts`` is
+    None, else the values of ``lifts``, which must be for p."""
     if lifts is None:
         return range(p)
     if lifts.p != p:
@@ -125,9 +120,7 @@ class LocalDataVector:
         return not any(self.entries.values())
 
     def nonzero_coordinates(self) -> list:
-        return sorted(
-            ((a, k, i) for (a, k, i), r in self.entries.items() if r),
-            key=lambda c: (self.p if c[0] == INF else c[0], c[1], c[2]))
+        return [c for c in self.coords() if self.entries.get(c)]
 
     def degree_slice(self, k: int) -> "LocalDataVector":
         sub = {key: r for key, r in self.entries.items() if key[1] == k}
@@ -187,8 +180,8 @@ def local_data_tensor(delta: TensorSection, lifts: PointLift = None) -> LocalDat
     return LocalDataVector(p, d, delta.m, entries, degree_only=True)
 
 
-def local_data_operator(op: OperatorSection, lifts: PointLift = None) -> LocalDataVector:
-    """Full degree <= d local data of a global operator.
+def local_data_operator(op: OperatorSection) -> LocalDataVector:
+    """Full degree <= d local data of a global operator, at xi_a = a.
 
     Requires a global operator (is_global_section), and checks it in the
     same one pass over ``op.terms`` that gathers the data, without building
@@ -211,7 +204,6 @@ def local_data_operator(op: OperatorSection, lifts: PointLift = None) -> LocalDa
     same Z/p^{k-i} lattice at every level.
     """
     p, d, m = op.p, op.d, op.m
-    xis = _lift_values(p, lifts)
     at_x = [{} for _ in range(d + 1)]   # order k: x power -> coefficient
     below = [{} for _ in range(d + 1)]  # order k: y power < k -> coefficient
     negative = False  # whether a moved term reaches a negative power k+1-i
@@ -259,8 +251,8 @@ def local_data_operator(op: OperatorSection, lifts: PointLift = None) -> LocalDa
             top = max(top, len(poly) - 1)
     if polys:
         pd = p ** d
-        for a, xi in enumerate(xis):
-            columns = _pascal_columns(xi % pd, top, d, pd)
+        for a in range(p):
+            columns = _pascal_columns(a, top, d, pd)
             for k, poly in polys:
                 mod = p ** k
                 for i in range(min(k, len(poly))):

@@ -55,8 +55,7 @@ def parse_json_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SectionFormatError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            lineno=exc.lineno, colno=exc.colno) from exc
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal past int's digit limit
         raise SectionFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -354,7 +354,7 @@ def suite_lift(seed: int = 0) -> SuiteResult:
                 delta = sample_kernel_section(p, d, seed=seed + 1009 * k + 13 * p + d)
                 label = f"(p={p}, d={d}, #{k})"
                 try:
-                    solved = lift_by_solve(delta)
+                    solved, _ = lift_by_solve(delta)
                     result.record(True, "")
                 except (TheoremViolation, ValueError) as exc:
                     result.record(False, f"solve path {label}: {exc}")
@@ -363,7 +363,7 @@ def suite_lift(seed: int = 0) -> SuiteResult:
                          and local_data_operator(solved).is_zero)
                 result.record(sound, f"solve output unsound {label}")
                 try:
-                    scheduled = lift_by_schedule(delta)
+                    scheduled, _ = lift_by_schedule(delta)
                     result.record(True, "")
                 except ScheduleFailure as exc:
                     result.record(False, f"schedule path {label}: {exc}")

@@ -140,7 +140,7 @@ def test_criterion_9_level_descent_diagnostics(capsys):
         for m in (1, 2):
             diag = level_descent_diagnostic(p, m, 12, "sqrt")
             grew = diag.grew
-            bounds = diag.all_bounds_satisfied
+            bounds = all(r.bound_satisfied for r in diag.rows)
             ok &= grew and bounds
             exps = diag.pushed_exponents()
             details.append(f"(p={p},m={m}): {exps[0]}->{max(exps)}")

@@ -190,7 +190,7 @@ def test_transform_involution_on_single_terms():
 # ---------------------------------------------------------------------------
 
 def test_zero_operator_is_global():
-    assert is_global_section(OperatorSection.zero(3, 0, 2))
+    assert is_global_section(OperatorSection(3, 0, 2))
 
 
 def test_y_power_operators_globality():
@@ -219,7 +219,7 @@ def test_tensor_to_operator_and_symbol_round_trip():
 
 
 def test_tensor_to_operator_zero_and_single():
-    assert tensor_to_operator(TensorSection.zero(3, 2)).is_zero
+    assert tensor_to_operator(TensorSection(3, 2, 0, (0, 0), (0, 0, 0))).is_zero
     delta = TensorSection(3, 2, 0, (1, 0), (0, 0, 0))
     op = tensor_to_operator(delta)
     assert op.terms == {(CHART_Y, 0, 2): 1}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -598,9 +599,9 @@ def test_lift_both_check_computes_local_data_three_times(tmp_path, capsys,
     calls = []
     genuine = localdata.local_data_operator
 
-    def counted(op, lifts=None):
+    def counted(op):
         calls.append(op)
-        return genuine(op, lifts)
+        return genuine(op)
 
     for module in (cli, lifting, localdata):
         monkeypatch.setattr(module, "local_data_operator", counted)
@@ -656,7 +657,7 @@ def test_lift_both_agreement_line_and_exit_code(tmp_path, capsys):
         assert (solve_code, solve_out, solve_err) == (0, out, "")
         # what the line states, checked directly on the difference
         delta = sample_kernel_section(p, d, seed=seed)
-        diff = lift_by_solve(delta).minus(lift_by_schedule(delta))
+        diff = lift_by_solve(delta)[0].minus(lift_by_schedule(delta)[0])
         assert localdata.local_data_operator(diff).is_zero
         assert not any(symbol(diff, d).coordinates())
 
@@ -848,14 +849,42 @@ def test_a_huge_level_answers_at_once(tmp_path, capsys, command, doc):
 HUGE_P = 2 ** 61 - 1  # prime; its job of p + 1 rows would exhaust memory
 
 
-def run_module(*argv, env=None, timeout=5):
-    """``python -m logdop argv`` in a fresh interpreter that imports this
-    package; the output comes back as bytes."""
+def run_python(*argv, env=None, timeout=5):
+    """``python argv`` in a fresh interpreter that imports this package; the
+    output comes back as bytes."""
     src = str(Path(logdop.__file__).resolve().parents[1])
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "logdop", *argv], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, timeout=timeout)
+
+
+def run_module(*argv, env=None, timeout=5):
+    """``python -m logdop argv`` in a fresh interpreter (run_python)."""
+    return run_python("-m", "logdop", *argv, env=env, timeout=timeout)
+
+
+# ---------------------------------------------------------------------------
+# the package: modules that import on their own, and no facade
+# ---------------------------------------------------------------------------
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(logdop.__path__)
+                 if m.name != "__main__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    proc = run_python("-c", f"import logdop.{module}")
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_the_package_binds_no_public_name_and_runs_as_a_module():
+    assert len(MODULES) >= 11
+    proc = run_python("-c", "import logdop; "
+                      "print(sorted(n for n in vars(logdop) if not n.startswith('_')))")
+    assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr.decode()
+    proc = run_module("--help")
+    assert proc.returncode == 0 and proc.stdout.startswith(b"usage: logdop ")
 
 
 @pytest.mark.parametrize("argv", [

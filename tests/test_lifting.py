@@ -52,8 +52,8 @@ def test_p_power_multiple_is_always_a_kernel_section():
 # ---------------------------------------------------------------------------
 
 def test_lift_zero_section():
-    delta = TensorSection.zero(3, 2)
-    assert_sound_lift(lift_by_solve(delta), delta)
+    delta = TensorSection(3, 2, 0, (0, 0), (0, 0, 0))
+    assert_sound_lift(lift_by_solve(delta)[0], delta)
 
 
 def test_lift_rejects_nonkernel_input():
@@ -79,7 +79,7 @@ def test_nonkernel_input_error_carries_its_local_data():
 def test_lift_hand_example_p2_d1():
     # 2 x d_x lifts 2 x d_x^(x)1 with nothing to correct
     delta = TensorSection(2, 1, 0, (0,), (0, 2))
-    lift = lift_by_solve(delta)
+    lift, _ = lift_by_solve(delta)
     assert_sound_lift(lift, delta)
     base = tensor_to_operator(delta)
     diff = lift.minus(base)
@@ -93,7 +93,7 @@ def test_lift_by_solve_corpus_level0_and_levels():
             for m in (0, 1):
                 for seed in range(4):
                     delta = sample_kernel_section(p, d, seed=seed, m=m)
-                    assert_sound_lift(lift_by_solve(delta), delta)
+                    assert_sound_lift(lift_by_solve(delta)[0], delta)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_schedule_multipliers_anchors():
 
 def test_schedule_d1_is_bare_reinterpretation():
     delta = sample_kernel_section(5, 1, seed=3)
-    assert lift_by_schedule(delta) == tensor_to_operator(delta)
+    assert lift_by_schedule(delta)[0] == tensor_to_operator(delta)
 
 
 def test_schedule_rejects_positive_level():
@@ -127,15 +127,15 @@ def test_schedule_corpus_sound():
         for d in range(1, 6):
             for seed in range(4):
                 delta = sample_kernel_section(p, d, seed=100 + seed)
-                assert_sound_lift(lift_by_schedule(delta), delta)
+                assert_sound_lift(lift_by_schedule(delta)[0], delta)
 
 
 def test_two_paths_differ_by_a_lift_of_zero():
     for p in (2, 3):
         for d in (3, 4, 5):
             delta = sample_kernel_section(p, d, seed=9)
-            ls = lift_by_solve(delta)
-            lc = lift_by_schedule(delta)
+            ls, _ = lift_by_solve(delta)
+            lc, _ = lift_by_schedule(delta)
             diff = ls.minus(lc)
             assert symbol(diff, d).is_zero
             assert all(k <= d - 1 for (_c, _i, k) in diff.terms)
@@ -147,7 +147,7 @@ def test_schedule_rejects_a_multiplier_off_by_one(monkeypatch):
     # result keeps its symbol but not vanishing local data
     delta = sample_kernel_section(3, 8, seed=1)
     assert all(delta.A[1:])
-    assert_sound_lift(lift_by_schedule(delta), delta)
+    assert_sound_lift(lift_by_schedule(delta)[0], delta)
     genuine = schedule_multipliers
 
     def forged(d):
@@ -163,6 +163,6 @@ def test_schedule_rejects_a_multiplier_off_by_one(monkeypatch):
 def test_lifts_return_the_local_data_they_checked():
     delta = sample_kernel_section(5, 6, seed=4)
     for lift_fn in (lift_by_solve, lift_by_schedule):
-        lift, data = lift_fn(delta, return_local_data=True)
-        assert lift == lift_fn(delta)
+        lift, data = lift_fn(delta)
+        assert lift_fn(delta) == (lift, data)
         assert data == local_data_operator(lift) and data.is_zero
