@@ -6,7 +6,8 @@ data (local data of a file), diagnose (level-lowering order table).  Exit
 codes: 0 success, 1 verification or comparison failure, 2 usage/parse error,
 3 resource guard, 4 lift input with nonvanishing local data; main prints each
 one-line ``error:`` refusal (a _Refusal, a corrupt cache entry or a cache
-entry that cannot be written).  A --cache ends with its command:
+entry that cannot be written) and each failed self-check of any command
+(an InvariantViolation, exit 1).  A --cache ends with its command:
 the handler passes its DiskCache down as an argument, and no module keeps it.
 Standard output, output files and standard error are UTF-8 whatever the
 locale (_emit and _stderr).
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
@@ -26,16 +28,15 @@ from .cache import DiskCache
 from .engine import SCHEDULES, h1_filtered, level_descent_diagnostic
 from .errors import (
     CacheWriteError,
+    InvariantViolation,
     NonvanishingLocalData,
-    ScheduleFailure,
     SectionFormatError,
-    TheoremViolation,
 )
 from .lifting import lift_by_schedule, lift_by_solve, sample_kernel_section
 from .linalg import require_prime
 from .localdata import local_data_operator, local_data_tensor
 from .tables import AppendixReport, TABLE_PRIMES, compare_row, verify_appendix
-from .verify import SUITES, run_suites
+from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -145,13 +146,14 @@ def cmd_h1(args) -> int:
     _require_at_least("--level", args.level, 0)
     _guard(args.p, args.d, args)
     _require_prime(args.p)
-    report = h1_filtered(args.p, args.d, args.level, _install_cache(args))
+    report = h1_filtered(args.p, args.d, cache=_install_cache(args))
     if args.format == "json":
-        text = serialize.dump_json(serialize.h1_report_to_doc(report))
+        text = serialize.dump_json(serialize.h1_report_to_doc(report, args.level))
     elif args.format == "csv":
         text = serialize.h1_report_to_csv(report, per_degree=args.per_degree)
     else:
-        text = serialize.h1_report_to_text(report, per_degree=args.per_degree)
+        text = serialize.h1_report_to_text(report, args.level,
+                                           per_degree=args.per_degree)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -196,13 +198,15 @@ def cmd_appendix(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, seed=args.seed)
-    failed = False
-    for result in results:
-        print(result.summary())
+    lines, failed = [], False
+    for name in names:
+        t0 = time.perf_counter()
+        result = SUITES[name](args.seed)
+        lines.append(f"{result.summary()}, {time.perf_counter() - t0:.2f}s")
         if not result.passed:
             failed = True
-            print(f"  first counterexample: {result.failures[0]}")
+            lines.append(f"  first counterexample: {result.failures[0]}")
+    print("\n".join(lines))  # once every suite has finished
     return EXIT_FAILED if failed else EXIT_OK
 
 
@@ -256,8 +260,6 @@ def cmd_lift(args) -> int:
         return EXIT_BAD_INPUT_DATA
     except ValueError as exc:
         raise _Refusal(str(exc)) from exc
-    except (TheoremViolation, ScheduleFailure) as exc:
-        raise _Refusal(str(exc), EXIT_FAILED) from exc
 
     _emit(serialize.operator_text(lift), args.out)
     if args.check:
@@ -404,6 +406,9 @@ def main(argv=None) -> int:
     except (_Refusal, SectionFormatError, CacheWriteError) as exc:  # the latter two: --cache
         _stderr(f"error: {exc}")
         return exc.code if isinstance(exc, _Refusal) else EXIT_USAGE
+    except InvariantViolation as exc:  # a failed self-check: a bug witness
+        _stderr(f"error: {exc}")
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

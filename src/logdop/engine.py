@@ -3,9 +3,9 @@
 The degree-d group is the cokernel of the degree-d local-data map on the
 rank-(2d+1) tensor space.  That map does not depend on the level m, so each
 degree-d group, its kernel lattice and its disk-cache entry are keyed by
-(p, d) alone; m only tags the reports and enters verify_splitting through
-the a^(m) coefficients.  h1_filtered alone reads or fills a caller's disk
-cache (cache=), once per group and command; h1_tensor, a pure
+(p, d) alone; m enters only verify_splitting, through the a^(m)
+coefficients, and the level diagnostic.  h1_filtered alone reads or fills a
+caller's disk cache (cache=), once per group and command; h1_tensor, a pure
 memo, eliminates tensor_presentation, where the p finite points have
 collapsed to Z[x]/(p, x^p - x)^d and only the d rows at infinity are left;
 the local-data matrix q_d_matrix serves kernel_index_vp, summand_count_check
@@ -122,7 +122,6 @@ class H1Report:
 
     p: int
     d: int
-    m: int
     per_degree: tuple  # AbelianPGroup for d' = 1..d
     bounds: tuple      # exponent_lower_bound(p, d') per degree
     bound_met: tuple   # max exponent >= bound
@@ -135,15 +134,13 @@ class H1Report:
         return AbelianPGroup(self.p, tuple(n for g in self.per_degree for n in g.exponents))
 
 
-def h1_filtered(p: int, d: int, m: int = 0, cache=None) -> H1Report:
+def h1_filtered(p: int, d: int, *, cache=None) -> H1Report:
     """Groups for all degrees d' <= d plus their direct sum (one table row).
 
     The one reader and writer of a DiskCache: each group is read from
     ``cache``, or computed by h1_tensor and written there.  The groups do
-    not depend on the level; m tags the report.
+    not depend on the level, so neither does the report.
     """
-    if m < 0:
-        raise ValueError("need m >= 0")
     per_degree = []
     for dd in range(1, d + 1):
         stored = None if cache is None else cache.get(p, dd)
@@ -154,7 +151,7 @@ def h1_filtered(p: int, d: int, m: int = 0, cache=None) -> H1Report:
     bounds = tuple(exponent_lower_bound(p, dd) for dd in range(1, d + 1))
     met = tuple(g.max_exponent >= b for g, b in zip(per_degree, bounds))
     equal = tuple(g.max_exponent == b for g, b in zip(per_degree, bounds))
-    return H1Report(p, d, m, tuple(per_degree), bounds, met, equal)
+    return H1Report(p, d, tuple(per_degree), bounds, met, equal)
 
 
 def verify_splitting(p: int, d: int, m: int = 0) -> bool:
@@ -240,6 +237,8 @@ class LevelRow:
 
 @dataclass(frozen=True)
 class LevelDiagnostic:
+    """Rows for d = 1..d_max; level_descent_diagnostic refuses d_max < 1."""
+
     p: int
     m: int
     schedule: str
@@ -252,15 +251,13 @@ class LevelDiagnostic:
     def grew(self) -> bool:
         """Whether the pushed-class exponent exceeded its d = 1 value in range."""
         exps = self.pushed_exponents()
-        return bool(exps) and max(exps) > exps[0]
+        return max(exps) > exps[0]
 
     def trend_note(self) -> str:
         exps = self.pushed_exponents()
         if self.p == 2:
             return ("p = 2: the growth coefficient (p^2-3p)/(p^2-1) is negative; "
                     "table reported without any divergence claim")
-        if not exps:
-            return "empty range"
         drops = sum(1 for a, b in zip(exps, exps[1:]) if b < a)
         verdict = "exceeds" if self.grew else "does not exceed"
         return (f"pushed-class order exponent starts at {exps[0]}, peaks at "

@@ -2,18 +2,8 @@
 
 
 class InvariantViolation(RuntimeError):
-    """An internal consistency condition failed; signals an implementation bug."""
-
-
-class TheoremViolation(RuntimeError):
-    """A congruence system that is guaranteed solvable turned out not to be.
-
-    Raising this is a bug witness, never a legitimate runtime outcome.
-    """
-
-
-class ScheduleFailure(RuntimeError):
-    """A correction step of the hand-rolled lifting schedule left residual data."""
+    """A self-check failed: a bug witness, never a legitimate runtime outcome.
+    Every check raises this one type; the message names what failed."""
 
 
 class CacheWriteError(OSError):

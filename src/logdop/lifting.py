@@ -29,7 +29,7 @@ from .calculus import (
     symbol,
     tensor_to_operator,
 )
-from .errors import NonvanishingLocalData, ScheduleFailure, TheoremViolation
+from .errors import InvariantViolation, NonvanishingLocalData
 from .linalg import CokernelSolver
 from .localdata import (
     LocalDataVector,
@@ -96,7 +96,7 @@ def lift_by_solve(delta: TensorSection):
     ops, solver = correction_solver(p, d, m)
     coeffs = solver.solve([-r for r in residual])
     if coeffs is None:
-        raise TheoremViolation(
+        raise InvariantViolation(
             f"no order <= {d - 1} correction exists for a vanishing-data section "
             f"(p={p}, d={d}, m={m}); the splitting guarantees one")
     terms = dict(base.terms)
@@ -105,7 +105,7 @@ def lift_by_solve(delta: TensorSection):
             for key, v in op.terms.items():
                 terms[key] = terms.get(key, 0) + c * v
     lift = OperatorSection(p, m, d, terms)
-    return lift, _assert_lift(lift, delta, TheoremViolation)
+    return lift, _assert_lift(lift, delta, "solve")
 
 
 def schedule_multipliers(d: int) -> list:
@@ -136,7 +136,7 @@ def lift_by_schedule(delta: TensorSection):
     A_s = 0 mod p^{d-s}, which for s = i+j is p^{k-i}: the residue vanishes
     whatever c_j is.  So a wrong multiplier can only show at the finite
     points, where the final _assert_lift looks; that check is the
-    schedule's (ScheduleFailure).  The section is checked before the level,
+    schedule's own.  The section is checked before the level,
     so a nonvanishing input is reported as such at every level.
     lift_by_solve stays the authoritative path; the result is the pair
     (lift, checked local data) as there.
@@ -152,14 +152,14 @@ def lift_by_schedule(delta: TensorSection):
             if delta.A[s]:
                 terms[(CHART_Y, s - j, d - j)] = c_j * delta.A[s]
     op = OperatorSection(delta.p, 0, d, terms)
-    return op, _assert_lift(op, delta, ScheduleFailure)
+    return op, _assert_lift(op, delta, "schedule")
 
 
-def _assert_lift(lift: OperatorSection, delta: TensorSection, exc) -> LocalDataVector:
+def _assert_lift(lift: OperatorSection, delta: TensorSection, path: str) -> LocalDataVector:
     """Check the lift's symbol and local data; return that (zero) local data."""
     if symbol(lift, delta.d).coordinates() != delta.coordinates():
-        raise exc("lift changed the top-order symbol")
+        raise InvariantViolation(f"{path} lift changed the top-order symbol")
     data = local_data_operator(lift)
     if not data.is_zero:
-        raise exc("lift has residual local data")
+        raise InvariantViolation(f"{path} lift has residual local data")
     return data

@@ -235,10 +235,10 @@ def local_data_text(data: LocalDataVector) -> str:
 # H^1 reports
 # ---------------------------------------------------------------------------
 
-def h1_report_to_doc(report: H1Report) -> dict:
+def h1_report_to_doc(report: H1Report, m: int) -> dict:
     return {
         "format": FORMAT_H1_REPORT,
-        "p": report.p, "d": report.d, "m": report.m,
+        "p": report.p, "d": report.d, "m": m,
         "per_degree": [
             {"d": dd, "exponents": list(g.exponents)}
             for dd, g in enumerate(report.per_degree, start=1)
@@ -254,8 +254,8 @@ def h1_report_to_doc(report: H1Report) -> dict:
     }
 
 
-def h1_report_to_text(report: H1Report, per_degree: bool = False) -> str:
-    lines = [f"H^1 for p={report.p}, degrees <= {report.d}, level m={report.m}:"]
+def h1_report_to_text(report: H1Report, m: int, per_degree: bool = False) -> str:
+    lines = [f"H^1 for p={report.p}, degrees <= {report.d}, level m={m}:"]
     lines.append(f"  total: {report.total.table_text()}")
     if per_degree:
         for dd, (g, b, met, eq) in enumerate(

@@ -9,7 +9,6 @@ heavyweight exhaustive sweeps reserved for the CLI.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 
@@ -26,7 +25,7 @@ from .calculus import (
     transform_term,
 )
 from .engine import h1_tensor, lattice_order_check, summand_count_check, verify_splitting
-from .errors import ScheduleFailure, TheoremViolation
+from .errors import InvariantViolation
 from .lifting import lift_by_schedule, lift_by_solve, sample_kernel_section
 from .linalg import (
     AbelianPGroup,
@@ -58,7 +57,6 @@ class SuiteResult:
     name: str
     checks: int = 0
     failures: list = field(default_factory=list)
-    seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -71,16 +69,7 @@ class SuiteResult:
 
     def summary(self) -> str:
         verdict = "pass" if self.passed else f"FAIL ({len(self.failures)})"
-        return f"suite {self.name}: {self.checks} checks, {verdict}, {self.seconds:.2f}s"
-
-
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.seconds = time.perf_counter() - t0
-        return result
-    return wrapper
+        return f"suite {self.name}: {self.checks} checks, {verdict}"
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +181,6 @@ def sweep_cyclic_quotients(p, shapes, result: SuiteResult, cross_validate: bool)
 # the suites
 # ---------------------------------------------------------------------------
 
-@_timed
 def suite_linalg(seed: int = 0) -> SuiteResult:
     result = SuiteResult("linalg")
     rng = random.Random(seed)
@@ -220,7 +208,6 @@ def suite_linalg(seed: int = 0) -> SuiteResult:
     return result
 
 
-@_timed
 def suite_coeffs(seed: int = 0) -> SuiteResult:
     result = SuiteResult("coeffs")
     for s in range(1, 61):
@@ -274,7 +261,6 @@ def q_d_matrix_by_columns(p: int, d: int, lifts: PointLift = None) -> IntegerMat
     return IntegerMatrix.from_rows([list(row) for row in zip(*columns)])
 
 
-@_timed
 def suite_localdata(seed: int = 0) -> SuiteResult:
     result = SuiteResult("localdata")
     rng = random.Random(seed)
@@ -323,7 +309,6 @@ def suite_localdata(seed: int = 0) -> SuiteResult:
     return result
 
 
-@_timed
 def suite_splitting(seed: int = 0) -> SuiteResult:
     result = SuiteResult("splitting")
     for p in (2, 3, 5):
@@ -333,7 +318,6 @@ def suite_splitting(seed: int = 0) -> SuiteResult:
     return result
 
 
-@_timed
 def suite_lattice(seed: int = 0) -> SuiteResult:
     result = SuiteResult("lattice")
     for p in (2, 3, 5, 7, 11):
@@ -345,7 +329,6 @@ def suite_lattice(seed: int = 0) -> SuiteResult:
     return result
 
 
-@_timed
 def suite_lift(seed: int = 0) -> SuiteResult:
     result = SuiteResult("lift")
     for p in (2, 3, 5):
@@ -356,7 +339,7 @@ def suite_lift(seed: int = 0) -> SuiteResult:
                 try:
                     solved, _ = lift_by_solve(delta)
                     result.record(True, "")
-                except (TheoremViolation, ValueError) as exc:
+                except (InvariantViolation, ValueError) as exc:
                     result.record(False, f"solve path {label}: {exc}")
                     continue
                 sound = (symbol(solved, d).coordinates() == delta.coordinates()
@@ -365,7 +348,7 @@ def suite_lift(seed: int = 0) -> SuiteResult:
                 try:
                     scheduled, _ = lift_by_schedule(delta)
                     result.record(True, "")
-                except ScheduleFailure as exc:
+                except InvariantViolation as exc:
                     result.record(False, f"schedule path {label}: {exc}")
                     continue
                 diff = solved.minus(scheduled)
@@ -383,8 +366,3 @@ SUITES = {
     "lattice": suite_lattice,
     "lift": suite_lift,
 }
-
-
-def run_suites(names, seed: int = 0) -> list:
-    """Run the named suites in the requested order."""
-    return [SUITES[name](seed) for name in names]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import logdop
-from logdop import cache, cli, engine, lifting, localdata, serialize, tables
+from logdop import (
+    cache, cli, engine, lifting, linalg, localdata, serialize, tables, verify,
+)
 from logdop.calculus import TensorSection, symbol, tensor_to_operator
 from logdop.cli import main
 from logdop.errors import SectionFormatError
@@ -540,6 +543,19 @@ def test_appendix_json_round_trips(capsys):
     assert sum(len(t["rows"]) for t in doc["tables"]) == 39
 
 
+def test_appendix_single_row_json_is_the_full_reports_row(capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    code, out, _ = run(capsys, "appendix", "--p", "3", "--d", "8", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, serialize.load_schema("appendix-report/1"))
+    assert [(t["p"], [r["d"] for r in t["rows"]]) for t in doc["tables"]] == [(3, [8])]
+    code, out, _ = run(capsys, "appendix", "--format", "json")
+    assert code == 0
+    (full,) = [t for t in json.loads(out)["tables"] if t["p"] == 3]
+    assert [r for r in full["rows"] if r["d"] == 8] == doc["tables"][0]["rows"]
+
+
 def test_appendix_single_row_bad_usage(capsys):
     code, _, err = run(capsys, "appendix", "--p", "7")
     assert code == 2
@@ -564,6 +580,64 @@ def test_verify_seed_determinism(capsys):
     # timings differ; compare everything before the timing column
     strip = lambda out: [line.rsplit(",", 1)[0] for line in out.splitlines()]
     assert strip(a[1]) == strip(b[1])
+
+
+def test_verify_reports_a_failing_suite(capsys, monkeypatch):
+    def forged(seed):
+        result = verify.SuiteResult("splitting")
+        result.record(True, "")
+        result.record(False, f"forged mismatch (seed {seed})")
+        return result
+
+    monkeypatch.setitem(verify.SUITES, "splitting", forged)
+    code, out, _ = run(capsys, "verify", "--suite", "splitting", "--seed", "3")
+    summary, counterexample = out.splitlines()
+    assert code == 1
+    assert re.fullmatch(r"suite splitting: 2 checks, FAIL \(1\), \d+\.\d\ds", summary)
+    assert counterexample == "  first counterexample: forged mismatch (seed 3)"
+
+
+# ---------------------------------------------------------------------------
+# faults: a failed self-check of any command
+# ---------------------------------------------------------------------------
+
+def _unsettled_elimination(p, d):
+    # the genuine postcondition of the p-local core, on a row it cannot settle
+    return linalg._plocal_exponents([{0: 9}], (1,), 3)
+
+
+@pytest.mark.parametrize("method, message", [
+    (None, "p-local elimination settled 0 of 1 rows"),
+    ("schedule", "schedule lift has residual local data"),
+    ("both", "schedule lift has residual local data"),
+    ("solve", "no order <= 7 correction exists"),
+], ids=["h1", "lift-schedule", "lift-both", "lift-solve"])
+def test_a_failed_self_check_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                               method, message):
+    if method is None:
+        monkeypatch.setattr(engine, "h1_tensor", _unsettled_elimination)
+        argv = ["h1", "--p", "3", "--d", "4"]
+    else:
+        section = tmp_path / "delta.json"
+        assert run(capsys, "lift", "--sample", "--p", "3", "--d", "8", "--seed", "1",
+                   "--out", str(section))[0] == 0
+        if method != "solve":
+            genuine = lifting.schedule_multipliers
+
+            def forged(d):
+                c = genuine(d)
+                c[0] += 1
+                return c
+
+            monkeypatch.setattr(lifting, "schedule_multipliers", forged)
+        else:
+            monkeypatch.setattr(linalg.CokernelSolver, "solve", lambda self, b: None)
+        argv = ["lift", "--input", str(section), "--method", method, "--check",
+                "--out", str(tmp_path / "lift.json")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "lift.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from logdop.lifting import (
     sample_kernel_section,
     schedule_multipliers,
 )
-from logdop.errors import NonvanishingLocalData, ScheduleFailure
+from logdop.errors import InvariantViolation, NonvanishingLocalData
 from logdop.localdata import local_data_operator, local_data_tensor
 
 
@@ -156,7 +156,7 @@ def test_schedule_rejects_a_multiplier_off_by_one(monkeypatch):
         return c
 
     monkeypatch.setattr(lifting, "schedule_multipliers", forged)
-    with pytest.raises(ScheduleFailure, match="residual local data"):
+    with pytest.raises(InvariantViolation, match="schedule lift has residual local data"):
         lift_by_schedule(delta)
 
 

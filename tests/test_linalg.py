@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -172,6 +172,51 @@ def test_cokernel_order_identity_randoms():
         assert len(basis) == cols_n
         index = abs(det(IntegerMatrix.from_rows(basis)))
         assert index * 1 == p ** (sum(moduli) - coker.order_vp)
+
+
+def leibniz_det(rows):
+    """The determinant as the signed sum over permutations; an oracle for det."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_det_matches_the_leibniz_formula():
+    # every kernel-index caller passes a triangular Hermite basis, so the row
+    # swap and the early singular exit run only here
+    rng = random.Random(2718)
+    swaps = zero_columns = singular = 0
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        kind = rng.randrange(4)
+        if kind == 1:
+            rows[0][0] = 0
+        elif kind == 2:
+            for row in rows:
+                row[0] = 0
+        elif kind == 3 and n > 1:
+            rows[-1] = [rng.randint(-2, 2) * a for a in rows[0]]
+        want = leibniz_det(rows)
+        assert det(IntegerMatrix.from_rows(rows)) == want, rows
+        column = [row[0] for row in rows]
+        swaps += n > 1 and column[0] == 0 and any(column)
+        zero_columns += n > 1 and not any(column)
+        singular += want == 0
+    assert min(swaps, zero_columns, singular) >= 50
+    assert det(IntegerMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert det(IntegerMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]])) == 0
+
+
+def test_det_of_the_empty_and_non_square_matrices():
+    assert det(IntegerMatrix.from_rows([])) == 1
+    with pytest.raises(ValueError, match="non-square"):
+        det(IntegerMatrix.from_rows([[1, 2]]))
 
 
 def test_kernel_lattice_zero_map():

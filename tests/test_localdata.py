@@ -29,7 +29,7 @@ from logdop.localdata import (
     tensor_basis,
     tensor_presentation,
 )
-from logdop.verify import q_d_matrix_by_columns
+from logdop.verify import q_d_matrix_by_columns, suite_localdata
 
 
 def random_section(rng, p, d, m=0, bound=None):
@@ -465,3 +465,10 @@ def test_the_presentation_oracle_can_fail(mutant):
     differ = [(p, d) for p in (2, 3, 5, 7) for d in range(1, 7)
               if cokernel_invariants(*mutant(p, d), p) != local_data_group(p, d)]
     assert differ
+
+
+def test_the_localdata_suite_passes_in_full():
+    # the same sweep as `logdop verify --suite localdata`: lift independence,
+    # the column-wise q_d_matrix oracle, degree slices and linearity
+    result = suite_localdata()
+    assert (result.checks, result.failures) == (4332, [])

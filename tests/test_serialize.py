@@ -148,10 +148,10 @@ def test_local_data_text_of_computed_data():
 
 def test_h1_report_document_and_texts():
     rep = h1_filtered(3, 3)
-    doc = serialize.h1_report_to_doc(rep)
+    doc = serialize.h1_report_to_doc(rep, 0)
     validate(doc)
     assert doc["total"]["exponents"] == [1] * 8 + [2]
-    text = serialize.h1_report_to_text(rep, per_degree=True)
+    text = serialize.h1_report_to_text(rep, 0, per_degree=True)
     assert "8 × 3  1 × 3^2" in text
     csv = serialize.h1_report_to_csv(rep)
     assert csv.splitlines()[0] == "p,d,exponent,multiplicity"
