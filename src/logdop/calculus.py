@@ -187,10 +187,6 @@ class OperatorSection:
             clean[(chart, i, k)] = coeff
         self.terms = clean
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def plus(self, other: "OperatorSection") -> "OperatorSection":
         if (self.p, self.m) != (other.p, other.m):
             raise ValueError("operators live over different (p, m)")
@@ -226,8 +222,6 @@ class LaurentOperator:
     coeffs: dict = field(default_factory=dict)  # (power i, order k) -> coeff
 
     def add(self, i: int, k: int, c) -> None:
-        if not c:
-            return
         key = (i, k)
         new = self.coeffs.get(key, 0) + c
         if new:

@@ -27,9 +27,6 @@ from typing import Sequence
 
 from .errors import InvariantViolation
 
-Moduli = tuple  # tuple of positive ints: exponents m_j of the target sum of Z/p^{m_j}
-
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _MR_BOUND = 3317044064679887385961981  # the 13 prime bases 2..41 decide every n below it
 
@@ -209,20 +206,14 @@ class AbelianPGroup:
             parts.append(f"{mult} × {power}")
         return "  ".join(parts)
 
-    def __str__(self) -> str:
-        return self.table_text()
-
 
 def dominates(a_desc: Sequence[int], b_desc: Sequence[int]) -> bool:
     """Componentwise >= of descending exponent lists, b padded with zeros.
 
     Equivalent to: a surjection (+) Z/p^{a_i} ->> (+) Z/p^{b_i} exists.
     """
-    if len(b_desc) > len(a_desc):
-        b_extra = b_desc[len(a_desc):]
-        if any(b_extra):
-            return False
-        b_desc = b_desc[:len(a_desc)]
+    if any(b_desc[len(a_desc):]):
+        return False
     return all(a >= b for a, b in zip(a_desc, b_desc))
 
 

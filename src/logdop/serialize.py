@@ -2,8 +2,9 @@
 
 All integer payloads (coefficients, residues) travel as decimal strings so
 arbitrary-precision values survive any JSON reader.  Every document carries a
-``format`` tag; the matching JSON schemas ship under logdop/schemas and the
-test suite validates each emitted document against them.  The readers take
+``format`` tag.  The JSON schemas ship under logdop/schemas, each pinning its
+tag in ``properties.format.const``; the test suite finds a document's schema
+by that tag and validates each emitted document against it.  The readers take
 only what those schemas allow: no float, bool or string where an integer
 belongs, and no coefficient but an ASCII decimal string.  Text output for H^1
 groups mirrors the reference-table notation 'm x p^n'.
@@ -14,39 +15,23 @@ from __future__ import annotations
 import io
 import json
 from functools import lru_cache
-from importlib import resources
 from itertools import chain
+from typing import TYPE_CHECKING
 
-from .cache import DiskCache
 from .calculus import CHARTS, OperatorSection, TensorSection
-from .engine import H1Report, LevelDiagnostic
 from .errors import SectionFormatError
 from .localdata import INF, LocalDataVector, coords_degree, coords_le
-from .tables import AppendixReport
+
+if TYPE_CHECKING:
+    from .engine import H1Report, LevelDiagnostic
+    from .tables import AppendixReport
 
 FORMAT_TENSOR = "tensor-section/1"
 FORMAT_OPERATOR = "operator/1"
 FORMAT_LOCAL_DATA = "local-data/1"
 FORMAT_H1_REPORT = "h1-report/1"
-FORMAT_H1_GROUP = DiskCache.FORMAT  # written by DiskCache.put
 FORMAT_DIAGNOSTIC = "diagnostic/1"
 FORMAT_APPENDIX_REPORT = "appendix-report/1"
-
-_SCHEMA_FILES = {
-    FORMAT_TENSOR: "tensor_section.schema.json",
-    FORMAT_OPERATOR: "operator.schema.json",
-    FORMAT_LOCAL_DATA: "local_data.schema.json",
-    FORMAT_H1_REPORT: "h1_report.schema.json",
-    FORMAT_H1_GROUP: "h1_group.schema.json",
-    FORMAT_DIAGNOSTIC: "diagnostic.schema.json",
-    FORMAT_APPENDIX_REPORT: "appendix_report.schema.json",
-    "appendix-table/1": "appendix_table.schema.json",
-}
-
-
-def load_schema(format_tag: str) -> dict:
-    path = resources.files("logdop").joinpath("schemas", _SCHEMA_FILES[format_tag])
-    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def parse_json_document(text: str) -> dict:

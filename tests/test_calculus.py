@@ -219,7 +219,7 @@ def test_tensor_to_operator_and_symbol_round_trip():
 
 
 def test_tensor_to_operator_zero_and_single():
-    assert tensor_to_operator(TensorSection(3, 2, 0, (0, 0), (0, 0, 0))).is_zero
+    assert not tensor_to_operator(TensorSection(3, 2, 0, (0, 0), (0, 0, 0))).terms
     delta = TensorSection(3, 2, 0, (1, 0), (0, 0, 0))
     op = tensor_to_operator(delta)
     assert op.terms == {(CHART_Y, 0, 2): 1}
@@ -238,7 +238,7 @@ def test_operator_algebra():
     b = OperatorSection(3, 0, 2, {(CHART_X, 1, 1): -2, (CHART_Y, 0, 2): 1})
     s = a.plus(b)
     assert s.terms == {(CHART_Y, 0, 2): 1}
-    assert a.minus(a).is_zero
+    assert not a.minus(a).terms
 
 
 def test_standard_operator_basis_counts_and_globality():

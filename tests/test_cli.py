@@ -316,6 +316,7 @@ def test_a_cache_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch):
 REFUSAL_FILES = {
     "file": "",
     "bad-json.json": '{"format": }',
+    "array.json": "[]",
     "operator.json": serialize.dump_json(
         {"format": "operator/1", "p": 3, "m": 0, "d": 1,
          "terms": [{"chart": "y", "power": 3, "order": 1, "coeff": "1"}]}),
@@ -345,6 +346,9 @@ REFUSAL_FILES = {
                             "string-a": {"a": "12"}, "underscore": {"a": ["1_000", "0"]},
                             "plus": {"b": ["+5", "0", "0"]},
                             "arabic-digits": {"b": ["\u0661\u0662", "0", "0"]}}.items()},
+    "strict/no-m.json": serialize.dump_json(
+        {"format": "tensor-section/1", "p": 3, "d": 2,
+         "a": ["0", "0"], "b": ["0", "0", "0"]}),
     **{f"strict/{name}.json": serialize.dump_json(
         {"format": "operator/1", "p": 3, "m": 0, "d": 1, **fields})
        for name, fields in {
@@ -354,7 +358,9 @@ REFUSAL_FILES = {
                                       "coeff": "1"}]},
            "int-coeff": {"terms": [{"chart": "y", "power": 1, "order": 1, "coeff": 1}]},
            "list-chart": {"terms": [{"chart": [], "power": 1, "order": 1,
-                                     "coeff": "1"}]}}.items()},
+                                     "coeff": "1"}]},
+           "order-above-d": {"terms": [{"chart": "x", "power": 0, "order": 3,
+                                        "coeff": "1"}]}}.items()},
 }
 
 _GUARD = ("error: job size {rows} skyscraper coordinates exceeds the row limit "
@@ -438,6 +444,8 @@ REFUSALS = {
     "data-bad-json": (("data", "--input", "{tmp}/bad-json.json"), None, 2,
                       "error: {tmp}/bad-json.json: invalid JSON at line 1, "
                       "column 12: Expecting value"),
+    "data-array-root": (("data", "--input", "{tmp}/array.json"), None, 2,
+                        "error: {tmp}/array.json: document root must be an object"),
     "data-wrong-tag": (("data", "--input", "{tmp}/group.json"), None, 2,
                        "error: {tmp}/group.json: cannot take local data of a "
                        "'h1-group/2' document"),
@@ -455,6 +463,7 @@ REFUSALS = {
            "float-p": "field 'p' is not an integer",
            "bool-p": "field 'p' is not an integer",
            "string-m": "field 'm' is not an integer",
+           "no-m": "missing field 'm'",
            **{name: "coefficient lists must hold decimal strings"
               for name in ("float-a", "string-a", "underscore", "plus", "arabic-digits")},
            "no-terms": "need a 'terms' list",
@@ -465,7 +474,8 @@ REFUSALS = {
            "int-coeff": "malformed term entry: "
                         "{{'chart': 'y', 'power': 1, 'order': 1, 'coeff': 1}}",
            "list-chart": "malformed term entry: "
-                         "{{'chart': [], 'power': 1, 'order': 1, 'coeff': '1'}}"}.items()},
+                         "{{'chart': [], 'power': 1, 'order': 1, 'coeff': '1'}}",
+           "order-above-d": "order 3 outside 0..1"}.items()},
 }
 
 
@@ -543,12 +553,12 @@ def test_appendix_json_round_trips(capsys):
     assert sum(len(t["rows"]) for t in doc["tables"]) == 39
 
 
-def test_appendix_single_row_json_is_the_full_reports_row(capsys):
+def test_appendix_single_row_json_is_the_full_reports_row(capsys, schemas):
     jsonschema = pytest.importorskip("jsonschema")
     code, out, _ = run(capsys, "appendix", "--p", "3", "--d", "8", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    jsonschema.validate(doc, serialize.load_schema("appendix-report/1"))
+    jsonschema.validate(doc, schemas["appendix-report/1"])
     assert [(t["p"], [r["d"] for r in t["rows"]]) for t in doc["tables"]] == [(3, [8])]
     code, out, _ = run(capsys, "appendix", "--format", "json")
     assert code == 0
@@ -597,6 +607,31 @@ def test_verify_reports_a_failing_suite(capsys, monkeypatch):
     assert counterexample == "  first counterexample: forged mismatch (seed 3)"
 
 
+@pytest.mark.parametrize("failing", [None, "localdata"], ids=["pass", "fail"])
+def test_verify_all_runs_every_suite_in_registry_order(capsys, monkeypatch, failing):
+    def fake(name):
+        def suite(seed):
+            result = verify.SuiteResult(name)
+            result.record(True, "")
+            if name == failing:
+                result.record(False, f"forged mismatch (seed {seed})")
+            return result
+        return suite
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, fake(name))
+    code, out, err = run(capsys, "verify", "--suite", "all", "--seed", "4")
+    expected = []
+    for name in verify.SUITES:
+        if name == failing:
+            expected += [f"suite {name}: 2 checks, FAIL (1), <t>s",
+                         "  first counterexample: forged mismatch (seed 4)"]
+        else:
+            expected.append(f"suite {name}: 1 checks, pass, <t>s")
+    masked = [re.sub(r", \d+\.\d\ds$", ", <t>s", line) for line in out.splitlines()]
+    assert (code, masked, err) == (1 if failing else 0, expected, "")
+
+
 # ---------------------------------------------------------------------------
 # faults: a failed self-check of any command
 # ---------------------------------------------------------------------------
@@ -606,14 +641,21 @@ def _unsettled_elimination(p, d):
     return linalg._plocal_exponents([{0: 9}], (1,), 3)
 
 
-@pytest.mark.parametrize("method, message", [
-    (None, "p-local elimination settled 0 of 1 rows"),
-    ("schedule", "schedule lift has residual local data"),
-    ("both", "schedule lift has residual local data"),
-    ("solve", "no order <= 7 correction exists"),
-], ids=["h1", "lift-schedule", "lift-both", "lift-solve"])
+def _shifted_symbol(op, d):
+    coords = symbol(op, d).coordinates()
+    coords[0] += 1
+    return TensorSection.from_coordinates(op.p, d, op.m, coords)
+
+
+@pytest.mark.parametrize("forgery, method, message", [
+    ("elimination", None, "p-local elimination settled 0 of 1 rows"),
+    ("multipliers", "schedule", "schedule lift has residual local data"),
+    ("multipliers", "both", "schedule lift has residual local data"),
+    ("solve", "solve", "no order <= 7 correction exists"),
+    ("symbol", "solve", "solve lift changed the top-order symbol"),
+], ids=["h1", "lift-schedule", "lift-both", "lift-solve", "lift-symbol"])
 def test_a_failed_self_check_is_one_error_line(tmp_path, capsys, monkeypatch,
-                                               method, message):
+                                               forgery, method, message):
     if method is None:
         monkeypatch.setattr(engine, "h1_tensor", _unsettled_elimination)
         argv = ["h1", "--p", "3", "--d", "4"]
@@ -621,7 +663,7 @@ def test_a_failed_self_check_is_one_error_line(tmp_path, capsys, monkeypatch,
         section = tmp_path / "delta.json"
         assert run(capsys, "lift", "--sample", "--p", "3", "--d", "8", "--seed", "1",
                    "--out", str(section))[0] == 0
-        if method != "solve":
+        if forgery == "multipliers":
             genuine = lifting.schedule_multipliers
 
             def forged(d):
@@ -630,6 +672,8 @@ def test_a_failed_self_check_is_one_error_line(tmp_path, capsys, monkeypatch,
                 return c
 
             monkeypatch.setattr(lifting, "schedule_multipliers", forged)
+        elif forgery == "symbol":
+            monkeypatch.setattr(lifting, "symbol", _shifted_symbol)
         else:
             monkeypatch.setattr(linalg.CokernelSolver, "solve", lambda self, b: None)
         argv = ["lift", "--input", str(section), "--method", method, "--check",

@@ -4,9 +4,10 @@ from math import factorial, isqrt
 
 import pytest
 
-from logdop import engine
+from logdop import calculus, engine, linalg, localdata
 from logdop.cache import DiskCache
 from logdop.calculus import q_level
+from logdop.errors import InvariantViolation
 from logdop.engine import (
     cmp_rational_logp,
     exponent_lower_bound,
@@ -138,6 +139,17 @@ def test_lattice_order_check_anchors():
     assert kernel_index_vp(5, 1) == 3
     assert h1_tensor(5, 1).order_vp == 3
     assert lattice_order_check(5, 1)
+
+
+@pytest.mark.parametrize("forged, message", [
+    (lambda index: 0, "kernel lattice is not full rank"),
+    (lambda index: 2 * index, "kernel lattice index is not a power of p"),
+], ids=["singular", "not-a-power"])
+def test_kernel_index_refuses_a_forged_determinant(monkeypatch, forged, message):
+    genuine = engine.det
+    monkeypatch.setattr(engine, "det", lambda m: forged(genuine(m)))
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        kernel_index_vp(3, 2)
 
 
 def test_summand_count_anchors():
@@ -315,3 +327,72 @@ def test_diagnostic_orders_against_tracked_solver(p, m):
 def test_diagnostic_schedule_values():
     diag = level_descent_diagnostic(3, 1, 10, "sqrt")
     assert [r.schedule_n for r in diag.rows] == [isqrt(d) for d in range(1, 11)]
+
+
+# ---------------------------------------------------------------------------
+# argument checks: each refusal of a malformed argument, with its message
+# ---------------------------------------------------------------------------
+
+def _section(m=0):
+    return calculus.TensorSection(3, 1, m, (0,), (0, 0))
+
+
+def _unit_matrix():
+    return linalg.IntegerMatrix.from_rows([[1]])
+
+
+ARGUMENT_CHECKS = {
+    "coeff-a-recurrence-t": (lambda: calculus.coeff_a_recurrence(1, 2),
+                             "need 1 <= t <= s, got t=2, s=1"),
+    "q-level-negative": (lambda: calculus.q_level(-1, 3, 0), "need d >= 0 and m >= 0"),
+    "section-level": (lambda: _section(m=-1), "level m must be >= 0"),
+    "section-degree": (lambda: calculus.TensorSection(3, 0, 0, (), (0,)),
+                       "degree d must be >= 1"),
+    "section-coordinates": (lambda: calculus.TensorSection.from_coordinates(3, 1, 0, [0, 0]),
+                            "need 2d+1 = 3 coordinates"),
+    "section-plus": (lambda: _section().plus(_section(m=1)),
+                     "sections live in different spaces"),
+    "operator-degree": (lambda: calculus.OperatorSection(3, 0, -1),
+                        "degree bound must be >= 0"),
+    "operator-chart": (lambda: calculus.OperatorSection(3, 0, 1, {("z", 0, 0): 1}),
+                       "unknown chart 'z'"),
+    "operator-order": (lambda: calculus.OperatorSection(3, 0, 1, {("x", 0, 3): 1}),
+                       "order 3 outside 0..1"),
+    "operator-power": (lambda: calculus.OperatorSection(3, 0, 1, {("x", -1, 0): 1}),
+                       "power -1 must be >= 0"),
+    "operator-plus": (lambda: calculus.OperatorSection(3, 0, 1).plus(
+                          calculus.OperatorSection(3, 1, 1)),
+                      "operators live over different (p, m)"),
+    "transform-chart": (lambda: calculus.transform_term("z", 0, 0, 3, 0),
+                        "unknown chart 'z'"),
+    "symbol-degree": (lambda: calculus.symbol(calculus.OperatorSection(3, 0, 2), 1),
+                      "operator has degree bound 2 > 1"),
+    "symbol-y-power": (lambda: calculus.symbol(
+                           calculus.OperatorSection(3, 0, 1, {("y", 1, 1): 1}), 1),
+                       "order-1 term y^1 d_y^1 has no tensor counterpart"),
+    "symbol-x-power": (lambda: calculus.symbol(
+                           calculus.OperatorSection(3, 0, 1, {("x", 2, 1): 1}), 1),
+                       "order-1 term x^2 d_x^1 has no tensor counterpart"),
+    "legendre-negative": (lambda: legendre_vp(-1, 3), "need n >= 0"),
+    "logp-degree": (lambda: cmp_rational_logp(Fraction(1), 3, 0), "need d >= 1"),
+    "bound-degree": (lambda: exponent_lower_bound(3, 0), "need d >= 1"),
+    "diagnostic-level": (lambda: level_descent_diagnostic(3, -1, 2),
+                         "need m >= 0 and d_max >= 1"),
+    "diagnostic-dmax": (lambda: level_descent_diagnostic(3, 1, 0),
+                        "need m >= 0 and d_max >= 1"),
+    "ragged-rows": (lambda: linalg.IntegerMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+    "group-exponent": (lambda: AbelianPGroup(3, (0, 1)),
+                       "invariant exponents must be >= 1"),
+    "moduli-exponent": (lambda: linalg.cokernel_invariants(_unit_matrix(), (0,), 3),
+                        "moduli exponents must be >= 1"),
+    "solve-length": (lambda: linalg.CokernelSolver(_unit_matrix(), (1,), 3).solve([0, 0]),
+                     "vector has 2 coordinates, expected 1"),
+    "point-lift-count": (lambda: localdata.PointLift(3, (0, 1)), "need 3 lifts, got 2"),
+}
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_CHECKS.values(), ids=ARGUMENT_CHECKS)
+def test_argument_checks_refuse_with_their_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -160,6 +160,21 @@ def test_schedule_rejects_a_multiplier_off_by_one(monkeypatch):
         lift_by_schedule(delta)
 
 
+@pytest.mark.parametrize("lift_fn, path", [(lift_by_solve, "solve"),
+                                           (lift_by_schedule, "schedule")],
+                         ids=["solve", "schedule"])
+def test_a_lift_whose_symbol_moved_is_refused(monkeypatch, lift_fn, path):
+    def shifted(op, d):
+        coords = symbol(op, d).coordinates()
+        coords[0] += 1
+        return TensorSection.from_coordinates(op.p, d, op.m, coords)
+
+    monkeypatch.setattr(lifting, "symbol", shifted)
+    with pytest.raises(InvariantViolation,
+                       match=f"^{path} lift changed the top-order symbol$"):
+        lift_fn(sample_kernel_section(3, 4, seed=2))
+
+
 def test_lifts_return_the_local_data_they_checked():
     delta = sample_kernel_section(5, 6, seed=4)
     for lift_fn in (lift_by_solve, lift_by_schedule):

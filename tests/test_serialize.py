@@ -22,43 +22,48 @@ from logdop.tables import (
 )
 
 
-def validate(doc, format_tag=None):
-    schema = serialize.load_schema(format_tag or doc["format"])
-    jsonschema.validate(doc, schema)
+def validate(doc, schemas):
+    jsonschema.validate(doc, schemas[doc["format"]])
     # documents must survive a JSON round trip unchanged
     assert json.loads(serialize.dump_json(doc)) == doc
 
 
-def test_tensor_document_round_trip():
+def test_schemas_pin_one_tag_per_document_format(schemas):
+    assert sorted(schemas) == sorted((
+        "tensor-section/1", "operator/1", "local-data/1", "h1-report/1",
+        "h1-group/2", "diagnostic/1", "appendix-report/1", "appendix-table/1"))
+
+
+def test_tensor_document_round_trip(schemas):
     delta = sample_kernel_section(3, 3, seed=5)
     doc = serialize.tensor_to_doc(delta)
-    validate(doc)
+    validate(doc, schemas)
     assert serialize.tensor_from_doc(doc) == delta
 
 
-def test_operator_document_round_trip():
+def test_operator_document_round_trip(schemas):
     op, _ = lift_by_solve(sample_kernel_section(3, 3, seed=6))
     doc = serialize.operator_to_doc(op)
-    validate(doc)
+    validate(doc, schemas)
     assert serialize.operator_from_doc(doc) == op
 
 
-def test_operator_document_big_coefficients():
+def test_operator_document_big_coefficients(schemas):
     big = 10 ** 40 + 7
     op = OperatorSection(2, 0, 1, {("x", 0, 1): big})
     doc = serialize.operator_to_doc(op)
-    validate(doc)
+    validate(doc, schemas)
     assert serialize.operator_from_doc(doc).terms[("x", 0, 1)] == big
 
 
-def test_local_data_document():
+def test_local_data_document(schemas):
     delta = TensorSection(3, 2, 0, (1, 2), (3, 4, 5))
     doc = json.loads(serialize.local_data_text(local_data_tensor(delta)))
-    validate(doc)
+    validate(doc, schemas)
     assert len(doc["entries"]) == 4 * 2  # (p+1) * d coordinates
     full = json.loads(serialize.local_data_text(
         lift_by_solve(sample_kernel_section(3, 2, seed=1))[1]))
-    validate(full)
+    validate(full, schemas)
     assert all(e["residue"] == "0" for e in full["entries"])
 
 
@@ -74,11 +79,10 @@ def _seeded_local_data(rng, p, d, m, degree_only, zero):
     return data
 
 
-def test_local_data_text_is_the_json_encoders_text():
+def test_local_data_text_is_the_json_encoders_text(schemas):
     # the stdlib encoder is the byte oracle for the direct writer
     rng = random.Random(7)
-    validator = jsonschema.Draft7Validator(
-        serialize.load_schema(serialize.FORMAT_LOCAL_DATA))
+    validator = jsonschema.Draft7Validator(schemas[serialize.FORMAT_LOCAL_DATA])
     for p in (2, 3, 5, 7):
         for d in range(1, 9):
             for m in range(3):
@@ -105,10 +109,10 @@ def _seeded_operator(rng, p, d, m, n_terms):
     return OperatorSection(p, m, d, terms)
 
 
-def test_operator_and_tensor_texts_are_the_json_encoders_text():
+def test_operator_and_tensor_texts_are_the_json_encoders_text(schemas):
     # the stdlib encoder is the byte oracle for the direct writers
     rng = random.Random(11)
-    validators = {tag: jsonschema.Draft7Validator(serialize.load_schema(tag))
+    validators = {tag: jsonschema.Draft7Validator(schemas[tag])
                   for tag in (serialize.FORMAT_OPERATOR, serialize.FORMAT_TENSOR)}
     charts = set()
     for p in (2, 3, 5, 7):
@@ -146,10 +150,10 @@ def test_local_data_text_of_computed_data():
             assert serialize.dump_json(json.loads(text)) == text
 
 
-def test_h1_report_document_and_texts():
+def test_h1_report_document_and_texts(schemas):
     rep = h1_filtered(3, 3)
     doc = serialize.h1_report_to_doc(rep, 0)
-    validate(doc)
+    validate(doc, schemas)
     assert doc["total"]["exponents"] == [1] * 8 + [2]
     text = serialize.h1_report_to_text(rep, 0, per_degree=True)
     assert "8 × 3  1 × 3^2" in text
@@ -160,17 +164,17 @@ def test_h1_report_document_and_texts():
     assert "3,1,1,1" in per and "3,3,2,1" in per
 
 
-def test_h1_group_cache_document(tmp_path):
+def test_h1_group_cache_document(tmp_path, schemas):
     DiskCache(tmp_path).put(3, 2, (1, 1, 1))
     [entry] = tmp_path.iterdir()
     assert entry.name == "h1-p3-d2.json"
     doc = json.loads(entry.read_text())
-    validate(doc, serialize.FORMAT_H1_GROUP)
+    validate(doc, schemas)
     assert doc == {"format": "h1-group/2", "p": 3, "d": 2, "exponents": [1, 1, 1]}
 
 
-def test_appendix_data_files_validate():
-    schema = serialize.load_schema("appendix-table/1")
+def test_appendix_data_files_validate(schemas):
+    schema = schemas["appendix-table/1"]
     for p in TABLE_PRIMES:
         rows = load_golden(p)
         assert rows == sorted(rows, key=lambda r: r.d)
@@ -183,13 +187,13 @@ def test_appendix_data_files_validate():
         jsonschema.validate(doc, schema)
 
 
-def test_appendix_report_documents():
+def test_appendix_report_documents(schemas):
     rep = verify_appendix()
     doc = serialize.appendix_report_to_doc(rep)
-    validate(doc)
+    validate(doc, schemas)
     assert doc["all_accepted"] is True
     single = serialize.appendix_report_to_doc(AppendixReport((compare_row(3, 8),)))
-    validate(single)
+    validate(single, schemas)
     assert [t["p"] for t in single["tables"]] == [3]
     assert single["tables"][0]["rows"][0]["status"] == "known-discrepancy"
     flagged = [(table["p"], row["d"]) for table in doc["tables"]
@@ -199,10 +203,10 @@ def test_appendix_report_documents():
     assert "known-discrepancy" in text and "verdict OK" in text
 
 
-def test_diagnostic_documents():
+def test_diagnostic_documents(schemas):
     diag = level_descent_diagnostic(5, 1, 8, "sqrt")
     doc = serialize.diagnostic_to_doc(diag)
-    validate(doc)
+    validate(doc, schemas)
     text = serialize.diagnostic_to_text(diag)
     assert "schedule=sqrt" in text
     csv = serialize.diagnostic_to_csv(diag)
