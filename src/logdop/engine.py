@@ -8,13 +8,16 @@ coefficients, and the level diagnostic.  h1_filtered alone reads or fills a
 caller's disk cache (cache=), once per group and command; h1_tensor, a pure
 memo, eliminates tensor_presentation, where the p finite points have
 collapsed to Z[x]/(p, x^p - x)^d and only the d rows at infinity are left;
-the local-data matrix q_d_matrix serves kernel_index_vp, summand_count_check
-and the oracles that check the presentation.  The degree <= d group is the
+the local-data matrix q_d_matrix serves the oracles that check the
+presentation.  lattice_checks builds it once per (p, d) and hands the
+(matrix, moduli) pair to both lattice checks: lattice_order_check, through
+kernel_index_vp, and summand_count_check.  The degree <= d group is the
 direct sum over degrees (the splitting), which verify_splitting recomputes
-independently as one big cokernel on an explicit operator basis.  Side identities: the
-guaranteed-torsion exponent floor((p-1)(d+1)/(p+1)), the graded line-bundle
-dimensions max(0, 2d-i(p+1)+1) that account for the kernel-lattice index, the
-summand count against the mod-p rank, and the level-lowering valuation
+independently as one big cokernel on an explicit operator basis.  Side
+identities: the guaranteed-torsion exponent floor((p-1)(d+1)/(p+1)), the
+graded line-bundle dimensions max(0, 2d-i(p+1)+1) that account for the
+kernel-lattice index, the summand count against the mod-p rank (a sparse
+F_p elimination), and the level-lowering valuation
 diagnostics built on v_p(d!/q_d!).
 
 Invariant factors always come from the p-local elimination of
@@ -166,9 +169,13 @@ def verify_splitting(p: int, d: int, m: int = 0) -> bool:
     return direct == h1_filtered(p, d).total
 
 
-def kernel_index_vp(p: int, d: int) -> int:
-    """v_p of the index of the vanishing-local-data lattice in Z^{2d+1}."""
-    basis = CokernelSolver(*q_d_matrix(p, d), p).kernel_basis()
+def kernel_index_vp(qd, p: int) -> int:
+    """v_p of the index of the vanishing-local-data lattice in Z^{2d+1}.
+
+    qd is the (matrix, moduli) pair of q_d_matrix(p, d); its CokernelSolver
+    gives the kernel lattice in Hermite form, and det its index.
+    """
+    basis = CokernelSolver(*qd, p).kernel_basis()
     index = det(IntegerMatrix.from_rows(basis))
     if index == 0:
         raise InvariantViolation("kernel lattice is not full rank")
@@ -178,30 +185,38 @@ def kernel_index_vp(p: int, d: int) -> int:
     return v
 
 
-def lattice_order_check(p: int, d: int) -> bool:
-    """Order bookkeeping for the degree-d slice.
+def lattice_order_check(p: int, d: int, qd) -> bool:
+    """Order bookkeeping for the degree-d slice, given qd = q_d_matrix(p, d).
 
     (a) index exponent + sum of group exponents = v_p|Q_d| = (p+1)d(d+1)/2;
     (b) index exponent = d(2d+1) - sum_i dim H^0(O(2d - i(p+1))), the graded
         account of the vanishing-conditions lattice.
     """
-    idx = kernel_index_vp(p, d)
+    idx = kernel_index_vp(qd, p)
     group = h1_tensor(p, d)
     total_vp = (p + 1) * d * (d + 1) // 2
     graded = sum(graded_piece_dim(p, d, i) for i in range(1, d + 1))
     return idx + group.order_vp == total_vp and idx == d * (2 * d + 1) - graded
 
 
-def summand_count_check(p: int, d: int) -> bool:
+def summand_count_check(p: int, d: int, qd) -> bool:
     """Number of invariant factors vs the mod-p rank of the degree-d matrix.
 
     The count must be (p+1)d - rank_{F_p}(M mod p); with a full-rank image
     (rank 2d+1) that is (p-1)d - 1.  The rank comes from an independent
-    mod-p Gaussian elimination, not from the p-local one, run on
-    q_d_matrix(p, d), the matrix the degree solver is built from.
+    mod-p Gaussian elimination on sparse rows, not from the p-local one, run
+    on the matrix of qd = q_d_matrix(p, d), the one the degree solver is
+    built from.
     """
-    expected = (p + 1) * d - rank_mod_p(q_d_matrix(p, d)[0], p)
+    expected = (p + 1) * d - rank_mod_p(qd[0], p)
     return h1_tensor(p, d).num_factors == expected
+
+
+def lattice_checks(p: int, d: int) -> tuple:
+    """(lattice_order_check, summand_count_check) of the degree-d slice,
+    both on one build of q_d_matrix(p, d)."""
+    qd = q_d_matrix(p, d)
+    return lattice_order_check(p, d, qd), summand_count_check(p, d, qd)
 
 
 SCHEDULES = {

@@ -8,8 +8,9 @@ operation reduces modulo anything unless its contract says so.  Maps
 are given by an integer matrix together with a vector of prime-power moduli
 exponents, always powers of a single prime p passed alongside the exponent
 tuple, so mixed-prime targets are unrepresentable by construction.  A matrix
-is only ever sparse {column: entry} rows; the det and rank_mod_p oracles read
-them densely.  One elimination serves every answer.  It works over Z_(p),
+is only ever sparse {column: entry} rows; the det oracle reads them densely,
+and the rank_mod_p oracle eliminates them sparse over F_p.  Apart from those
+two oracles, one elimination serves every answer.  It works over Z_(p),
 where a pivot of least valuation is final in one pass, on rows that stay at
 p^shift times the live block, so nothing is divided by p: each row's
 valuation is stored and read again only after a pivot has updated the row,
@@ -492,27 +493,28 @@ def cyclic_quotient_dominates(group: AbelianPGroup, quotient: AbelianPGroup) -> 
 
 
 def rank_mod_p(m: IntegerMatrix, p: int) -> int:
-    """Rank of M over F_p, by in-place Gaussian elimination (independent of
-    the p-local eliminations)."""
-    rows = [[x % p for x in row] for row in m.row_lists()]
-    R, C = m.rows, m.cols
-    rank = 0
-    for j in range(C):
-        piv = None
-        for i in range(rank, R):
-            if rows[i][j]:
-                piv = i
+    """Rank of M over F_p, for a prime p, by Gaussian elimination on sparse
+    rows (independent of the p-local eliminations).  Each row, reduced mod p,
+    is cleared against the pivot rows met so far, lowest column first; what
+    is left starts a new pivot row, scaled to lead with 1."""
+    require_prime(p)
+    pivots = {}                        # leading column -> {column: entry}
+    for row in m.row_maps:
+        r = {k: a % p for k, a in row.items() if a % p}
+        while r:
+            j = min(r)
+            piv = pivots.get(j)
+            if piv is None:
+                inv = pow(r[j], -1, p)
+                pivots[j] = {k: a * inv % p for k, a in r.items()}
                 break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][j], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(R):
-            if i != rank and rows[i][j]:
-                f = rows[i][j]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == R:
+            f = r[j]
+            for k, a in piv.items():
+                v = (r.get(k, 0) - f * a) % p
+                if v:
+                    r[k] = v
+                else:
+                    r.pop(k, None)
+        if len(pivots) == m.cols:
             break
-    return rank
+    return len(pivots)

@@ -24,7 +24,7 @@ from .calculus import (
     tensor_to_operator,
     transform_term,
 )
-from .engine import h1_tensor, lattice_order_check, summand_count_check, verify_splitting
+from .engine import h1_tensor, lattice_checks, verify_splitting
 from .errors import InvariantViolation
 from .lifting import lift_by_schedule, lift_by_solve, sample_kernel_section
 from .linalg import (
@@ -322,10 +322,9 @@ def suite_lattice(seed: int = 0) -> SuiteResult:
     result = SuiteResult("lattice")
     for p in (2, 3, 5, 7, 11):
         for d in range(1, 9):
-            result.record(lattice_order_check(p, d),
-                          f"lattice order identity fails at (p={p}, d={d})")
-            result.record(summand_count_check(p, d),
-                          f"summand count fails at (p={p}, d={d})")
+            order_ok, count_ok = lattice_checks(p, d)
+            result.record(order_ok, f"lattice order identity fails at (p={p}, d={d})")
+            result.record(count_ok, f"summand count fails at (p={p}, d={d})")
     return result
 
 

@@ -23,6 +23,8 @@ from logdop.engine import (
 )
 from logdop.lifting import degree_solver
 from logdop.linalg import AbelianPGroup
+from logdop.localdata import q_d_matrix
+from logdop.verify import suite_lattice
 
 
 def group(p, pairs):
@@ -130,15 +132,15 @@ def test_h1_tensor_matches_the_graded_profile(p, d_max):
 
 def test_lattice_order_check_anchors():
     # (2,1): index exponent 3, trivial group, 3 = (p+1)d(d+1)/2
-    assert kernel_index_vp(2, 1) == 3
-    assert lattice_order_check(2, 1)
+    assert kernel_index_vp(q_d_matrix(2, 1), 2) == 3
+    assert lattice_order_check(2, 1, q_d_matrix(2, 1))
     # (3,1): index exponent 3 plus one Z/3 factor = 4
-    assert kernel_index_vp(3, 1) == 3
-    assert lattice_order_check(3, 1)
+    assert kernel_index_vp(q_d_matrix(3, 1), 3) == 3
+    assert lattice_order_check(3, 1, q_d_matrix(3, 1))
     # (5,1): index exponent 3, group (Z/5)^3, total 6
-    assert kernel_index_vp(5, 1) == 3
+    assert kernel_index_vp(q_d_matrix(5, 1), 5) == 3
     assert h1_tensor(5, 1).order_vp == 3
-    assert lattice_order_check(5, 1)
+    assert lattice_order_check(5, 1, q_d_matrix(5, 1))
 
 
 @pytest.mark.parametrize("forged, message", [
@@ -149,24 +151,24 @@ def test_kernel_index_refuses_a_forged_determinant(monkeypatch, forged, message)
     genuine = engine.det
     monkeypatch.setattr(engine, "det", lambda m: forged(genuine(m)))
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
-        kernel_index_vp(3, 2)
+        kernel_index_vp(q_d_matrix(3, 2), 3)
 
 
 def test_summand_count_anchors():
     assert h1_tensor(3, 1).num_factors == 1
-    assert summand_count_check(3, 1)
+    assert summand_count_check(3, 1, q_d_matrix(3, 1))
     assert h1_tensor(2, 1).num_factors == 0
-    assert summand_count_check(2, 1)
+    assert summand_count_check(2, 1, q_d_matrix(2, 1))
     # new summands at (5,3): 6 x 5 + 5 x 5^2, eleven in all
     assert h1_tensor(5, 3).num_factors == 11
-    assert summand_count_check(5, 3)
+    assert summand_count_check(5, 3, q_d_matrix(5, 3))
 
 
 def test_order_checks_small_sweep():
     for p in (2, 3, 5):
         for d in range(1, 5):
-            assert lattice_order_check(p, d)
-            assert summand_count_check(p, d)
+            assert lattice_order_check(p, d, q_d_matrix(p, d))
+            assert summand_count_check(p, d, q_d_matrix(p, d))
 
 
 def test_order_checks_reuse_the_filtered_groups():
@@ -174,11 +176,33 @@ def test_order_checks_reuse_the_filtered_groups():
     # groups h1_filtered holds
     h1_tensor.cache_clear()
     first = h1_filtered(3, 4)
-    assert lattice_order_check(3, 4)
-    assert summand_count_check(3, 4)
+    assert lattice_order_check(3, 4, q_d_matrix(3, 4))
+    assert summand_count_check(3, 4, q_d_matrix(3, 4))
     h1_tensor(3, 4)
     assert h1_filtered(3, 4) == first
     assert h1_tensor.cache_info().currsize == 4
+
+
+def test_the_lattice_suite_builds_each_local_data_matrix_once(monkeypatch):
+    built = []
+
+    def counting(p, d, **kw):
+        built.append((p, d))
+        return q_d_matrix(p, d, **kw)
+
+    monkeypatch.setattr(engine, "q_d_matrix", counting)
+    result = suite_lattice()
+    assert (result.checks, result.passed) == (80, True)
+    assert sorted(built) == [(p, d) for p in (2, 3, 5, 7, 11) for d in range(1, 9)]
+
+
+def test_a_wrong_mod_p_rank_fails_every_summand_check(monkeypatch):
+    genuine = engine.rank_mod_p
+    monkeypatch.setattr(engine, "rank_mod_p", lambda m, p: genuine(m, p) + 1)
+    result = suite_lattice()
+    assert result.checks == 80
+    assert result.failures == [f"summand count fails at (p={p}, d={d})"
+                               for p in (2, 3, 5, 7, 11) for d in range(1, 9)]
 
 
 def test_a_disk_cache_passed_down_serves_its_groups(tmp_path, monkeypatch):

@@ -713,3 +713,71 @@ def test_rank_mod_p():
     assert rank_mod_p(m, 5) == 1  # row 2 = 3 * row 1 mod 5
     assert rank_mod_p(m, 7) == 1
     assert rank_mod_p(IntegerMatrix.from_rows([[1, 2], [3, 5]]), 2) == 2
+    # entries >= p and negative ones are reduced first
+    assert rank_mod_p(IntegerMatrix.from_rows([[3, 6], [9, -12]]), 3) == 0
+    assert rank_mod_p(IntegerMatrix.from_rows([[5, 1], [-1, 3]]), 2) == 1
+    assert rank_mod_p(IntegerMatrix.from_rows([[0, 0], [0, 0]]), 5) == 0
+    assert rank_mod_p(IntegerMatrix(4, []), 5) == 0
+
+
+def dense_rank_mod_p(rows, p):
+    """Reference F_p rank: dense row echelon form on lists, column by column."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for j in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][j]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][j], -1, p)
+        for i in range(rank + 1, len(a)):
+            f = a[i][j] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def random_rank_cases(rng, p):
+    """Tall, wide, zero-row and repeated-row matrices, entries spread over
+    [-3p, 3p] so that negatives and entries >= p both occur, half of them 0."""
+    for rows, cols in ((9, 3), (3, 9), (6, 6), (1, 5), (5, 1)):
+        for _ in range(12):
+            m = [[rng.choice((0, rng.randint(-3 * p, 3 * p))) for _ in range(cols)]
+                 for _ in range(rows)]
+            yield m
+            yield m + [[0] * cols] + m[:2]
+            # a row that is a combination of two others, scaled by p + 1
+            yield m + [[(p + 1) * (x - 2 * y) for x, y in zip(m[0], m[-1])]]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_rank_mod_p_matches_a_dense_elimination(p):
+    rng = random.Random(2400 + p)
+    seen = set()
+    for rows in random_rank_cases(rng, p):
+        m = IntegerMatrix.from_rows(rows)
+        mt = IntegerMatrix.from_rows([list(col) for col in zip(*rows)])
+        r = rank_mod_p(m, p)
+        assert r == dense_rank_mod_p(rows, p) == rank_mod_p(mt, p), (p, rows)
+        seen.add(r < min(m.rows, m.cols))
+    assert seen == {True, False}               # deficient and full ranks both met
+
+
+@pytest.mark.parametrize("p", [4, 0, 1, -3, 9])
+def test_rank_mod_p_refuses_a_p_that_is_not_prime(p):
+    with pytest.raises(ValueError, match=f"^p = {p} is not prime$"):
+        rank_mod_p(IntegerMatrix.from_rows([[3, 1], [1, 3]]), p)
+
+
+def test_rank_mod_p_of_the_lattice_cells_is_pinned():
+    # the F_p ranks of q_d_matrix(p, d) over verify --suite lattice's 40 cells
+    pinned = {
+        2: (3, 5, 7, 9, 11, 13, 15, 17),
+        3: (3, 5, 7, 9, 11, 13, 15, 17),
+        5: (3, 5, 7, 9, 11, 13, 15, 17),
+        7: (3, 5, 7, 9, 11, 13, 15, 17),
+        11: (3, 5, 7, 9, 11, 13, 15, 17),
+    }
+    got = {p: tuple(rank_mod_p(q_d_matrix(p, d)[0], p) for d in range(1, 9))
+           for p in pinned}
+    assert got == pinned
