@@ -9,9 +9,11 @@ caller's disk cache (cache=), once per group and command; h1_tensor, a pure
 memo, eliminates tensor_presentation, where the p finite points have
 collapsed to Z[x]/(p, x^p - x)^d and only the d rows at infinity are left;
 the local-data matrix q_d_matrix serves the oracles that check the
-presentation.  lattice_checks builds it once per (p, d) and hands the
-(matrix, moduli) pair to both lattice checks: lattice_order_check, through
-kernel_index_vp, and summand_count_check.  The degree <= d group is the
+presentation.  lattice_checks runs both lattice checks of one (p, d):
+lattice_order_check takes the kernel index (kernel_index_vp: det on
+localdata.kernel_lattice, which is read off the presentation's d rows at
+infinity), and summand_count_check the mod-p rank of one build of
+q_d_matrix.  The degree <= d group is the
 direct sum over degrees (the splitting), which verify_splitting recomputes
 independently as one big cokernel on an explicit operator basis.  Side
 identities: the guaranteed-torsion exponent floor((p-1)(d+1)/(p+1)), the
@@ -22,8 +24,9 @@ diagnostics built on v_p(d!/q_d!).
 
 Invariant factors always come from the p-local elimination of
 cokernel_invariants; a CokernelSolver, which replays the same elimination's
-pivot log for its transforms, is built only where they are read (the kernel lattice here, sections and
-corrections in lifting).  The level diagnostic needs no
+pivot log for its transforms, is built only where they are read (the
+kernel lattice of the rows at infinity in localdata, corrections in
+lifting).  The level diagnostic needs no
 transform either: a class c of order p^e has ord(lam c) =
 p^max(0, e - v_p(lam)), so the pushed and scheduled orders of a
 maximal-order class follow from the group exponent.
@@ -40,7 +43,6 @@ from .calculus import q_level, standard_operator_basis
 from .errors import InvariantViolation
 from .linalg import (
     AbelianPGroup,
-    CokernelSolver,
     IntegerMatrix,
     cokernel_invariants,
     det,
@@ -48,7 +50,7 @@ from .linalg import (
     require_prime,
     vp,
 )
-from .localdata import operator_matrix, q_d_matrix, tensor_presentation
+from .localdata import kernel_lattice, operator_matrix, q_d_matrix, tensor_presentation
 
 
 def legendre_vp(n: int, p: int) -> int:
@@ -169,14 +171,13 @@ def verify_splitting(p: int, d: int, m: int = 0) -> bool:
     return direct == h1_filtered(p, d).total
 
 
-def kernel_index_vp(qd, p: int) -> int:
+def kernel_index_vp(p: int, d: int) -> int:
     """v_p of the index of the vanishing-local-data lattice in Z^{2d+1}.
 
-    qd is the (matrix, moduli) pair of q_d_matrix(p, d); its CokernelSolver
-    gives the kernel lattice in Hermite form, and det its index.
+    The lattice is localdata.kernel_lattice(p, d), in Hermite form, read off
+    tensor_presentation's rows at infinity; det gives its index.
     """
-    basis = CokernelSolver(*qd, p).kernel_basis()
-    index = det(IntegerMatrix.from_rows(basis))
+    index = det(IntegerMatrix.from_rows(kernel_lattice(p, d)))
     if index == 0:
         raise InvariantViolation("kernel lattice is not full rank")
     v = vp(index, p)
@@ -185,14 +186,23 @@ def kernel_index_vp(qd, p: int) -> int:
     return v
 
 
-def lattice_order_check(p: int, d: int, qd) -> bool:
-    """Order bookkeeping for the degree-d slice, given qd = q_d_matrix(p, d).
+def lattice_order_check(p: int, d: int) -> bool:
+    """Order bookkeeping for the degree-d slice.
 
     (a) index exponent + sum of group exponents = v_p|Q_d| = (p+1)d(d+1)/2;
     (b) index exponent = d(2d+1) - sum_i dim H^0(O(2d - i(p+1))), the graded
         account of the vanishing-conditions lattice.
+    Both sides of (a) are read off tensor_presentation: the group by
+    h1_tensor, the index by det on kernel_lattice.  So (a) checks the
+    C S map, the Hermite step and det against the presentation's group; it
+    does not check q_d_matrix (the presentation is checked against q_d_matrix
+    by the localdata suite and the tests).  (b) holds the index to the
+    paper's associated graded sheaf.  Both read the lattice's index only: a
+    wrong S changes it, but a wrong sign in C need not, and that shows in
+    the lift suite, whose sampled sections must have zero local data, and in
+    the tier-1 test that pins kernel_lattice to the solver on q_d_matrix.
     """
-    idx = kernel_index_vp(qd, p)
+    idx = kernel_index_vp(p, d)
     group = h1_tensor(p, d)
     total_vp = (p + 1) * d * (d + 1) // 2
     graded = sum(graded_piece_dim(p, d, i) for i in range(1, d + 1))
@@ -205,18 +215,19 @@ def summand_count_check(p: int, d: int, qd) -> bool:
     The count must be (p+1)d - rank_{F_p}(M mod p); with a full-rank image
     (rank 2d+1) that is (p-1)d - 1.  The rank comes from an independent
     mod-p Gaussian elimination on sparse rows, not from the p-local one, run
-    on the matrix of qd = q_d_matrix(p, d), the one the degree solver is
-    built from.
+    on the matrix of qd = q_d_matrix(p, d).  Every cell of the lattice suite
+    (p <= 11, d <= 8) has the full rank 2d+1, so there the check reduces to
+    num_factors == (p-1)d - 1; the random-matrix tests of rank_mod_p are
+    what check the elimination on rank-deficient input.
     """
     expected = (p + 1) * d - rank_mod_p(qd[0], p)
     return h1_tensor(p, d).num_factors == expected
 
 
 def lattice_checks(p: int, d: int) -> tuple:
-    """(lattice_order_check, summand_count_check) of the degree-d slice,
-    both on one build of q_d_matrix(p, d)."""
-    qd = q_d_matrix(p, d)
-    return lattice_order_check(p, d, qd), summand_count_check(p, d, qd)
+    """(lattice_order_check, summand_count_check) of the degree-d slice; only
+    the summand count reads q_d_matrix(p, d), built once here."""
+    return lattice_order_check(p, d), summand_count_check(p, d, q_d_matrix(p, d))
 
 
 SCHEDULES = {

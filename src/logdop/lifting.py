@@ -13,6 +13,10 @@ order <= d operator with that symbol and zero local data in all degrees:
   takes gamma_j = mu_{d-j}, c_j = (-1)^{d-j+1} gamma_j and updates
   mu_e -= gamma_j a_{d-j,e}.  The sign bookkeeping is validated against the
   local-data checker, never trusted blind.
+
+The sections to lift are sampled from localdata.kernel_lattice, the memoized
+Hermite basis of the vanishing-data lattice; the one memo here is
+correction_solver's.
 """
 
 from __future__ import annotations
@@ -33,18 +37,11 @@ from .errors import InvariantViolation, NonvanishingLocalData
 from .linalg import CokernelSolver
 from .localdata import (
     LocalDataVector,
+    kernel_lattice,
     local_data_operator,
     local_data_tensor,
     operator_matrix,
-    q_d_matrix,
 )
-
-
-@lru_cache(maxsize=None)
-def degree_solver(p: int, d: int) -> CokernelSolver:
-    """Cached solver for q_d_matrix(p, d), whose kernel lattice
-    sample_kernel_section reads once per sampled section."""
-    return CokernelSolver(*q_d_matrix(p, d), p)
 
 
 @lru_cache(maxsize=None)
@@ -58,10 +55,11 @@ def correction_solver(p: int, d: int, m: int = 0):
 def sample_kernel_section(p: int, d: int, seed: int, m: int = 0) -> TensorSection:
     """Seeded random section with vanishing degree-d local data.
 
-    Integer combination of the vanishing-data lattice basis with coefficients
-    in [-p^2, p^2]; same seed, same section.
+    Integer combination of the vanishing-data lattice basis (the memoized
+    localdata.kernel_lattice) with coefficients in [-p^2, p^2]; same seed,
+    same section.
     """
-    basis = degree_solver(p, d).kernel_basis()
+    basis = kernel_lattice(p, d)
     rng = random.Random(seed)
     coords = [0] * (2 * d + 1)
     for vec in basis:

@@ -14,11 +14,15 @@ and the y chart is read only where its entries can be nonzero at infinity
 or negative (local_data_operator).  The degree-d matrix q_d_matrix reads
 its rows off the same memoized Pascal columns, one row per coordinate,
 without evaluating basis sections.
-q_d_matrix is the map itself, read where its rows or its kernel lattice are
-needed; the degree-d group is computed from tensor_presentation, where the
-p finite points have collapsed to Z[x]/(p, x^p - x)^d and only the d rows
-at infinity are left.  Each matrix is written as sparse rows, columns
-ascending, the one form of linalg.IntegerMatrix.
+q_d_matrix is the map itself, read where its rows are needed (the mod-p
+rank) and as the oracle the presentation is checked against; the degree-d
+group is computed from tensor_presentation, where the p finite points have
+collapsed to Z[x]/(p, x^p - x)^d and only the d rows at infinity are left,
+and kernel_lattice reads ker q_d off the same d rows: in the basis x^r f^k
+the finite rows are unit vectors mod p^{d-k}, so ker q_d = C S ker T.  The
+expansion of x^r f^k in monomials lives in _monic_columns alone.  Each
+matrix is written as sparse rows, columns ascending, the one form of
+linalg.IntegerMatrix.
 
 Coordinate ordering is fixed everywhere: points 0, 1, ..., p-1, infinity, and
 within a point (k, i) lexicographic with k ascending, then i ascending.  All
@@ -38,7 +42,7 @@ from .calculus import (
     TensorSection,
     _level_row,
 )
-from .linalg import IntegerMatrix, require_prime
+from .linalg import CokernelSolver, IntegerMatrix, _hermite_basis, require_prime
 
 INF = "inf"  # the point at infinity in coordinate keys
 _NOT_GLOBAL = "operator is not a global section; local data undefined"
@@ -341,6 +345,33 @@ def q_d_matrix(p: int, d: int, lifts: PointLift = None):
     return IntegerMatrix(2 * d + 1, rows), moduli_exponents(coords_degree(p, d))
 
 
+def _monic_columns(p: int, d: int, low: int = 0) -> list:
+    """The monic basis x^r f^k, f = x^p - x, of Z[x]_{<=2d}, one entry per
+    column n = pk + r = 0..2d: (scale, e, coefs).
+
+    scale = p^{max(d-k, 0)} is the least power of p that takes x^r f^k into
+    (p, f)^d.  By the binomial expansion
+    x^r f^k = sum_{j<=k} (-1)^{k-j} C(k, j) x^{r+k+j(p-1)},
+    coefs[t] is the coefficient of x^{e+t(p-1)}, from the least exponent
+    e >= low up to the degree n.  tensor_presentation reads the terms above
+    x^d, kernel_lattice all of them.
+    """
+    out = []
+    step = p - 1
+    for n in range(2 * d + 1):
+        k, r = divmod(n, p)
+        j = max(0, -((r + k - low) // step))  # the least j with exponent >= low
+        e = r + k + j * step
+        c = -comb(k, j) if (k - j) % 2 else comb(k, j)
+        coefs = []
+        while j <= k:
+            coefs.append(c)
+            c = -c * (k - j) // (j + 1)  # (-1)^{k-j-1} C(k, j+1), exactly
+            j += 1
+        out.append((p ** max(d - k, 0), e, coefs))
+    return out
+
+
 def tensor_presentation(p: int, d: int):
     """A presentation of the degree-d group with d rows that are not zero.
 
@@ -379,14 +410,53 @@ def tensor_presentation(p: int, d: int):
     width = 2 * d + 1
     free = tuple(d - n // p for n in range(width, p * d))
     at_inf = [{} for _ in range(d)]
-    for n in range(width):
-        k, r = divmod(n, p)
-        scale = p ** max(d - k, 0)
-        top = 2 * d - r - k  # x^r f^k reaches x^{2d-i} at i = top - j(p-1)
-        for j in range(max(0, (top - d) // (p - 1) + 1), min(k, top // (p - 1)) + 1):
-            i = top - j * (p - 1)
-            at_inf[i][n] = (-1) ** (k - j) * comb(k, j) * scale
+    for n, (scale, e, coefs) in enumerate(_monic_columns(p, d, d + 1)):
+        i = 2 * d - e  # x^r f^k reaches x^{2d-i}, each term p-1 rows up
+        for c in coefs:
+            at_inf[i][n] = c * scale
+            i -= p - 1
     return IntegerMatrix(width, [{} for _ in free] + at_inf), free + tuple(range(d, 0, -1))
+
+
+@lru_cache(maxsize=None)
+def kernel_lattice(p: int, d: int) -> tuple:
+    """Hermite basis of ker q_d_matrix(p, d), {v : v has zero degree-d local
+    data}, as a tuple of row tuples in the A_0..A_{d-1}, B_0..B_d coordinates.
+
+    Read off the presentation, not off q_d_matrix: ker q_d = C S ker T.  In
+    the basis x^r f^k a column with k < d hits the unit vector e_(r,k) of
+    the finite target (+) Z/p^{d-k}, so a vector w there has zero finite
+    local data exactly when w_n is a multiple of p^{max(d-k, 0)}, n = pk + r:
+    w = S u.  T is the block of tensor_presentation's d rows at infinity,
+    whose column n already carries that scale, so u must lie in ker T (its
+    CokernelSolver's Hermite basis).  C, the unimodular change of
+    _monic_columns, takes S u back to the monomials: x^e is B_e for e <= d
+    and (-1)^d A_{2d-e} for e > d.  The images span the kernel, which holds
+    p^d Z^{2d+1}, and linalg's Hermite routine mod p^d reduces them to the
+    one Hermite basis, the one a CokernelSolver on q_d_matrix gives.  The
+    memo hands out tuples, so no caller can change a cached row.
+    """
+    mat, moduli = tensor_presentation(p, d)
+    ker_t = CokernelSolver(IntegerMatrix(mat.cols, mat.row_maps[-d:]), moduli[-d:],
+                           p).kernel_basis()
+    width = 2 * d + 1
+    sgn = -1 if d % 2 else 1
+    images = []  # column n of C S: (tensor coordinate, entry) pairs
+    for scale, e, coefs in _monic_columns(p, d):
+        image = []
+        for c in coefs:
+            image.append((d + e, c * scale) if e <= d else (2 * d - e, sgn * c * scale))
+            e += p - 1
+        images.append(image)
+    gens = []
+    for u in ker_t:
+        v = [0] * width
+        for x, image in zip(u, images):
+            if x:
+                for t, c in image:
+                    v[t] += x * c
+        gens.append(v)
+    return tuple(map(tuple, _hermite_basis(gens, width, p, d)))
 
 
 def operator_matrix(ops, p: int, d: int):

@@ -319,6 +319,15 @@ def suite_splitting(seed: int = 0) -> SuiteResult:
 
 
 def suite_lattice(seed: int = 0) -> SuiteResult:
+    """Both lattice checks on the 40 cells p <= 11, d <= 8 (engine.lattice_checks).
+
+    The order identity checks the kernel lattice read off the presentation
+    (its C S map, Hermite step and det) against the presentation's group and
+    the graded sheaf's count.  Every one of these cells has full F_p rank
+    2d+1, so the summand count reduces to num_factors == (p-1)d - 1 here;
+    rank_mod_p itself is checked on rank-deficient input by the
+    random-matrix tests, not by this suite.
+    """
     result = SuiteResult("lattice")
     for p in (2, 3, 5, 7, 11):
         for d in range(1, 9):

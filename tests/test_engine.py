@@ -21,8 +21,7 @@ from logdop.engine import (
     summand_count_check,
     verify_splitting,
 )
-from logdop.lifting import degree_solver
-from logdop.linalg import AbelianPGroup
+from logdop.linalg import AbelianPGroup, CokernelSolver
 from logdop.localdata import q_d_matrix
 from logdop.verify import suite_lattice
 
@@ -132,15 +131,15 @@ def test_h1_tensor_matches_the_graded_profile(p, d_max):
 
 def test_lattice_order_check_anchors():
     # (2,1): index exponent 3, trivial group, 3 = (p+1)d(d+1)/2
-    assert kernel_index_vp(q_d_matrix(2, 1), 2) == 3
-    assert lattice_order_check(2, 1, q_d_matrix(2, 1))
+    assert kernel_index_vp(2, 1) == 3
+    assert lattice_order_check(2, 1)
     # (3,1): index exponent 3 plus one Z/3 factor = 4
-    assert kernel_index_vp(q_d_matrix(3, 1), 3) == 3
-    assert lattice_order_check(3, 1, q_d_matrix(3, 1))
+    assert kernel_index_vp(3, 1) == 3
+    assert lattice_order_check(3, 1)
     # (5,1): index exponent 3, group (Z/5)^3, total 6
-    assert kernel_index_vp(q_d_matrix(5, 1), 5) == 3
+    assert kernel_index_vp(5, 1) == 3
     assert h1_tensor(5, 1).order_vp == 3
-    assert lattice_order_check(5, 1, q_d_matrix(5, 1))
+    assert lattice_order_check(5, 1)
 
 
 @pytest.mark.parametrize("forged, message", [
@@ -151,7 +150,7 @@ def test_kernel_index_refuses_a_forged_determinant(monkeypatch, forged, message)
     genuine = engine.det
     monkeypatch.setattr(engine, "det", lambda m: forged(genuine(m)))
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
-        kernel_index_vp(q_d_matrix(3, 2), 3)
+        kernel_index_vp(3, 2)
 
 
 def test_summand_count_anchors():
@@ -167,7 +166,7 @@ def test_summand_count_anchors():
 def test_order_checks_small_sweep():
     for p in (2, 3, 5):
         for d in range(1, 5):
-            assert lattice_order_check(p, d, q_d_matrix(p, d))
+            assert lattice_order_check(p, d)
             assert summand_count_check(p, d, q_d_matrix(p, d))
 
 
@@ -176,7 +175,7 @@ def test_order_checks_reuse_the_filtered_groups():
     # groups h1_filtered holds
     h1_tensor.cache_clear()
     first = h1_filtered(3, 4)
-    assert lattice_order_check(3, 4, q_d_matrix(3, 4))
+    assert lattice_order_check(3, 4)
     assert summand_count_check(3, 4, q_d_matrix(3, 4))
     h1_tensor(3, 4)
     assert h1_filtered(3, 4) == first
@@ -203,6 +202,30 @@ def test_a_wrong_mod_p_rank_fails_every_summand_check(monkeypatch):
     assert result.checks == 80
     assert result.failures == [f"summand count fails at (p={p}, d={d})"
                                for p in (2, 3, 5, 7, 11) for d in range(1, 9)]
+
+
+def test_a_wrong_scale_in_the_kernel_lattice_fails_the_lattice_suite(monkeypatch):
+    # S off by one at column 2d-1 of the C S map (low = 0 is kernel_lattice's
+    # call; tensor_presentation's rows stay genuine): the lattice shrinks, its
+    # index exponent grows, and check (a) or (b) must see it
+    genuine = localdata._monic_columns
+
+    def forged(p, d, low=0):
+        columns = genuine(p, d, low)
+        if low == 0:
+            scale, e, coefs = columns[2 * d - 1]
+            columns[2 * d - 1] = (scale * p, e, coefs)
+        return columns
+
+    localdata.kernel_lattice.cache_clear()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(localdata, "_monic_columns", forged)
+            result = suite_lattice()
+    finally:
+        localdata.kernel_lattice.cache_clear()
+    assert result.checks == 80 and result.failures
+    assert all(f.startswith("lattice order identity fails at ") for f in result.failures)
 
 
 def test_a_disk_cache_passed_down_serves_its_groups(tmp_path, monkeypatch):
@@ -336,7 +359,7 @@ def test_diagnostic_orders_against_tracked_solver(p, m):
     diag = level_descent_diagnostic(p, m, 12, "sqrt")
     for row in diag.rows:
         d = row.d
-        solver = degree_solver(p, d)
+        solver = CokernelSolver(*q_d_matrix(p, d), p)
         size = len(solver.moduli)
         basis = [[int(i == j) for i in range(size)] for j in range(size)]
         orders = [solver.element_order_exponent(e) for e in basis]

@@ -15,12 +15,13 @@ from logdop.calculus import (
     tensor_to_operator,
     transform_term,
 )
-from logdop.linalg import IntegerMatrix, cokernel_invariants
+from logdop.linalg import CokernelSolver, IntegerMatrix, cokernel_invariants
 from logdop.localdata import (
     INF,
     PointLift,
     coords_degree,
     coords_le,
+    kernel_lattice,
     local_data_operator,
     local_data_tensor,
     moduli_exponents,
@@ -347,6 +348,26 @@ def test_q_d_matrix_matches_column_wise_build(p, d_max):
             mat, moduli = q_d_matrix(p, d, lifts=lifts)
             assert mat == q_d_matrix_by_columns(p, d, lifts), (d, lifts)
             assert moduli == moduli_exponents(coords_degree(p, d))
+
+
+# the lattice suite's 40 cells and more, and (3, 40), which no suite reaches
+KERNEL_CELLS = [(p, d) for p, d_max in ((2, 16), (3, 14), (5, 10), (7, 8), (11, 8), (13, 5))
+                for d in range(1, d_max + 1)] + [(3, 40)]
+
+
+def test_kernel_lattice_is_the_kernel_of_q_d_matrix():
+    # C S ker T, read off the presentation, against the Hermite basis of a
+    # solver on the full local-data matrix; the form is unique, so the two
+    # must agree entry for entry
+    for p, d in KERNEL_CELLS:
+        want = CokernelSolver(*q_d_matrix(p, d), p).kernel_basis()
+        assert [list(row) for row in kernel_lattice(p, d)] == want, (p, d)
+
+
+def test_kernel_lattice_hands_out_immutable_rows():
+    basis = kernel_lattice(3, 4)
+    assert isinstance(basis, tuple) and all(isinstance(row, tuple) for row in basis)
+    assert kernel_lattice(3, 4) is basis
 
 
 def producer_matrices():
