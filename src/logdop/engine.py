@@ -9,11 +9,10 @@ caller's disk cache (cache=), once per group and command; h1_tensor, a pure
 memo, eliminates tensor_presentation, where the p finite points have
 collapsed to Z[x]/(p, x^p - x)^d and only the d rows at infinity are left;
 the local-data matrix q_d_matrix serves the oracles that check the
-presentation.  lattice_checks runs both lattice checks of one (p, d):
-lattice_order_check takes the kernel index (kernel_index_vp: det on
-localdata.kernel_lattice, which is read off the presentation's d rows at
-infinity), and summand_count_check the mod-p rank of one build of
-q_d_matrix.  The degree <= d group is the
+presentation.  lattice_checks runs three lattice checks of one (p, d):
+the kernel index (kernel_index_vp: det on localdata.kernel_lattice), the
+local data of one sum of that lattice's rows, and the summand count on the
+mod-p rank of one build of q_d_matrix.  The degree <= d group is the
 direct sum over degrees (the splitting), which verify_splitting recomputes
 independently as one big cokernel on an explicit operator basis.  Side
 identities: the guaranteed-torsion exponent floor((p-1)(d+1)/(p+1)), the
@@ -24,9 +23,8 @@ diagnostics built on v_p(d!/q_d!).
 
 Invariant factors always come from the p-local elimination of
 cokernel_invariants; a CokernelSolver, which replays the same elimination's
-pivot log for its transforms, is built only where they are read (the
-kernel lattice of the rows at infinity in localdata, corrections in
-lifting).  The level diagnostic needs no
+pivot log for its transforms, is built only for lifting's correction
+solves.  The level diagnostic needs no
 transform either: a class c of order p^e has ord(lam c) =
 p^max(0, e - v_p(lam)), so the pushed and scheduled orders of a
 maximal-order class follow from the group exponent.
@@ -39,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, log
 
-from .calculus import q_level, standard_operator_basis
+from .calculus import TensorSection, q_level, standard_operator_basis
 from .errors import InvariantViolation
 from .linalg import (
     AbelianPGroup,
@@ -50,7 +48,8 @@ from .linalg import (
     require_prime,
     vp,
 )
-from .localdata import kernel_lattice, operator_matrix, q_d_matrix, tensor_presentation
+from .localdata import (kernel_lattice, local_data_tensor, operator_matrix, q_d_matrix,
+                        tensor_presentation)
 
 
 def legendre_vp(n: int, p: int) -> int:
@@ -174,8 +173,8 @@ def verify_splitting(p: int, d: int, m: int = 0) -> bool:
 def kernel_index_vp(p: int, d: int) -> int:
     """v_p of the index of the vanishing-local-data lattice in Z^{2d+1}.
 
-    The lattice is localdata.kernel_lattice(p, d), in Hermite form, read off
-    tensor_presentation's rows at infinity; det gives its index.
+    The lattice is localdata.kernel_lattice(p, d), in Hermite form; det
+    gives its index.
     """
     index = det(IntegerMatrix.from_rows(kernel_lattice(p, d)))
     if index == 0:
@@ -192,21 +191,26 @@ def lattice_order_check(p: int, d: int) -> bool:
     (a) index exponent + sum of group exponents = v_p|Q_d| = (p+1)d(d+1)/2;
     (b) index exponent = d(2d+1) - sum_i dim H^0(O(2d - i(p+1))), the graded
         account of the vanishing-conditions lattice.
-    Both sides of (a) are read off tensor_presentation: the group by
-    h1_tensor, the index by det on kernel_lattice.  So (a) checks the
-    C S map, the Hermite step and det against the presentation's group; it
-    does not check q_d_matrix (the presentation is checked against q_d_matrix
-    by the localdata suite and the tests).  (b) holds the index to the
-    paper's associated graded sheaf.  Both read the lattice's index only: a
-    wrong S changes it, but a wrong sign in C need not, and that shows in
-    the lift suite, whose sampled sections must have zero local data, and in
-    the tier-1 test that pins kernel_lattice to the solver on q_d_matrix.
+    (a) compares two independent routes, the p-local elimination of
+    tensor_presentation (h1_tensor) and det of the monic graph's Hermite
+    form (kernel_lattice); neither reads q_d_matrix, which the localdata
+    suite and the tests check the presentation against.  (b) holds the
+    index to the paper's associated graded sheaf.  Both read the index
+    only, which a wrong sign in C keeps: kernel_section_check sees that.
     """
     idx = kernel_index_vp(p, d)
     group = h1_tensor(p, d)
     total_vp = (p + 1) * d * (d + 1) // 2
     graded = sum(graded_piece_dim(p, d, i) for i in range(1, d + 1))
     return idx + group.order_vp == total_vp and idx == d * (2 * d + 1) - graded
+
+
+def kernel_section_check(p: int, d: int) -> bool:
+    """sum_j (j+1) row_j of kernel_lattice(p, d) has zero local data, read
+    point by point by local_data_tensor, not through the monic basis."""
+    rows = kernel_lattice(p, d)
+    coords = [sum((j + 1) * row[c] for j, row in enumerate(rows)) for c in range(2 * d + 1)]
+    return local_data_tensor(TensorSection.from_coordinates(p, d, 0, coords)).is_zero
 
 
 def summand_count_check(p: int, d: int, qd) -> bool:
@@ -225,9 +229,10 @@ def summand_count_check(p: int, d: int, qd) -> bool:
 
 
 def lattice_checks(p: int, d: int) -> tuple:
-    """(lattice_order_check, summand_count_check) of the degree-d slice; only
-    the summand count reads q_d_matrix(p, d), built once here."""
-    return lattice_order_check(p, d), summand_count_check(p, d, q_d_matrix(p, d))
+    """The order, kernel section and summand count checks of the degree-d
+    slice; only the last reads q_d_matrix(p, d), built once here."""
+    return (lattice_order_check(p, d), kernel_section_check(p, d),
+            summand_count_check(p, d, q_d_matrix(p, d)))
 
 
 SCHEDULES = {

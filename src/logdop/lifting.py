@@ -15,8 +15,8 @@ order <= d operator with that symbol and zero local data in all degrees:
   local-data checker, never trusted blind.
 
 The sections to lift are sampled from localdata.kernel_lattice, the memoized
-Hermite basis of the vanishing-data lattice; the one memo here is
-correction_solver's.
+Hermite basis of the vanishing-data lattice (no solver); the one memo and
+the one CokernelSolver here are correction_solver's.
 """
 
 from __future__ import annotations

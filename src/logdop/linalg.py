@@ -17,7 +17,8 @@ valuation is stored and read again only after a pivot has updated the row,
 and the rows pivot in Markowitz order, fewest nonzero entries first.
 cokernel_invariants reads the invariant factors off it; CokernelSolver has
 it log its pivots and replays the log for element orders, congruence solves
-and the kernel lattice in Hermite normal form.
+and the kernel lattice in Hermite normal form (_hermite_basis, which
+localdata.kernel_lattice calls alone).
 """
 
 from __future__ import annotations

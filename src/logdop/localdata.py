@@ -17,9 +17,9 @@ without evaluating basis sections.
 q_d_matrix is the map itself, read where its rows are needed (the mod-p
 rank) and as the oracle the presentation is checked against; the degree-d
 group is computed from tensor_presentation, where the p finite points have
-collapsed to Z[x]/(p, x^p - x)^d and only the d rows at infinity are left,
-and kernel_lattice reads ker q_d off the same d rows: in the basis x^r f^k
-the finite rows are unit vectors mod p^{d-k}, so ker q_d = C S ker T.  The
+collapsed to Z[x]/(p, x^p - x)^d and only the d rows at infinity are left;
+kernel_lattice is one Hermite reduction of the graph of those d rows'
+conditions on the columns x^r f^k, the finite rows being unit vectors.  The
 expansion of x^r f^k in monomials lives in _monic_columns alone.  Each
 matrix is written as sparse rows, columns ascending, the one form of
 linalg.IntegerMatrix.
@@ -42,7 +42,7 @@ from .calculus import (
     TensorSection,
     _level_row,
 )
-from .linalg import CokernelSolver, IntegerMatrix, _hermite_basis, require_prime
+from .linalg import IntegerMatrix, _hermite_basis, require_prime
 
 INF = "inf"  # the point at infinity in coordinate keys
 _NOT_GLOBAL = "operator is not a global section; local data undefined"
@@ -423,40 +423,33 @@ def kernel_lattice(p: int, d: int) -> tuple:
     """Hermite basis of ker q_d_matrix(p, d), {v : v has zero degree-d local
     data}, as a tuple of row tuples in the A_0..A_{d-1}, B_0..B_d coordinates.
 
-    Read off the presentation, not off q_d_matrix: ker q_d = C S ker T.  In
-    the basis x^r f^k a column with k < d hits the unit vector e_(r,k) of
-    the finite target (+) Z/p^{d-k}, so a vector w there has zero finite
-    local data exactly when w_n is a multiple of p^{max(d-k, 0)}, n = pk + r:
-    w = S u.  T is the block of tensor_presentation's d rows at infinity,
-    whose column n already carries that scale, so u must lie in ker T (its
-    CokernelSolver's Hermite basis).  C, the unimodular change of
-    _monic_columns, takes S u back to the monomials: x^e is B_e for e <= d
-    and (-1)^d A_{2d-e} for e > d.  The images span the kernel, which holds
-    p^d Z^{2d+1}, and linalg's Hermite routine mod p^d reduces them to the
-    one Hermite basis, the one a CokernelSolver on q_d_matrix gives.  The
-    memo hands out tuples, so no caller can change a cached row.
+    Read off the definition, not off q_d_matrix.  In the basis x^r f^k a
+    column with k < d hits the unit vector e_(r,k) of the finite target
+    (+) Z/p^{d-k}, so zero finite local data is C S Z^{2d+1}: S scales
+    column n = pk + r by p^{max(d-k, 0)}, and C (_monic_columns) takes
+    x^r f^k to the monomials, x^e being B_e for e <= d and (-1)^d A_{2d-e}
+    above.  Row i < d at infinity reads A_i mod p^{d-i}, so ker q_d is the
+    part with zero graph coordinates of the lattice spanned by (A(w) | w),
+    w a column of C S, and (p^{d-i} e_i | 0).  That lattice holds
+    p^d Z^{3d+1}, so one Hermite reduction mod p^d is exact, and its rows
+    from d on are the kernel's own Hermite basis, which is unique.  The memo
+    hands out tuples, so no caller can change a cached row.
     """
-    mat, moduli = tensor_presentation(p, d)
-    ker_t = CokernelSolver(IntegerMatrix(mat.cols, mat.row_maps[-d:]), moduli[-d:],
-                           p).kernel_basis()
-    width = 2 * d + 1
+    if d < 1:
+        raise ValueError("need d >= 1")
+    require_prime(p)
     sgn = -1 if d % 2 else 1
-    images = []  # column n of C S: (tensor coordinate, entry) pairs
+    gens = [[p ** (d - i) * (c == i) for c in range(3 * d + 1)] for i in range(d)]
     for scale, e, coefs in _monic_columns(p, d):
-        image = []
+        g = [0] * (3 * d + 1)  # (A(w) | w): A_s at s and d + s, B_e at 2d + e
         for c in coefs:
-            image.append((d + e, c * scale) if e <= d else (2 * d - e, sgn * c * scale))
+            if e <= d:
+                g[2 * d + e] = c * scale
+            else:
+                g[2 * d - e] = g[3 * d - e] = sgn * c * scale
             e += p - 1
-        images.append(image)
-    gens = []
-    for u in ker_t:
-        v = [0] * width
-        for x, image in zip(u, images):
-            if x:
-                for t, c in image:
-                    v[t] += x * c
-        gens.append(v)
-    return tuple(map(tuple, _hermite_basis(gens, width, p, d)))
+        gens.append(g)
+    return tuple(tuple(h[d:]) for h in _hermite_basis(gens, 3 * d + 1, p, d)[d:])
 
 
 def operator_matrix(ops, p: int, d: int):

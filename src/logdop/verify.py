@@ -319,20 +319,20 @@ def suite_splitting(seed: int = 0) -> SuiteResult:
 
 
 def suite_lattice(seed: int = 0) -> SuiteResult:
-    """Both lattice checks on the 40 cells p <= 11, d <= 8 (engine.lattice_checks).
+    """The three lattice checks on the 40 cells p <= 11, d <= 8 (engine.lattice_checks).
 
-    The order identity checks the kernel lattice read off the presentation
-    (its C S map, Hermite step and det) against the presentation's group and
-    the graded sheaf's count.  Every one of these cells has full F_p rank
-    2d+1, so the summand count reduces to num_factors == (p-1)d - 1 here;
-    rank_mod_p itself is checked on rank-deficient input by the
-    random-matrix tests, not by this suite.
+    The order identity holds the kernel lattice's index to the presentation's
+    group and the graded sheaf's count; the section check holds one sum of its
+    rows to zero local data.  Every cell has full F_p rank 2d+1, so the summand
+    count reduces to num_factors == (p-1)d - 1 here; rank_mod_p itself is
+    checked on rank-deficient input by the random-matrix tests.
     """
     result = SuiteResult("lattice")
     for p in (2, 3, 5, 7, 11):
         for d in range(1, 9):
-            order_ok, count_ok = lattice_checks(p, d)
+            order_ok, section_ok, count_ok = lattice_checks(p, d)
             result.record(order_ok, f"lattice order identity fails at (p={p}, d={d})")
+            result.record(section_ok, f"kernel lattice has nonzero local data at (p={p}, d={d})")
             result.record(count_ok, f"summand count fails at (p={p}, d={d})")
     return result
 

@@ -191,7 +191,7 @@ def test_the_lattice_suite_builds_each_local_data_matrix_once(monkeypatch):
 
     monkeypatch.setattr(engine, "q_d_matrix", counting)
     result = suite_lattice()
-    assert (result.checks, result.passed) == (80, True)
+    assert (result.checks, result.passed) == (120, True)
     assert sorted(built) == [(p, d) for p in (2, 3, 5, 7, 11) for d in range(1, 9)]
 
 
@@ -199,7 +199,7 @@ def test_a_wrong_mod_p_rank_fails_every_summand_check(monkeypatch):
     genuine = engine.rank_mod_p
     monkeypatch.setattr(engine, "rank_mod_p", lambda m, p: genuine(m, p) + 1)
     result = suite_lattice()
-    assert result.checks == 80
+    assert result.checks == 120
     assert result.failures == [f"summand count fails at (p={p}, d={d})"
                                for p in (2, 3, 5, 7, 11) for d in range(1, 9)]
 
@@ -224,8 +224,27 @@ def test_a_wrong_scale_in_the_kernel_lattice_fails_the_lattice_suite(monkeypatch
             result = suite_lattice()
     finally:
         localdata.kernel_lattice.cache_clear()
-    assert result.checks == 80 and result.failures
+    assert result.checks == 120 and result.failures
     assert all(f.startswith("lattice order identity fails at ") for f in result.failures)
+
+
+def test_a_wrong_sign_in_the_kernel_lattice_fails_only_the_section_check(monkeypatch):
+    # the A coordinates negated at odd d, as if C lost its (-1)^d: the index
+    # is unchanged, so the order identity passes and the kernel section
+    # check alone must see it
+    genuine = engine.kernel_lattice
+
+    def forged(p, d):
+        rows = genuine(p, d)
+        if d % 2 == 0:
+            return rows
+        return tuple(tuple(-x for x in row[:d]) + row[d:] for row in rows)
+
+    monkeypatch.setattr(engine, "kernel_lattice", forged)
+    result = suite_lattice()
+    assert result.checks == 120 and result.failures
+    assert all(f.startswith("kernel lattice has nonzero local data at ")
+               for f in result.failures)
 
 
 def test_a_disk_cache_passed_down_serves_its_groups(tmp_path, monkeypatch):
@@ -435,6 +454,8 @@ ARGUMENT_CHECKS = {
     "solve-length": (lambda: linalg.CokernelSolver(_unit_matrix(), (1,), 3).solve([0, 0]),
                      "vector has 2 coordinates, expected 1"),
     "point-lift-count": (lambda: localdata.PointLift(3, (0, 1)), "need 3 lifts, got 2"),
+    "kernel-lattice-prime": (lambda: localdata.kernel_lattice(4, 2), "p = 4 is not prime"),
+    "kernel-lattice-degree": (lambda: localdata.kernel_lattice(3, 0), "need d >= 1"),
 }
 
 

@@ -356,7 +356,7 @@ KERNEL_CELLS = [(p, d) for p, d_max in ((2, 16), (3, 14), (5, 10), (7, 8), (11, 
 
 
 def test_kernel_lattice_is_the_kernel_of_q_d_matrix():
-    # C S ker T, read off the presentation, against the Hermite basis of a
+    # the Hermite form of the monic graph against the Hermite basis of a
     # solver on the full local-data matrix; the form is unique, so the two
     # must agree entry for entry
     for p, d in KERNEL_CELLS:
