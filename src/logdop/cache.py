@@ -6,6 +6,7 @@ import json
 import os
 from pathlib import Path
 
+from .engine import exponent_lower_bound, summand_count
 from .errors import CacheWriteError, SectionFormatError
 
 
@@ -17,8 +18,9 @@ class DiskCache:
     tag in the package), so cache entries are plain interface documents;
     corrupt entries are reported, never silently recomputed.  An entry that
     cannot be a degree-d group is corrupt too: the group is a quotient of
-    the (p+1)d coordinates Z/p^{d-i}, so it has at most (p+1)d invariant
-    factors, none above p^d, and its order divides p^{(p+1)d(d+1)/2}.
+    the (p+1)d coordinates Z/p^{d-i}, so no invariant factor is above p^d
+    and its order divides p^{(p+1)d(d+1)/2}; it has engine.summand_count
+    factors, and its exponent is at least the paper's exponent_lower_bound.
     Entries are written atomically, so an interrupted write leaves no
     truncated entry behind; a write the directory refuses raises
     CacheWriteError.  An instance keeps no memo: engine.h1_filtered, its one
@@ -52,11 +54,14 @@ class DiskCache:
         rows = (p + 1) * d
         if max(exponents, default=0) > d:
             why = f"exponent {max(exponents)} exceeds d = {d}"
-        elif len(exponents) > rows:
-            why = f"{len(exponents)} exponents for {rows} rows"
         elif sum(exponents) > rows * (d + 1) // 2:
             why = (f"the exponents sum to {sum(exponents)}, "
                    f"above (p+1)d(d+1)/2 = {rows * (d + 1) // 2}")
+        elif len(exponents) != summand_count(p, d):
+            why = f"factor count {len(exponents)}, not (p-1)d - 1 = {summand_count(p, d)}"
+        elif max(exponents, default=0) < exponent_lower_bound(p, d):
+            why = (f"exponent {max(exponents, default=0)} is below "
+                   f"floor((p-1)(d+1)/(p+1)) = {exponent_lower_bound(p, d)}")
         else:
             return tuple(exponents)
         raise SectionFormatError(f"corrupt cache entry {path}: {why}")

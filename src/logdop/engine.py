@@ -9,10 +9,10 @@ caller's disk cache (cache=), once per group and command; h1_tensor, a pure
 memo, eliminates tensor_presentation, where the p finite points have
 collapsed to Z[x]/(p, x^p - x)^d and only the d rows at infinity are left;
 the local-data matrix q_d_matrix serves the oracles that check the
-presentation.  lattice_checks runs three lattice checks of one (p, d):
-the kernel index (kernel_index_vp: det on localdata.kernel_lattice), the
-local data of one sum of that lattice's rows, and the summand count on the
-mod-p rank of one build of q_d_matrix.  The degree <= d group is the
+presentation.  Three lattice checks hold one (p, d) together: the kernel
+index (kernel_index_vp: det on localdata.kernel_lattice), the local data of
+one sum of that lattice's rows, and the summand count on the mod-p rank of
+q_d_matrix, which only that count builds.  The degree <= d group is the
 direct sum over degrees (the splitting), which verify_splitting recomputes
 independently as one big cokernel on an explicit operator basis.  Side
 identities: the guaranteed-torsion exponent floor((p-1)(d+1)/(p+1)), the
@@ -104,6 +104,12 @@ def exponent_lower_bound(p: int, d: int) -> int:
     if d < 1:
         raise ValueError("need d >= 1")
     return (p - 1) * (d + 1) // (p + 1)
+
+
+def summand_count(p: int, d: int) -> int:
+    """(p-1)d - 1 invariant factors in degree d: (p+1)d rows less the full F_p
+    rank 2d+1 (a kernel vector mod p would be divisible by f^d)."""
+    return (p - 1) * d - 1
 
 
 def graded_piece_dim(p: int, d: int, i: int) -> int:
@@ -213,26 +219,19 @@ def kernel_section_check(p: int, d: int) -> bool:
     return local_data_tensor(TensorSection.from_coordinates(p, d, 0, coords)).is_zero
 
 
-def summand_count_check(p: int, d: int, qd) -> bool:
+def summand_count_check(p: int, d: int) -> bool:
     """Number of invariant factors vs the mod-p rank of the degree-d matrix.
 
     The count must be (p+1)d - rank_{F_p}(M mod p); with a full-rank image
     (rank 2d+1) that is (p-1)d - 1.  The rank comes from an independent
     mod-p Gaussian elimination on sparse rows, not from the p-local one, run
-    on the matrix of qd = q_d_matrix(p, d).  Every cell of the lattice suite
-    (p <= 11, d <= 8) has the full rank 2d+1, so there the check reduces to
-    num_factors == (p-1)d - 1; the random-matrix tests of rank_mod_p are
-    what check the elimination on rank-deficient input.
+    on the matrix of q_d_matrix(p, d), built here.  Every cell of the lattice
+    suite (p <= 11, d <= 8) has the full rank 2d+1, so there the check reduces
+    to num_factors == summand_count(p, d); the random-matrix tests of
+    rank_mod_p are what check the elimination on rank-deficient input.
     """
-    expected = (p + 1) * d - rank_mod_p(qd[0], p)
+    expected = (p + 1) * d - rank_mod_p(q_d_matrix(p, d)[0], p)
     return h1_tensor(p, d).num_factors == expected
-
-
-def lattice_checks(p: int, d: int) -> tuple:
-    """The order, kernel section and summand count checks of the degree-d
-    slice; only the last reads q_d_matrix(p, d), built once here."""
-    return (lattice_order_check(p, d), kernel_section_check(p, d),
-            summand_count_check(p, d, q_d_matrix(p, d)))
 
 
 SCHEDULES = {

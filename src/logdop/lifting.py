@@ -16,7 +16,8 @@ order <= d operator with that symbol and zero local data in all degrees:
 
 The sections to lift are sampled from localdata.kernel_lattice, the memoized
 Hermite basis of the vanishing-data lattice (no solver); the one memo and
-the one CokernelSolver here are correction_solver's.
+the one CokernelSolver here are correction_solver's, which keeps the key
+of each order <= d-1 basis monomial, not the operator.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ from .localdata import (
 
 @lru_cache(maxsize=None)
 def correction_solver(p: int, d: int, m: int = 0):
-    """Cached congruence solver over the order <= d-1 spanning monomials."""
-    ops = tuple(standard_operator_basis(p, d, m, max_order=d - 1))
-    mat, moduli = operator_matrix(list(ops), p, d)
-    return ops, CokernelSolver(mat, moduli, p)
+    """Cached congruence solver over the order <= d-1 spanning monomials, as
+    (keys, solver): each basis operator is one monomial, kept as its key."""
+    ops = standard_operator_basis(p, d, m, max_order=d - 1)
+    mat, moduli = operator_matrix(ops, p, d)
+    return tuple(key for op in ops for key in op.terms), CokernelSolver(mat, moduli, p)
 
 
 def sample_kernel_section(p: int, d: int, seed: int, m: int = 0) -> TensorSection:
@@ -82,26 +84,25 @@ def _require_kernel_section(delta: TensorSection):
 def lift_by_solve(delta: TensorSection):
     """Solve for an order <= d-1 correction killing all residual local data.
 
-    The correction terms are summed into one term dict, and the lift is built
-    from it as a single OperatorSection.  Returns the pair (lift, its local
-    data as checked zero), so a caller needing that data does not compute it
-    again.
+    Each solved coefficient is added at its monomial's key in one term dict,
+    and the lift is built from it as a single OperatorSection.  Returns the
+    pair (lift, its local data as checked zero), so a caller needing that
+    data does not compute it again.
     """
     _require_kernel_section(delta)
     p, d, m = delta.p, delta.d, delta.m
     base = tensor_to_operator(delta)
     residual = local_data_operator(base).vector()
-    ops, solver = correction_solver(p, d, m)
+    keys, solver = correction_solver(p, d, m)
     coeffs = solver.solve([-r for r in residual])
     if coeffs is None:
         raise InvariantViolation(
             f"no order <= {d - 1} correction exists for a vanishing-data section "
             f"(p={p}, d={d}, m={m}); the splitting guarantees one")
     terms = dict(base.terms)
-    for c, op in zip(coeffs, ops):
+    for c, key in zip(coeffs, keys):
         if c:
-            for key, v in op.terms.items():
-                terms[key] = terms.get(key, 0) + c * v
+            terms[key] = terms.get(key, 0) + c
     lift = OperatorSection(p, m, d, terms)
     return lift, _assert_lift(lift, delta, "solve")
 

@@ -136,7 +136,9 @@ def _taylor_shift(coefs, xi: int, upto: int) -> list:
 
     Repeated synthetic division by x - xi: pass i runs Horner's rule over the
     quotient the previous pass left and ends with b_i = sum_n c_n C(n, i)
-    xi^{n-i} in slot i; only acc*xi + c steps, no binomials or powers.
+    xi^{n-i} in slot i; only acc*xi + c steps, no binomials or powers.  It is
+    the independent reference verify --suite localdata holds the readers of
+    _pascal_columns (local_data_operator, q_d_matrix) against.
     """
     c = list(coefs)
     while c and not c[-1]:
@@ -265,20 +267,6 @@ def local_data_operator(op: OperatorSection) -> LocalDataVector:
                         entries[(a, k, i)] = r
                     mod //= p
     return LocalDataVector(p, d, m, entries, degree_only=False)
-
-
-def tensor_basis(p: int, d: int) -> list:
-    """Standard basis of the rank-(2d+1) space: A_0..A_{d-1}, B_0..B_d."""
-    out = []
-    for s in range(d):
-        a = [0] * d
-        a[s] = 1
-        out.append(TensorSection(p, d, 0, tuple(a), (0,) * (d + 1)))
-    for sp in range(d + 1):
-        b = [0] * (d + 1)
-        b[sp] = 1
-        out.append(TensorSection(p, d, 0, (0,) * d, tuple(b)))
-    return out
 
 
 @lru_cache(maxsize=256)

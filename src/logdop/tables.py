@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .engine import h1_filtered
+from .engine import h1_filtered, summand_count
 from .linalg import AbelianPGroup
 
 _DATA = resources.files("logdop").joinpath("data/appendix")
@@ -88,7 +88,7 @@ def _compare(golden: dict, d: int, report) -> RowComparison:
         known_discrepancy=printed.known_discrepancy,
         matches_printed=computed == printed.group,
         splitting_ok=computed.contains_multiset(previous),
-        summand_count_ok=report.per_degree[d - 1].num_factors == (p - 1) * d - 1,
+        summand_count_ok=report.per_degree[d - 1].num_factors == summand_count(p, d),
         bound_met=report.bound_met[d - 1],
         bound_equal=report.bound_equal[d - 1],
     )

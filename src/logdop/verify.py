@@ -24,7 +24,8 @@ from .calculus import (
     tensor_to_operator,
     transform_term,
 )
-from .engine import h1_tensor, lattice_checks, verify_splitting
+from .engine import (h1_tensor, kernel_section_check, lattice_order_check,
+                     summand_count_check, verify_splitting)
 from .errors import InvariantViolation
 from .lifting import lift_by_schedule, lift_by_solve, sample_kernel_section
 from .linalg import (
@@ -44,7 +45,6 @@ from .localdata import (
     moduli_exponents,
     coords_degree,
     q_d_matrix,
-    tensor_basis,
 )
 
 # the enumeration oracle runs where p^ord(a) * (max exponent + 1) is at most this
@@ -257,7 +257,9 @@ def q_d_matrix_by_columns(p: int, d: int, lifts: PointLift = None) -> IntegerMat
     An oracle for q_d_matrix, which reads Pascal rows instead: each column
     is the local_data_tensor vector of one standard basis section.
     """
-    columns = [local_data_tensor(delta, lifts).vector() for delta in tensor_basis(p, d)]
+    units = [TensorSection.from_coordinates(p, d, 0, [int(c == n) for c in range(2 * d + 1)])
+             for n in range(2 * d + 1)]
+    columns = [local_data_tensor(delta, lifts).vector() for delta in units]
     return IntegerMatrix.from_rows([list(row) for row in zip(*columns)])
 
 
@@ -319,7 +321,7 @@ def suite_splitting(seed: int = 0) -> SuiteResult:
 
 
 def suite_lattice(seed: int = 0) -> SuiteResult:
-    """The three lattice checks on the 40 cells p <= 11, d <= 8 (engine.lattice_checks).
+    """The three engine lattice checks on the 40 cells p <= 11, d <= 8.
 
     The order identity holds the kernel lattice's index to the presentation's
     group and the graded sheaf's count; the section check holds one sum of its
@@ -330,10 +332,11 @@ def suite_lattice(seed: int = 0) -> SuiteResult:
     result = SuiteResult("lattice")
     for p in (2, 3, 5, 7, 11):
         for d in range(1, 9):
-            order_ok, section_ok, count_ok = lattice_checks(p, d)
-            result.record(order_ok, f"lattice order identity fails at (p={p}, d={d})")
-            result.record(section_ok, f"kernel lattice has nonzero local data at (p={p}, d={d})")
-            result.record(count_ok, f"summand count fails at (p={p}, d={d})")
+            cell = f"(p={p}, d={d})"
+            result.record(lattice_order_check(p, d), f"lattice order identity fails at {cell}")
+            result.record(kernel_section_check(p, d),
+                          f"kernel lattice has nonzero local data at {cell}")
+            result.record(summand_count_check(p, d), f"summand count fails at {cell}")
     return result
 
 

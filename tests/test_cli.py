@@ -336,6 +336,12 @@ REFUSAL_FILES = {
     "cache/h1-p3-d1.json": "not json",
     "bounds/h1-p3-d2.json": serialize.dump_json(
         {"format": "h1-group/2", "p": 3, "d": 2, "exponents": [99] + [1] * 10}),
+    # within the bounds above, but with the wrong factor count, or an exponent
+    # below the paper's floor((p-1)(d+1)/(p+1))
+    "count/h1-p3-d2.json": serialize.dump_json(
+        {"format": "h1-group/2", "p": 3, "d": 2, "exponents": [1]}),
+    "floor/h1-p3-d3.json": serialize.dump_json(
+        {"format": "h1-group/2", "p": 3, "d": 3, "exponents": [1] * 5}),
     "not-utf8.json": b"\xff\xfe{",
     # documents that int() would have read: each field must be what its schema says
     **{f"strict/{name}.json": serialize.dump_json(
@@ -416,6 +422,14 @@ REFUSALS = {
     "cache-out-of-bounds": (("h1", "--p", "3", "--d", "2", "--cache", "{tmp}/bounds"),
                             None, 2, "error: corrupt cache entry "
                             "{tmp}/bounds/h1-p3-d2.json: exponent 99 exceeds d = 2"),
+    "cache-factor-count": (("h1", "--p", "3", "--d", "2", "--per-degree",
+                            "--cache", "{tmp}/count"), None, 2,
+                           "error: corrupt cache entry {tmp}/count/h1-p3-d2.json: "
+                           "factor count 1, not (p-1)d - 1 = 3"),
+    "cache-below-the-bound": (("h1", "--p", "3", "--d", "3", "--per-degree",
+                               "--cache", "{tmp}/floor"), None, 2,
+                              "error: corrupt cache entry {tmp}/floor/h1-p3-d3.json: "
+                              "exponent 1 is below floor((p-1)(d+1)/(p+1)) = 2"),
     "appendix-half-row": (("appendix", "--p", "7"), None, 2,
                           "error: single-row mode needs both --p and --d"),
     "appendix-p": (("appendix", "--p", "13", "--d", "2"), None, 2,

@@ -155,19 +155,19 @@ def test_kernel_index_refuses_a_forged_determinant(monkeypatch, forged, message)
 
 def test_summand_count_anchors():
     assert h1_tensor(3, 1).num_factors == 1
-    assert summand_count_check(3, 1, q_d_matrix(3, 1))
+    assert summand_count_check(3, 1)
     assert h1_tensor(2, 1).num_factors == 0
-    assert summand_count_check(2, 1, q_d_matrix(2, 1))
+    assert summand_count_check(2, 1)
     # new summands at (5,3): 6 x 5 + 5 x 5^2, eleven in all
     assert h1_tensor(5, 3).num_factors == 11
-    assert summand_count_check(5, 3, q_d_matrix(5, 3))
+    assert summand_count_check(5, 3)
 
 
 def test_order_checks_small_sweep():
     for p in (2, 3, 5):
         for d in range(1, 5):
             assert lattice_order_check(p, d)
-            assert summand_count_check(p, d, q_d_matrix(p, d))
+            assert summand_count_check(p, d)
 
 
 def test_order_checks_reuse_the_filtered_groups():
@@ -176,7 +176,7 @@ def test_order_checks_reuse_the_filtered_groups():
     h1_tensor.cache_clear()
     first = h1_filtered(3, 4)
     assert lattice_order_check(3, 4)
-    assert summand_count_check(3, 4, q_d_matrix(3, 4))
+    assert summand_count_check(3, 4)
     h1_tensor(3, 4)
     assert h1_filtered(3, 4) == first
     assert h1_tensor.cache_info().currsize == 4

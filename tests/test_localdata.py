@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from logdop import localdata
 from logdop.calculus import (
     CHART_X,
     CHART_Y,
@@ -27,7 +28,6 @@ from logdop.localdata import (
     moduli_exponents,
     operator_matrix,
     q_d_matrix,
-    tensor_basis,
     tensor_presentation,
 )
 from logdop.verify import q_d_matrix_by_columns, suite_localdata
@@ -203,12 +203,6 @@ def test_q_d_matrix_lift_independence():
         g0 = cokernel_invariants(m0, mod0, p)
         g1 = cokernel_invariants(m1, mod1, p)
         assert g0 == g1
-
-
-def test_tensor_basis_is_standard():
-    basis = tensor_basis(3, 2)
-    assert len(basis) == 5
-    assert basis[0].A == (1, 0) and basis[4].B == (0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -493,3 +487,25 @@ def test_the_localdata_suite_passes_in_full():
     # the column-wise q_d_matrix oracle, degree slices and linearity
     result = suite_localdata()
     assert (result.checks, result.failures) == (4332, [])
+
+
+def test_a_forged_pascal_entry_fails_the_localdata_suite(monkeypatch):
+    # _taylor_shift, which local_data_tensor runs, is the reference the suite
+    # holds the Pascal-column readers against: one wrong C(1, 0) xi entry at
+    # xi = 1 must show in q_d_matrix and in local_data_operator alike; the
+    # forgery runs the memo's body, so no genuine memo entry is served
+    genuine = localdata._pascal_columns
+
+    def forged(xi, top, width, mod):
+        columns = genuine.__wrapped__(xi, top, width, mod)
+        if xi != 1:
+            return columns
+        first = list(columns[0])
+        first[1] = (first[1] + 1) % mod
+        return (tuple(first),) + columns[1:]
+
+    monkeypatch.setattr(localdata, "_pascal_columns", forged)
+    result = suite_localdata()
+    assert result.checks == 4332 and not result.passed
+    assert any(f.startswith("q_d_matrix differs") for f in result.failures)
+    assert any(f.startswith("degree-slice mismatch") for f in result.failures)
