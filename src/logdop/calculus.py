@@ -99,6 +99,14 @@ def _check_pm(p, m):
         raise ValueError("level m must be >= 0")
 
 
+def check_operator_space(p: int, m: int, d: int) -> None:
+    """The refusals of OperatorSection(p, m, d) before it reads a term: a p
+    that is not prime, then m < 0, then d < 0."""
+    _check_pm(p, m)
+    if d < 0:
+        raise ValueError("degree bound must be >= 0")
+
+
 @dataclass(frozen=True)
 class TensorSection:
     """Global section of the d-th tensor power of the tangent sheaf.
@@ -167,9 +175,7 @@ class OperatorSection:
     __slots__ = ("p", "m", "d", "terms")
 
     def __init__(self, p: int, m: int, d: int, terms=None):
-        _check_pm(p, m)
-        if d < 0:
-            raise ValueError("degree bound must be >= 0")
+        check_operator_space(p, m, d)
         self.p = p
         self.m = m
         self.d = d
@@ -308,19 +314,27 @@ def symbol(op: OperatorSection, d: int) -> TensorSection:
     return TensorSection(op.p, d, op.m, tuple(a), tuple(b))
 
 
+def standard_basis_keys(max_order: int) -> list:
+    """The (chart, power, order) keys of standard_operator_basis, in its order:
+    (x, 0, 0), then per order k = 1..max_order the keys (x, s', k), s' <= k,
+    and (y, s, k), s < k.  The one definition of that order, which
+    localdata.operator_matrix's columns and lifting.correction_solver's keys
+    follow too."""
+    keys = [(CHART_X, 0, 0)]
+    for k in range(1, max_order + 1):
+        keys += [(CHART_X, sp, k) for sp in range(k + 1)]
+        keys += [(CHART_Y, s, k) for s in range(k)]
+    return keys
+
+
 def standard_operator_basis(p: int, d: int, m: int = 0, max_order=None) -> list:
     """The (k+1)+k monomials per order k: 1, x^{s'} d^<k> (s'<=k), y^s d^<k> (s<=k-1).
 
     Orders 0..max_order (default d); (d+1)^2 operators at full range, with
     order-k symbols running through the standard basis of the rank-(2k+1)
-    degree-k tensor space.  Ordering is canonical for reproducible matrices.
+    degree-k tensor space.  Ordering is canonical (standard_basis_keys) for
+    reproducible matrices.
     """
     if max_order is None:
         max_order = d
-    ops = [OperatorSection(p, m, d, {(CHART_X, 0, 0): 1})]
-    for k in range(1, max_order + 1):
-        for sp in range(k + 1):
-            ops.append(OperatorSection(p, m, d, {(CHART_X, sp, k): 1}))
-        for s in range(k):
-            ops.append(OperatorSection(p, m, d, {(CHART_Y, s, k): 1}))
-    return ops
+    return [OperatorSection(p, m, d, {key: 1}) for key in standard_basis_keys(max_order)]

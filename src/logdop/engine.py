@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, log
 
-from .calculus import TensorSection, q_level, standard_operator_basis
+from .calculus import TensorSection, q_level
 from .errors import InvariantViolation
 from .linalg import (
     AbelianPGroup,
@@ -167,12 +167,13 @@ def h1_filtered(p: int, d: int, *, cache=None) -> H1Report:
 def verify_splitting(p: int, d: int, m: int = 0) -> bool:
     """Direct degree <= d cokernel == direct sum of the degree summands.
 
-    Builds the full local-data map on the explicit operator basis of the
-    order <= d global sections and compares its cokernel, computed in one
-    shot, with the degree-by-degree answer assembled from h1_tensor.
+    Takes the full local-data map on the (d+1)^2 standard basis operators of
+    the order <= d global sections, written in closed form by
+    operator_matrix off the Pascal columns and level rows, and compares its
+    cokernel, computed in one shot, with the degree-by-degree answer
+    assembled from h1_tensor.
     """
-    ops = standard_operator_basis(p, d, m)
-    direct = cokernel_invariants(*operator_matrix(ops, p, d), p)
+    direct = cokernel_invariants(*operator_matrix(p, d, m), p)
     return direct == h1_filtered(p, d).total
 
 

@@ -16,8 +16,10 @@ order <= d operator with that symbol and zero local data in all degrees:
 
 The sections to lift are sampled from localdata.kernel_lattice, the memoized
 Hermite basis of the vanishing-data lattice (no solver); the one memo and
-the one CokernelSolver here are correction_solver's, which keeps the key
-of each order <= d-1 basis monomial, not the operator.
+the one CokernelSolver here are correction_solver's.  It solves on
+localdata.operator_matrix, written in closed form without building an
+operator, and keeps the key of each order <= d-1 basis monomial from
+calculus.standard_basis_keys, the order of that matrix's columns.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .calculus import (
     OperatorSection,
     TensorSection,
     coeff_a,
-    standard_operator_basis,
+    standard_basis_keys,
     symbol,
     tensor_to_operator,
 )
@@ -48,10 +50,10 @@ from .localdata import (
 @lru_cache(maxsize=None)
 def correction_solver(p: int, d: int, m: int = 0):
     """Cached congruence solver over the order <= d-1 spanning monomials, as
-    (keys, solver): each basis operator is one monomial, kept as its key."""
-    ops = standard_operator_basis(p, d, m, max_order=d - 1)
-    mat, moduli = operator_matrix(ops, p, d)
-    return tuple(key for op in ops for key in op.terms), CokernelSolver(mat, moduli, p)
+    (keys, solver): column n of operator_matrix(p, d, m, d - 1) is the
+    monomial of key standard_basis_keys(d - 1)[n], and no operator is built."""
+    mat, moduli = operator_matrix(p, d, m, max_order=d - 1)
+    return tuple(standard_basis_keys(d - 1)), CokernelSolver(mat, moduli, p)
 
 
 def sample_kernel_section(p: int, d: int, seed: int, m: int = 0) -> TensorSection:

@@ -11,9 +11,12 @@ shift of the x-chart polynomial to x_a.  For a tensor section that shift
 runs by repeated synthetic division; for an operator each residue is a dot
 product of one order's coefficients with a Pascal column C(n, i) xi_a^{n-i},
 and the y chart is read only where its entries can be nonzero at infinity
-or negative (local_data_operator).  The degree-d matrix q_d_matrix reads
-its rows off the same memoized Pascal columns, one row per coordinate,
-without evaluating basis sections.
+or negative (local_data_operator), the one general path and the only
+place that takes such dot products.  Both standard-basis matrices read the
+same memoized Pascal columns instead, without evaluating a basis element:
+q_d_matrix its rows, one per degree-d coordinate, and operator_matrix its
+columns, one per basis monomial of orders <= d, with the level rows a^(m)
+for the y-chart monomials.
 q_d_matrix is the map itself, read where its rows are needed (the mod-p
 rank) and as the oracle the presentation is checked against; the degree-d
 group is computed from tensor_presentation, where the p finite points have
@@ -41,6 +44,8 @@ from .calculus import (
     OperatorSection,
     TensorSection,
     _level_row,
+    check_operator_space,
+    standard_basis_keys,
 )
 from .linalg import IntegerMatrix, _hermite_basis, require_prime
 
@@ -280,8 +285,9 @@ def _pascal_columns(xi: int, top: int, width: int, mod: int) -> tuple:
     entry, the middle ones xi*prev[i] + prev[i-1], and while i = n is inside
     the width the last entry is C(n, n) = 1.  Trailing zeros are cut (for
     xi = 0 each column is the single entry 1): a product with them is zero,
-    so a dot product may stop where the column does.  local_data_operator
-    and q_d_matrix read each point's columns once for all orders and rows;
+    so a dot product may stop where the column does.  local_data_operator,
+    q_d_matrix and operator_matrix read each point's columns once for all
+    orders, rows and columns;
     the memo is bounded like calculus._level_row's, and keyed by the reduced
     xi, since every residue it serves is read modulo a divisor of ``mod``.
     """
@@ -326,9 +332,16 @@ def q_d_matrix(p: int, d: int, lifts: PointLift = None):
         columns = _pascal_columns(xi % pd, 2 * d, d, pd)
         for i, (column, mod) in enumerate(zip(columns, mods)):
             cut = i + len(column)  # column[n - i] is C(n, i) xi^{n-i} for i <= n < cut
-            values = ([sgn * column[n - i] if n < cut else 0 for n in range(2 * d, d, -1)]
-                      + [column[n - i] if i <= n < cut else 0 for n in range(d + 1)])
-            rows.append({k: x for k, v in enumerate(values) if (x := v % mod)})
+            row = {}
+            # A_k at x^{2d-k}, k < d: inside the cut once k > 2d - cut
+            for k in range(max(0, 2 * d + 1 - cut), d):
+                if x := sgn * column[2 * d - k - i] % mod:
+                    row[k] = x
+            # B_n at x^n, i <= n <= d
+            for n in range(i, min(cut, d + 1)):
+                if x := column[n - i] % mod:
+                    row[d + n] = x
+            rows.append(row)
     rows += [{i: 1} for i in range(d)]
     return IntegerMatrix(2 * d + 1, rows), moduli_exponents(coords_degree(p, d))
 
@@ -440,12 +453,61 @@ def kernel_lattice(p: int, d: int) -> tuple:
     return tuple(tuple(h[d:]) for h in _hermite_basis(gens, 3 * d + 1, p, d)[d:])
 
 
-def operator_matrix(ops, p: int, d: int):
-    """Matrix of the full degree <= d local-data map at xi_a = a; column n is ops[n]."""
+def operator_matrix(p: int, d: int, m: int = 0, max_order=None):
+    """Matrix of the full degree <= d local-data map at xi_a = a on
+    standard_operator_basis(p, d, m, max_order); column n is the operator of
+    key standard_basis_keys(max_order)[n].  Returns (matrix, moduli
+    exponents).
+
+    Each column is written in closed form off the memoized Pascal columns
+    C(n, i) a^{n-i} of each finite point (_pascal_columns(a, 2d, d, p^d)) and
+    the level rows a^(m)_{k,t} (_level_row), as q_d_matrix writes its rows,
+    without building or evaluating an operator:
+
+    * column 0 is the order-0 operator 1, with zero local data;
+    * x^{s'} d^<k> (s' <= k) is a single term of the x chart, so it writes
+      C(s', i) a^{s'-i} mod p^{k-i} at (a, k, i) for each finite a and each
+      i <= min(s', k-1): Pascal column i at index s'-i, 0 past its cut;
+    * y^s d^<k> (s < k) writes 1 at (inf, k, s), and in the x chart it is
+      sum_{t<=k} c_t x^n d^<t> with c_t = (-1)^k a^(m)_{k,t} and n = k+t-s,
+      so it writes c_t C(n, i) a^{n-i} mod p^{t-i} at (a, t, i) for each
+      finite a and each i < t.
+
+    Every power n is at most 2d.  The arguments are refused as building
+    standard_operator_basis(p, d, m, max_order) refuses them, with the same
+    messages.  verify.operator_matrix_by_columns is that build, one
+    local_data_operator call per column, and this matrix's oracle.
+    """
+    check_operator_space(p, m, d)
+    if max_order is None:
+        max_order = d
+    if max_order > d:
+        raise ValueError(f"order {d + 1} outside 0..{d}")
     coords = coords_le(p, d)
-    index = {c: r for r, c in enumerate(coords)}
     rows = [{} for _ in coords]
-    for n, op in enumerate(ops):
-        for c, x in local_data_operator(op).entries.items():
-            rows[index[c]][n] = x
-    return IntegerMatrix(len(ops), rows), moduli_exponents(coords)
+    per_point = d * (d + 1) // 2  # (a, k, i) is row a * per_point + k(k-1)/2 + i
+    pascal = [_pascal_columns(a, 2 * d, d, p ** d) for a in range(p)]
+    mods = [p ** e for e in range(d + 1)]
+
+    def finite(col, t, n, c):
+        """Column col's entries of c x^n d^<t>: c C(n, i) a^{n-i} mod p^{t-i}
+        at (a, t, i), i < t."""
+        first = t * (t - 1) // 2
+        for a, columns in enumerate(pascal):
+            r = a * per_point + first
+            for i in range(min(t, n + 1)):
+                column = columns[i]
+                if n - i < len(column) and (x := c * column[n - i] % mods[t - i]):
+                    rows[r + i][col] = x
+
+    keys = standard_basis_keys(max_order)
+    for col, (chart, s, k) in enumerate(keys):
+        if not k:
+            continue
+        if chart == CHART_X:
+            finite(col, k, s, 1)
+            continue
+        rows[p * per_point + k * (k - 1) // 2 + s][col] = 1
+        for t, a_kt in enumerate(_level_row(k, p, m), start=1):
+            finite(col, t, k + t - s, -a_kt if k % 2 else a_kt)
+    return IntegerMatrix(len(keys), rows), moduli_exponents(coords)

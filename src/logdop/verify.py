@@ -20,6 +20,7 @@ from .calculus import (
     coeff_a,
     coeff_a_level,
     coeff_a_recurrence,
+    standard_operator_basis,
     symbol,
     tensor_to_operator,
     transform_term,
@@ -40,10 +41,12 @@ from .linalg import (
 )
 from .localdata import (
     PointLift,
+    coords_degree,
+    coords_le,
     local_data_operator,
     local_data_tensor,
     moduli_exponents,
-    coords_degree,
+    operator_matrix,
     q_d_matrix,
 )
 
@@ -263,6 +266,24 @@ def q_d_matrix_by_columns(p: int, d: int, lifts: PointLift = None) -> IntegerMat
     return IntegerMatrix.from_rows([list(row) for row in zip(*columns)])
 
 
+def operator_matrix_by_columns(p: int, d: int, m: int = 0, max_order=None):
+    """The full local-data matrix built one basis operator at a time.
+
+    An oracle for operator_matrix, which writes its columns in closed form
+    instead: column n is the local_data_operator vector of the n-th operator
+    of standard_operator_basis(p, d, m, max_order).  Returns (matrix, moduli
+    exponents) as operator_matrix does.
+    """
+    ops = standard_operator_basis(p, d, m, max_order)
+    coords = coords_le(p, d)
+    index = {c: r for r, c in enumerate(coords)}
+    rows = [{} for _ in coords]
+    for n, op in enumerate(ops):
+        for c, x in local_data_operator(op).entries.items():
+            rows[index[c]][n] = x
+    return IntegerMatrix(len(ops), rows), moduli_exponents(coords)
+
+
 def suite_localdata(seed: int = 0) -> SuiteResult:
     result = SuiteResult("localdata")
     rng = random.Random(seed)
@@ -276,6 +297,11 @@ def suite_localdata(seed: int = 0) -> SuiteResult:
             if (m0, m1) != (q_d_matrix_by_columns(p, d),
                             q_d_matrix_by_columns(p, d, shifted)):
                 result.record(False, f"q_d_matrix differs from the column-wise "
+                                     f"build at (p={p}, d={d})")
+                continue
+            if any(operator_matrix(p, d, m) != operator_matrix_by_columns(p, d, m)
+                   for m in (0, 1)):
+                result.record(False, f"operator_matrix differs from the column-wise "
                                      f"build at (p={p}, d={d})")
                 continue
             # h1_tensor reads tensor_presentation, so both local-data

@@ -456,6 +456,13 @@ ARGUMENT_CHECKS = {
     "point-lift-count": (lambda: localdata.PointLift(3, (0, 1)), "need 3 lifts, got 2"),
     "kernel-lattice-prime": (lambda: localdata.kernel_lattice(4, 2), "p = 4 is not prime"),
     "kernel-lattice-degree": (lambda: localdata.kernel_lattice(3, 0), "need d >= 1"),
+    "operator-matrix-prime": (lambda: localdata.operator_matrix(4, 2), "p = 4 is not prime"),
+    "operator-matrix-level": (lambda: localdata.operator_matrix(3, 2, -1),
+                              "level m must be >= 0"),
+    "operator-matrix-degree": (lambda: localdata.operator_matrix(3, -1),
+                               "degree bound must be >= 0"),
+    "operator-matrix-order": (lambda: localdata.operator_matrix(3, 2, 0, 4),
+                              "order 3 outside 0..2"),
 }
 
 

@@ -5,7 +5,6 @@ from itertools import permutations, product
 import pytest
 
 from logdop import linalg
-from logdop.calculus import standard_operator_basis
 from logdop.errors import InvariantViolation
 from logdop.linalg import (
     AbelianPGroup,
@@ -345,8 +344,7 @@ def test_plocal_invariants_match_tracked_form_on_q_d_matrices(p, d_max):
 def test_plocal_invariants_match_tracked_form_on_splitting_cells(p, d_max):
     for m_level in range(3):
         for d in range(1, d_max + 1):
-            ops = standard_operator_basis(p, d, m_level)
-            assert_plocal_matches_z_oracle(*operator_matrix(ops, p, d), p)
+            assert_plocal_matches_z_oracle(*operator_matrix(p, d, m_level), p)
 
 
 def test_plocal_invariants_match_sympy():
@@ -420,8 +418,7 @@ def test_plocal_invariants_ignore_row_and_column_order():
     for p in (2, 3, 5):
         for m_level in range(3):
             for d in range(1, 7):
-                ops = standard_operator_basis(p, d, m_level)
-                systems.append((operator_matrix(ops, p, d), p))
+                systems.append((operator_matrix(p, d, m_level), p))
     for (m, moduli), p in systems:
         want = cokernel_invariants(m, moduli, p)
         for _ in range(2):
@@ -538,7 +535,7 @@ def test_solver_solve_round_trip():
 def test_solve_is_canonical():
     rng = random.Random(515)
     # the lift path's correction systems, then random ones
-    systems = [operator_matrix(standard_operator_basis(p, d, max_order=d - 1), p, d) + (p,)
+    systems = [operator_matrix(p, d, max_order=d - 1) + (p,)
                for p, d in ((2, 4), (3, 4), (5, 3))]
     for _ in range(40):
         p = rng.choice((2, 3, 5))
@@ -584,7 +581,7 @@ def pinned_solver_systems():
     rng = random.Random(1616)
     systems = [q_d_matrix(p, d) + (p,) for p, d_max in ((2, 12), (3, 10), (5, 6), (7, 4), (11, 3))
                for d in range(1, d_max + 1)]
-    systems += [operator_matrix(standard_operator_basis(p, d, m, max_order=d - 1), p, d) + (p,)
+    systems += [operator_matrix(p, d, m, max_order=d - 1) + (p,)
                 for p, d in ((2, 5), (3, 5), (5, 3)) for m in range(3)]
     for _ in range(2000):
         p = rng.choice((2, 3, 5, 7))

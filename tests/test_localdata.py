@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from logdop import localdata
+from logdop import localdata, verify
 from logdop.calculus import (
     CHART_X,
     CHART_Y,
@@ -30,7 +30,7 @@ from logdop.localdata import (
     q_d_matrix,
     tensor_presentation,
 )
-from logdop.verify import q_d_matrix_by_columns, suite_localdata
+from logdop.verify import operator_matrix_by_columns, q_d_matrix_by_columns, suite_localdata
 
 
 def random_section(rng, p, d, m=0, bound=None):
@@ -377,7 +377,7 @@ def producer_matrices():
     for p, d_max in ((2, 5), (3, 5), (5, 3)):
         for m in range(3):
             for d in range(1, d_max + 1):
-                out.append(operator_matrix(standard_operator_basis(p, d, m), p, d))
+                out.append(operator_matrix(p, d, m))
     return out
 
 
@@ -509,3 +509,34 @@ def test_a_forged_pascal_entry_fails_the_localdata_suite(monkeypatch):
     assert result.checks == 4332 and not result.passed
     assert any(f.startswith("q_d_matrix differs") for f in result.failures)
     assert any(f.startswith("degree-slice mismatch") for f in result.failures)
+
+
+def test_operator_matrix_is_the_column_wise_build():
+    # the closed-form columns against local_data_operator on each basis
+    # operator, at levels where a^(m) differs from a, over both ranges the
+    # callers read: verify_splitting's (d+1)^2 columns, correction_solver's d^2
+    for p in (2, 3, 5, 7, 11):
+        for d in range(7):
+            for m in range(3):
+                for max_order in (d, d - 1):
+                    mat, moduli = operator_matrix(p, d, m, max_order)
+                    assert (mat, moduli) == operator_matrix_by_columns(p, d, m, max_order)
+                    for row in mat.row_maps:
+                        assert 0 not in row.values() and list(row) == sorted(row)
+
+
+def test_a_wrong_operator_matrix_entry_fails_the_localdata_suite(monkeypatch):
+    genuine = verify.operator_matrix
+
+    def forged(p, d, m=0, max_order=None):
+        mat, moduli = genuine(p, d, m, max_order)
+        if (p, d, m) == (3, 2, 1):
+            row = next(row for row in mat.row_maps if row)
+            col = next(iter(row))
+            row[col] += 1
+        return mat, moduli
+
+    monkeypatch.setattr(verify, "operator_matrix", forged)
+    result = suite_localdata()
+    assert result.checks == 4332
+    assert result.failures == ["operator_matrix differs from the column-wise build at (p=3, d=2)"]
