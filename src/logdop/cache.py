@@ -16,11 +16,12 @@ class DiskCache:
     The degree-d group does not depend on the level m, so entries carry
     none.  Files use the h1-group/2 format (FORMAT, the one spelling of its
     tag in the package), so cache entries are plain interface documents;
-    corrupt entries are reported, never silently recomputed.  An entry that
-    cannot be a degree-d group is corrupt too: the group is a quotient of
-    the (p+1)d coordinates Z/p^{d-i}, so no invariant factor is above p^d
-    and its order divides p^{(p+1)d(d+1)/2}; it has engine.summand_count
-    factors, and its exponent is at least the paper's exponent_lower_bound.
+    corrupt entries, a p or d that is not a JSON integer among them, are
+    reported, never silently recomputed.  An entry that cannot be a degree-d
+    group is corrupt too: the group is a quotient of the (p+1)d coordinates
+    Z/p^{d-i}, so no invariant factor is above p^d and its order divides
+    p^{(p+1)d(d+1)/2}; it has engine.summand_count factors, and its exponent
+    is at least the paper's exponent_lower_bound.
     Entries are written atomically, so an interrupted write leaves no
     truncated entry behind; a write the directory refuses raises
     CacheWriteError.  An instance keeps no memo: engine.h1_filtered, its one
@@ -46,7 +47,8 @@ class DiskCache:
         except (OSError, ValueError) as exc:  # unreadable, truncated, not JSON or UTF-8
             raise SectionFormatError(f"corrupt cache entry {path}: {exc}") from exc
         if not (isinstance(doc, dict) and doc.get("format") == self.FORMAT
-                and (doc.get("p"), doc.get("d")) == (p, d)
+                and all(type(doc.get(k)) is int for k in ("p", "d"))
+                and (doc["p"], doc["d"]) == (p, d)
                 and isinstance(doc.get("exponents"), list)
                 and all(type(n) is int and n >= 1 for n in doc["exponents"])):
             raise SectionFormatError(f"corrupt cache entry {path}")

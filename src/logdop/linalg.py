@@ -18,7 +18,8 @@ and the rows pivot in Markowitz order, fewest nonzero entries first.
 cokernel_invariants reads the invariant factors off it; CokernelSolver has
 it log its pivots and replays the log for element orders, congruence solves
 and the kernel lattice in Hermite normal form (_hermite_basis, which
-localdata.kernel_lattice calls alone).
+localdata.kernel_lattice calls alone).  Every row built on the way is
+sparse too; only kernel_basis and solve hand out dense lists.
 """
 
 from __future__ import annotations
@@ -339,50 +340,57 @@ def cokernel_invariants(m: IntegerMatrix, moduli, p: int) -> AbelianPGroup:
     return AbelianPGroup(p, tuple(_plocal_exponents(rows, moduli, p)))
 
 
+def _subtract(row: dict, f: int, h: dict, q: int) -> None:
+    """row -= f h in place on {column: entry} rows, mod q, storing no zero."""
+    for c, y in h.items():
+        if x := (row.get(c, 0) - f * y) % q:
+            row[c] = x
+        else:
+            row.pop(c, None)
+
+
+def _reduce(row: dict, basis, q: int, start: int = 0) -> None:
+    """Reduce the row in place modulo the Hermite rows ``basis`` of a lattice
+    holding q Z^cols, at each column j >= start in turn, into [0, basis[j][j])."""
+    for j in range(start, len(basis)):
+        if f := row.get(j, 0) // basis[j][j]:
+            _subtract(row, f, basis[j], q)
+
+
 def _hermite_basis(gens, cols: int, p: int, n: int) -> list:
-    """Hermite normal form of the lattice spanned by ``gens`` and p^n Z^cols.
+    """Hermite normal form of the lattice spanned by ``gens`` and p^n Z^cols,
+    on {column: entry} rows in and out (``gens`` stays unchanged).
 
     Row j starts at column j with a power p^{a_j} <= p^n, and every entry
-    above it lies in [0, p^{a_j}).  The lattice contains p^n Z^cols, so the
-    elimination runs mod p^n: column j's pivot is the generator of least
-    valuation there, and p^{n-a_j} times it, whose column j then vanishes
-    mod p^n, joins the generators (Howell's completion), so that the
-    triangular rows span p^n Z^cols by themselves.  The Hermite form of a
-    lattice is unique, so it does not depend on the generators given.
+    above it lies in [0, p^{a_j}).  The lattice holds p^n Z^cols, so the
+    elimination runs mod p^n, on each pivot's support: column j's pivot is
+    the generator of least valuation there, and p^{n-a_j} times it, zero in
+    column j mod p^n, joins the generators so the rows span p^n Z^cols
+    (Howell's completion).  _reduce then clears the rows from the bottom up.
+    The Hermite form is unique, so it does not depend on the generators.
     """
     q = p ** n
-    gens = [g for g in ([x % q for x in g] for g in gens) if any(g)]
+    gens = [{c: y for c, x in g.items() if (y := x % q)} for g in gens]
     basis = []
     for j in range(cols):
-        low = min(((vp(g[j], p), i) for i, g in enumerate(gens) if g[j]), default=None)
+        low = min(((vp(g[j], p), i) for i, g in enumerate(gens) if j in g), default=None)
         if low is None:
-            basis.append([q if c == j else 0 for c in range(cols)])
+            basis.append({j: q})
             continue
         a, i = low
         piv = gens.pop(i)
         pa = p ** a
         inv = pow(piv[j] // pa, -1, q)
-        piv = [x * inv % q for x in piv]  # piv[j] == p^a
-        rest = []
+        piv = {c: x * inv % q for c, x in piv.items()}  # piv[j] == p^a
         for g in gens:
-            f = g[j] // pa
-            if f:
-                g = [(x - f * y) % q for x, y in zip(g, piv)]
-            if any(g):
-                rest.append(g)
-        if a:
-            completion = [x * (q // pa) % q for x in piv]
-            if any(completion):
-                rest.append(completion)
-        gens = rest
+            if f := g.get(j, 0) // pa:
+                _subtract(g, f, piv, q)
+        gens = [g for g in gens if g]
+        if a:  # the completion
+            gens.append({c: y for c, x in piv.items() if (y := x * (q // pa) % q)})
         basis.append(piv)
-    for j, h in enumerate(basis):
-        support = [(c, y) for c, y in enumerate(h) if y]
-        for row in basis[:j]:
-            f = row[j] // h[j]
-            if f:
-                for c, y in support:
-                    row[c] -= f * y
+    for j in range(cols - 1, -1, -1):
+        _reduce(basis[j], basis, q, j + 1)
     return basis
 
 
@@ -401,10 +409,10 @@ class CokernelSolver:
     relation, becomes -p^{e_i - s} times it.  With the modulus columns
     appended, U M V is zero but for p^s at each pivot and p^{e_r} at each
     row that went to zero, so the kernel lattice is spanned by the final
-    columns of V and p^N Z^cols.  It is kept in Hermite normal form,
-    and each solve is reduced modulo it.  Both are unique, so neither
-    depends on the pivot order.  It keeps M's width, not M.  Immutable
-    after construction.
+    columns of V and p^N Z^cols.  V, from {c: 1}, and the lattice's Hermite
+    rows are {column: entry} rows; each solve is reduced modulo those rows.
+    Both are unique, so neither depends on the pivot order.  It keeps M's
+    width, not M.  Immutable after construction.
     """
 
     def __init__(self, m: IntegerMatrix, moduli, p: int):
@@ -414,18 +422,15 @@ class CokernelSolver:
         log = []
         _plocal_exponents(_sparse_rows(m, self.moduli, p), self.moduli, p, log)
         n = max(self.moduli, default=0)
-        q = p ** n
-        v = [[int(s == c) for s in range(m.cols)] for c in range(m.cols)]  # v[c] = V e_c
+        q = self._q = p ** n
+        v = [{c: 1} for c in range(m.cols)]  # v[c] = V e_c
         self._pivots = []  # (row i, shift s, unit inverse, V e_j, [(row r, multiplier)])
         self._row_exponent = list(self.moduli)
         for i, j, s, inv, support, ops in log:
             vj = v[j]
-            v_support = [(t, x) for t, x in enumerate(vj) if x]
             for k, b in support:
-                vk, f = v[k], b // p ** s
-                for t, x in v_support:
-                    vk[t] = (vk[t] - f * x) % q
-            v[j] = [-x * p ** (self.moduli[i] - s) % q for x in vj]
+                _subtract(v[k], b // p ** s, vj, q)
+            v[j] = {t: y for t, x in vj.items() if (y := -x * p ** (self.moduli[i] - s) % q)}
             self._pivots.append((i, s, inv, vj, ops))
             self._row_exponent[i] = s
         self._basis = _hermite_basis(v, m.cols, p, n)
@@ -456,24 +461,17 @@ class CokernelSolver:
         p = self.p
         if any(yr % p ** k for yr, k in zip(y, self._row_exponent)):
             return None
-        sol = [0] * self.cols
+        sol = {}
         for i, k, _, vj, _ in self._pivots:
-            w = y[i] // p ** k
-            if w:
-                for s, x in enumerate(vj):
-                    if x:
-                        sol[s] += w * x
-        for j, h in enumerate(self._basis):
-            f = sol[j] // h[j]
-            if f:
-                for c in range(j, len(sol)):
-                    sol[c] -= f * h[c]
-        return sol
+            if w := y[i] // p ** k:
+                _subtract(sol, -w, vj, self._q)
+        _reduce(sol, self._basis, self._q)
+        return [sol.get(c, 0) for c in range(self.cols)]
 
     def kernel_basis(self):
         """Hermite basis of {v : M v = 0 mod moduli}: row j starts at column j
         with a power of p, and each entry above it is reduced modulo it."""
-        return [list(h) for h in self._basis]
+        return [[h.get(c, 0) for c in range(self.cols)] for h in self._basis]
 
 
 def quotient_by_cyclic(group: AbelianPGroup, a) -> AbelianPGroup:

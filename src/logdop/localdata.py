@@ -308,6 +308,13 @@ def _pascal_columns(xi: int, top: int, width: int, mod: int) -> tuple:
     return tuple(columns)
 
 
+def _require_degree(p: int, d: int) -> None:
+    """The (p, d) refusal of the degree-d builders: d >= 1 first, then p prime."""
+    if d < 1:
+        raise ValueError("need d >= 1")
+    require_prime(p)
+
+
 def q_d_matrix(p: int, d: int, lifts: PointLift = None):
     """Matrix of the degree-d local-data map on the standard tensor basis.
 
@@ -321,9 +328,7 @@ def q_d_matrix(p: int, d: int, lifts: PointLift = None):
     cokernel is the degree-d group, which h1_tensor reads off the smaller
     tensor_presentation instead.
     """
-    if d < 1:
-        raise ValueError("need d >= 1")
-    require_prime(p)
+    _require_degree(p, d)
     pd = p ** d
     mods = [p ** (d - i) for i in range(d)]
     sgn = -1 if d % 2 else 1
@@ -405,9 +410,7 @@ def tensor_presentation(p: int, d: int):
     The rows are the free summands by degree, then infinity by i; the 2d+1
     columns are by degree.
     """
-    if d < 1:
-        raise ValueError("need d >= 1")
-    require_prime(p)
+    _require_degree(p, d)
     width = 2 * d + 1
     free = tuple(d - n // p for n in range(width, p * d))
     at_inf = [{} for _ in range(d)]
@@ -431,18 +434,16 @@ def kernel_lattice(p: int, d: int) -> tuple:
     x^r f^k to the monomials, x^e being B_e for e <= d and (-1)^d A_{2d-e}
     above.  Row i < d at infinity reads A_i mod p^{d-i}, so ker q_d is the
     part with zero graph coordinates of the lattice spanned by (A(w) | w),
-    w a column of C S, and (p^{d-i} e_i | 0).  That lattice holds
-    p^d Z^{3d+1}, so one Hermite reduction mod p^d is exact, and its rows
-    from d on are the kernel's own Hermite basis, which is unique.  The memo
-    hands out tuples, so no caller can change a cached row.
+    w a column of C S, and (p^{d-i} e_i | 0), as {column: entry} rows.  That
+    lattice holds p^d Z^{3d+1}, so one Hermite reduction mod p^d is exact,
+    and its rows from d on are the kernel's own Hermite basis, which is
+    unique.  Only the memo's tuples, which no caller can change, are dense.
     """
-    if d < 1:
-        raise ValueError("need d >= 1")
-    require_prime(p)
+    _require_degree(p, d)
     sgn = -1 if d % 2 else 1
-    gens = [[p ** (d - i) * (c == i) for c in range(3 * d + 1)] for i in range(d)]
+    gens = [{i: p ** (d - i)} for i in range(d)]
     for scale, e, coefs in _monic_columns(p, d):
-        g = [0] * (3 * d + 1)  # (A(w) | w): A_s at s and d + s, B_e at 2d + e
+        g = {}  # (A(w) | w): A_s at s and d + s, B_e at 2d + e
         for c in coefs:
             if e <= d:
                 g[2 * d + e] = c * scale
@@ -450,7 +451,8 @@ def kernel_lattice(p: int, d: int) -> tuple:
                 g[2 * d - e] = g[3 * d - e] = sgn * c * scale
             e += p - 1
         gens.append(g)
-    return tuple(tuple(h[d:]) for h in _hermite_basis(gens, 3 * d + 1, p, d)[d:])
+    return tuple(tuple(h.get(c, 0) for c in range(d, 3 * d + 1))
+                 for h in _hermite_basis(gens, 3 * d + 1, p, d)[d:])
 
 
 def operator_matrix(p: int, d: int, m: int = 0, max_order=None):

@@ -342,6 +342,11 @@ REFUSAL_FILES = {
         {"format": "h1-group/2", "p": 3, "d": 2, "exponents": [1]}),
     "floor/h1-p3-d3.json": serialize.dump_json(
         {"format": "h1-group/2", "p": 3, "d": 3, "exponents": [1] * 5}),
+    # p and d that compare equal to the key but are not JSON integers
+    "typed-p/h1-p3-d1.json": serialize.dump_json(
+        {"format": "h1-group/2", "p": 3.0, "d": 1, "exponents": [1]}),
+    "typed-d/h1-p3-d1.json": serialize.dump_json(
+        {"format": "h1-group/2", "p": 3, "d": True, "exponents": [1]}),
     "not-utf8.json": b"\xff\xfe{",
     # documents that int() would have read: each field must be what its schema says
     **{f"strict/{name}.json": serialize.dump_json(
@@ -430,6 +435,9 @@ REFUSALS = {
                                "--cache", "{tmp}/floor"), None, 2,
                               "error: corrupt cache entry {tmp}/floor/h1-p3-d3.json: "
                               "exponent 1 is below floor((p-1)(d+1)/(p+1)) = 2"),
+    **{f"cache-{name}": (("h1", "--p", "3", "--d", "1", "--cache", f"{{tmp}}/{name}"),
+                         None, 2, f"error: corrupt cache entry {{tmp}}/{name}/h1-p3-d1.json")
+       for name in ("typed-p", "typed-d")},
     "appendix-half-row": (("appendix", "--p", "7"), None, 2,
                           "error: single-row mode needs both --p and --d"),
     "appendix-p": (("appendix", "--p", "13", "--d", "2"), None, 2,

@@ -317,6 +317,40 @@ def test_kernel_basis_is_a_hermite_form_and_ignores_row_order():
         assert one.solve(b) == other.solve([b[r] for r in order]) is not None
 
 
+def test_hermite_basis_reads_and_writes_sparse_rows():
+    # random sparse generators, with empty rows, entries that vanish mod p^n,
+    # columns that no generator reaches and repeated generators
+    rng = random.Random(3141)
+    for _ in range(300):
+        p, n, cols = rng.choice((2, 3, 5)), rng.randint(1, 4), rng.randint(1, 7)
+        q = p ** n
+        reached = rng.sample(range(cols), rng.randint(0, cols))
+        gens = [{c: rng.choice((rng.randint(-q * q, q * q), q * rng.randint(-3, 3),
+                                p ** rng.randint(0, n)))
+                 for c in reached if rng.random() < 0.4}
+                for _ in range(rng.randint(0, 6))]
+        gens += [{}] + [dict(g) for g in rng.choices(gens, k=min(len(gens), 2))]
+        given = [dict(g) for g in gens]
+        basis = linalg._hermite_basis(gens, cols, p, n)
+        assert gens == given and len(basis) == cols
+        for j, h in enumerate(basis):
+            assert min(h) == j and 0 not in h.values()
+            assert h[j] <= q and h[j] == p ** vp(h[j], p)
+            assert all(0 <= above.get(j, 0) < h[j] for above in basis[:j])
+            if j not in reached:
+                assert h == {j: q}
+        dense = [[h.get(c, 0) for c in range(cols)] for h in basis]
+        for g in gens + [{j: q} for j in range(cols)]:
+            assert not any(reduce_modulo(dense, [g.get(c, 0) for c in range(cols)]))
+        # the rows span no more than the generators and p^n Z^cols: equal index
+        graph = IntegerMatrix(len(gens), [{i: g[c] for i, g in enumerate(gens) if c in g}
+                                          for c in range(cols)])
+        assert sum(vp(h[j], p) for j, h in enumerate(basis)) == \
+            cokernel_invariants(graph, (n,) * cols, p).order_vp
+        rng.shuffle(gens)
+        assert linalg._hermite_basis(gens, cols, p, n) == basis
+
+
 def assert_plocal_matches_z_oracle(m, moduli, p):
     """cokernel_invariants, and the diagonal of CokernelSolver's tracked form
     (the shift at which each row pivots, or the modulus of a row that went
