@@ -314,27 +314,25 @@ def symbol(op: OperatorSection, d: int) -> TensorSection:
     return TensorSection(op.p, d, op.m, tuple(a), tuple(b))
 
 
-def standard_basis_keys(max_order: int) -> list:
-    """The (chart, power, order) keys of standard_operator_basis, in its order:
-    (x, 0, 0), then per order k = 1..max_order the keys (x, s', k), s' <= k,
-    and (y, s, k), s < k.  The one definition of that order, which
-    localdata.operator_matrix's columns and lifting.correction_solver's keys
-    follow too."""
+def standard_basis_keys(d: int) -> list:
+    """The (chart, power, order) keys of standard_operator_basis(p, d, m), in
+    its order: (x, 0, 0), then per order k = 1..d the keys (x, s', k),
+    s' <= k, and (y, s, k), s < k.  The one definition of that order, which
+    localdata.operator_matrix's columns and lifting's corrections follow
+    too; the first k^2 keys are standard_basis_keys(k - 1)."""
     keys = [(CHART_X, 0, 0)]
-    for k in range(1, max_order + 1):
+    for k in range(1, d + 1):
         keys += [(CHART_X, sp, k) for sp in range(k + 1)]
         keys += [(CHART_Y, s, k) for s in range(k)]
     return keys
 
 
-def standard_operator_basis(p: int, d: int, m: int = 0, max_order=None) -> list:
+def standard_operator_basis(p: int, d: int, m: int = 0) -> list:
     """The (k+1)+k monomials per order k: 1, x^{s'} d^<k> (s'<=k), y^s d^<k> (s<=k-1).
 
-    Orders 0..max_order (default d); (d+1)^2 operators at full range, with
-    order-k symbols running through the standard basis of the rank-(2k+1)
-    degree-k tensor space.  Ordering is canonical (standard_basis_keys) for
-    reproducible matrices.
+    Orders 0..d, the whole degree <= d operator space: (d+1)^2 operators,
+    with order-k symbols running through the standard basis of the
+    rank-(2k+1) degree-k tensor space.  Ordering is canonical
+    (standard_basis_keys) for reproducible matrices.
     """
-    if max_order is None:
-        max_order = d
-    return [OperatorSection(p, m, d, {key: 1}) for key in standard_basis_keys(max_order)]
+    return [OperatorSection(p, m, d, {key: 1}) for key in standard_basis_keys(d)]

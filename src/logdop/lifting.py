@@ -16,10 +16,11 @@ order <= d operator with that symbol and zero local data in all degrees:
 
 The sections to lift are sampled from localdata.kernel_lattice, the memoized
 Hermite basis of the vanishing-data lattice (no solver); the one memo and
-the one CokernelSolver here are correction_solver's.  It solves on
-localdata.operator_matrix, written in closed form without building an
-operator, and keeps the key of each order <= d-1 basis monomial from
-calculus.standard_basis_keys, the order of that matrix's columns.
+the one CokernelSolver here are correction_solver's.  An operator of order
+<= d-1 has local data in degrees <= d-1 only, so the correction is solved
+on the degree <= d-1 operator space alone: localdata.operator_matrix(p,
+d-1, m), written in closed form without building an operator, whose
+column n is the monomial of key calculus.standard_basis_keys(d-1)[n].
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import InvariantViolation, NonvanishingLocalData
 from .linalg import CokernelSolver
 from .localdata import (
     LocalDataVector,
+    coords_le,
     kernel_lattice,
     local_data_operator,
     local_data_tensor,
@@ -48,12 +50,11 @@ from .localdata import (
 
 
 @lru_cache(maxsize=None)
-def correction_solver(p: int, d: int, m: int = 0):
-    """Cached congruence solver over the order <= d-1 spanning monomials, as
-    (keys, solver): column n of operator_matrix(p, d, m, d - 1) is the
-    monomial of key standard_basis_keys(d - 1)[n], and no operator is built."""
-    mat, moduli = operator_matrix(p, d, m, max_order=d - 1)
-    return tuple(standard_basis_keys(d - 1)), CokernelSolver(mat, moduli, p)
+def correction_solver(p: int, d: int, m: int = 0) -> CokernelSolver:
+    """Cached congruence solver of the order <= d-1 corrections: the map
+    operator_matrix(p, d - 1, m) from the degree <= d-1 operator space to
+    its local data, coordinates coords_le(p, d - 1)."""
+    return CokernelSolver(*operator_matrix(p, d - 1, m), p)
 
 
 def sample_kernel_section(p: int, d: int, seed: int, m: int = 0) -> TensorSection:
@@ -86,6 +87,8 @@ def _require_kernel_section(delta: TensorSection):
 def lift_by_solve(delta: TensorSection):
     """Solve for an order <= d-1 correction killing all residual local data.
 
+    The section has zero degree-d local data (_require_kernel_section), so
+    the residual lives in degrees <= d-1, where correction_solver solves.
     Each solved coefficient is added at its monomial's key in one term dict,
     and the lift is built from it as a single OperatorSection.  Returns the
     pair (lift, its local data as checked zero), so a caller needing that
@@ -94,15 +97,15 @@ def lift_by_solve(delta: TensorSection):
     _require_kernel_section(delta)
     p, d, m = delta.p, delta.d, delta.m
     base = tensor_to_operator(delta)
-    residual = local_data_operator(base).vector()
-    keys, solver = correction_solver(p, d, m)
-    coeffs = solver.solve([-r for r in residual])
+    residual = local_data_operator(base).entries
+    coeffs = correction_solver(p, d, m).solve(
+        [-residual.get(c, 0) for c in coords_le(p, d - 1)])
     if coeffs is None:
         raise InvariantViolation(
             f"no order <= {d - 1} correction exists for a vanishing-data section "
             f"(p={p}, d={d}, m={m}); the splitting guarantees one")
     terms = dict(base.terms)
-    for c, key in zip(coeffs, keys):
+    for key, c in zip(standard_basis_keys(d - 1), coeffs):
         if c:
             terms[key] = terms.get(key, 0) + c
     lift = OperatorSection(p, m, d, terms)

@@ -268,8 +268,9 @@ def _plocal_exponents(rows, moduli, p: int, log=None) -> list:
 
     Given a list ``log``, each pivot appends (i, j, s, inv, support,
     [(r, f), ...]): its row, column, shift, u^{-1} mod p^{E_i}, the scaled
-    pivot row and the rows it updated with their multipliers f, from which
-    CokernelSolver replays the transforms.
+    pivot row off column j, the {column: entry} row that _subtract takes
+    from each updated row, and the rows it updated with their multipliers
+    f, from which CokernelSolver replays the transforms.
     """
     q = [p ** e for e in moduli]
     val = [None] * len(rows)  # None: not read since the last update
@@ -293,7 +294,7 @@ def _plocal_exponents(rows, moduli, p: int, log=None) -> list:
             j = next(k for k, a in row.items() if a // ps % p)
             qi = q[i]
             inv = pow(row.pop(j) // ps, -1, qi)
-            support = [(k, a * inv % qi) for k, a in row.items()]
+            support = {k: a * inv % qi for k, a in row.items()}
             settled += 1
             if shift:
                 exps.append(shift)
@@ -308,12 +309,8 @@ def _plocal_exponents(rows, moduli, p: int, log=None) -> list:
                     if ops is not None:
                         ops.append((r, f))
                     qr = q[r]
-                    for k, b in support:
-                        x = (other.get(k, 0) - f * b) % qr
-                        if x:
-                            other[k] = x
-                        else:
-                            other.pop(k, None)
+                    if support:  # most pivot rows are unit vectors: skip the call
+                        _subtract(other, f, support, qr)
                     x = -f * qi % qr
                     if x:
                         other[j] = x
@@ -428,7 +425,7 @@ class CokernelSolver:
         self._row_exponent = list(self.moduli)
         for i, j, s, inv, support, ops in log:
             vj = v[j]
-            for k, b in support:
+            for k, b in support.items():
                 _subtract(v[k], b // p ** s, vj, q)
             v[j] = {t: y for t, x in vj.items() if (y := -x * p ** (self.moduli[i] - s) % q)}
             self._pivots.append((i, s, inv, vj, ops))

@@ -15,8 +15,8 @@ or negative (local_data_operator), the one general path and the only
 place that takes such dot products.  Both standard-basis matrices read the
 same memoized Pascal columns instead, without evaluating a basis element:
 q_d_matrix its rows, one per degree-d coordinate, and operator_matrix its
-columns, one per basis monomial of orders <= d, with the level rows a^(m)
-for the y-chart monomials.
+columns, one per basis monomial of the whole degree <= d operator space,
+with the level rows a^(m) for the y-chart monomials.
 q_d_matrix is the map itself, read where its rows are needed (the mod-p
 rank) and as the oracle the presentation is checked against; the degree-d
 group is computed from tensor_presentation, where the p finite points have
@@ -455,11 +455,11 @@ def kernel_lattice(p: int, d: int) -> tuple:
                  for h in _hermite_basis(gens, 3 * d + 1, p, d)[d:])
 
 
-def operator_matrix(p: int, d: int, m: int = 0, max_order=None):
+def operator_matrix(p: int, d: int, m: int = 0):
     """Matrix of the full degree <= d local-data map at xi_a = a on
-    standard_operator_basis(p, d, m, max_order); column n is the operator of
-    key standard_basis_keys(max_order)[n].  Returns (matrix, moduli
-    exponents).
+    standard_operator_basis(p, d, m), the whole degree <= d operator space;
+    column n is the operator of key standard_basis_keys(d)[n].  Returns
+    (matrix, moduli exponents).
 
     Each column is written in closed form off the memoized Pascal columns
     C(n, i) a^{n-i} of each finite point (_pascal_columns(a, 2d, d, p^d)) and
@@ -475,16 +475,15 @@ def operator_matrix(p: int, d: int, m: int = 0, max_order=None):
       so it writes c_t C(n, i) a^{n-i} mod p^{t-i} at (a, t, i) for each
       finite a and each i < t.
 
-    Every power n is at most 2d.  The arguments are refused as building
-    standard_operator_basis(p, d, m, max_order) refuses them, with the same
-    messages.  verify.operator_matrix_by_columns is that build, one
-    local_data_operator call per column, and this matrix's oracle.
+    So an order-k column is zero on every row of degree > k, and the order
+    <= d-1 columns on the degree <= d-1 rows are operator_matrix(p, d-1, m):
+    lifting.correction_solver reads that smaller matrix.  Every power n is
+    at most 2d.  The arguments are refused as building
+    standard_operator_basis(p, d, m) refuses them, with the same messages.
+    verify.operator_matrix_by_columns is that build, one local_data_operator
+    call per column, and this matrix's oracle.
     """
     check_operator_space(p, m, d)
-    if max_order is None:
-        max_order = d
-    if max_order > d:
-        raise ValueError(f"order {d + 1} outside 0..{d}")
     coords = coords_le(p, d)
     rows = [{} for _ in coords]
     per_point = d * (d + 1) // 2  # (a, k, i) is row a * per_point + k(k-1)/2 + i
@@ -502,7 +501,7 @@ def operator_matrix(p: int, d: int, m: int = 0, max_order=None):
                 if n - i < len(column) and (x := c * column[n - i] % mods[t - i]):
                     rows[r + i][col] = x
 
-    keys = standard_basis_keys(max_order)
+    keys = standard_basis_keys(d)
     for col, (chart, s, k) in enumerate(keys):
         if not k:
             continue

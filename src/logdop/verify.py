@@ -147,14 +147,15 @@ def quotient_invariants_by_enumeration(p, exponents, a):
     return _torsion_profile_to_invariants(torsion_vp, n_max)
 
 
-def group_shapes(max_factors: int, max_exponent: int, max_order_vp=None):
-    """All invariant-exponent multisets within the bounds, ascending."""
+def group_shapes(max_factors: int, max_exponent: int, max_vp=None):
+    """All invariant-exponent multisets within the bounds, ascending; with
+    max_vp, only those of a group whose order is at most p^max_vp."""
     shapes = [()]
     for r in range(1, max_factors + 1):
         shapes.extend(tuple(c) for c in
                       combinations_with_replacement(range(1, max_exponent + 1), r))
-    if max_order_vp is not None:
-        shapes = [s for s in shapes if sum(s) <= max_order_vp]
+    if max_vp is not None:
+        shapes = [s for s in shapes if sum(s) <= max_vp]
     return shapes
 
 
@@ -204,7 +205,7 @@ def suite_linalg(seed: int = 0) -> SuiteResult:
     # domination postcondition plus counting/enumeration cross-validation; the
     # domination check then extends to all shapes with exponents <= 3
     for p in (2, 3):
-        sweep_cyclic_quotients(p, group_shapes(4, 8, max_order_vp=8), result,
+        sweep_cyclic_quotients(p, group_shapes(4, 8, max_vp=8), result,
                                cross_validate=True)
         rest = [s for s in group_shapes(4, 3) if sum(s) > 8]
         sweep_cyclic_quotients(p, rest, result, cross_validate=False)
@@ -266,15 +267,15 @@ def q_d_matrix_by_columns(p: int, d: int, lifts: PointLift = None) -> IntegerMat
     return IntegerMatrix.from_rows([list(row) for row in zip(*columns)])
 
 
-def operator_matrix_by_columns(p: int, d: int, m: int = 0, max_order=None):
+def operator_matrix_by_columns(p: int, d: int, m: int = 0):
     """The full local-data matrix built one basis operator at a time.
 
     An oracle for operator_matrix, which writes its columns in closed form
     instead: column n is the local_data_operator vector of the n-th operator
-    of standard_operator_basis(p, d, m, max_order).  Returns (matrix, moduli
-    exponents) as operator_matrix does.
+    of standard_operator_basis(p, d, m).  Returns (matrix, moduli exponents)
+    as operator_matrix does.
     """
-    ops = standard_operator_basis(p, d, m, max_order)
+    ops = standard_operator_basis(p, d, m)
     coords = coords_le(p, d)
     index = {c: r for r, c in enumerate(coords)}
     rows = [{} for _ in coords]

@@ -124,7 +124,7 @@ def test_criterion_7_level_independence(capsys):
 def test_criterion_8_cyclic_quotient_oracle(capsys):
     result = SuiteResult("criterion-8")
     for p in (2, 3):
-        shapes = group_shapes(4, 8, max_order_vp=8)
+        shapes = group_shapes(4, 8, max_vp=8)
         sweep_cyclic_quotients(p, shapes, result, cross_validate=True)
     ok = result.passed
     with capsys.disabled():

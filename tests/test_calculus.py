@@ -246,7 +246,7 @@ def test_standard_operator_basis_counts_and_globality():
         ops = standard_operator_basis(p, d)
         assert len(ops) == (d + 1) ** 2
         assert all(is_global_section(op) for op in ops)
-        low = standard_operator_basis(p, d, max_order=d - 1)
+        low = standard_operator_basis(p, d - 1)
         assert len(low) == d ** 2
 
 

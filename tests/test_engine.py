@@ -461,8 +461,6 @@ ARGUMENT_CHECKS = {
                               "level m must be >= 0"),
     "operator-matrix-degree": (lambda: localdata.operator_matrix(3, -1),
                                "degree bound must be >= 0"),
-    "operator-matrix-order": (lambda: localdata.operator_matrix(3, 2, 0, 4),
-                              "order 3 outside 0..2"),
 }
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from logdop import lifting
@@ -15,6 +17,7 @@ from logdop.lifting import (
 )
 from logdop.errors import InvariantViolation, NonvanishingLocalData
 from logdop.localdata import local_data_operator, local_data_tensor
+from logdop.serialize import operator_text
 
 
 def assert_sound_lift(lift, delta):
@@ -94,6 +97,21 @@ def test_lift_by_solve_corpus_level0_and_levels():
                 for seed in range(4):
                     delta = sample_kernel_section(p, d, seed=seed, m=m)
                     assert_sound_lift(lift_by_solve(delta)[0], delta)
+
+
+def test_solve_lifts_at_levels_0_to_2_are_pinned():
+    # the operator/1 text of solve lifts at m = 0, 1, 2, hashed: the level
+    # reaches the correction system through the a^(m) rows, and the lift
+    # suite samples level 0 only.  The last cells are d = 1, whose
+    # correction system has no rows and the one column of the operator 1.
+    digest = hashlib.sha256()
+    cells = [(p, d, m, seed) for p, d in ((2, 5), (3, 6), (5, 4))
+             for m in range(3) for seed in range(3)]
+    for p, d, m, seed in cells + [(5, 1, m, 7) for m in range(3)]:
+        lift, _ = lift_by_solve(sample_kernel_section(p, d, seed=seed, m=m))
+        digest.update(operator_text(lift).encode())
+    assert digest.hexdigest() == (
+        "41b4fdcef91c4db047df53c35289e010bffe44c7bf6872d5f66ce96541178bf2")
 
 
 # ---------------------------------------------------------------------------

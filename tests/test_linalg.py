@@ -19,7 +19,7 @@ from logdop.linalg import (
     rank_mod_p,
     vp,
 )
-from logdop.localdata import operator_matrix, q_d_matrix
+from logdop.localdata import coords_le, moduli_exponents, operator_matrix, q_d_matrix
 from logdop.verify import quotient_invariants_by_enumeration
 
 
@@ -569,8 +569,7 @@ def test_solver_solve_round_trip():
 def test_solve_is_canonical():
     rng = random.Random(515)
     # the lift path's correction systems, then random ones
-    systems = [operator_matrix(p, d, max_order=d - 1) + (p,)
-               for p, d in ((2, 4), (3, 4), (5, 3))]
+    systems = [operator_matrix(p, d - 1) + (p,) for p, d in ((2, 4), (3, 4), (5, 3))]
     for _ in range(40):
         p = rng.choice((2, 3, 5))
         systems.append(random_moduli_system(rng, p, max_rows=6, max_cols=6) + (p,))
@@ -609,13 +608,24 @@ def test_solve_is_canonical():
     assert solver.solve([1]) is None and solver.solve([9]) == [0]
 
 
+def correction_system_with_degree_rows(p, d, m):
+    """The correction solver's system operator_matrix(p, d - 1, m) with the
+    zero rows of the degree-d coordinates back in place, on the rows of
+    coords_le(p, d): an order <= d-1 operator has no degree-d local data."""
+    mat, _ = operator_matrix(p, d - 1, m)
+    low = dict(zip(coords_le(p, d - 1), mat.row_maps))
+    coords = coords_le(p, d)
+    return IntegerMatrix(mat.cols, [low.get(c, {}) for c in coords]), moduli_exponents(coords)
+
+
 def pinned_solver_systems():
     """Degree-d local-data matrices, correction-solver operator matrices at
-    levels 0..2 and seeded mixed-moduli systems."""
+    levels 0..2 (with their degree-d zero rows) and seeded mixed-moduli
+    systems."""
     rng = random.Random(1616)
     systems = [q_d_matrix(p, d) + (p,) for p, d_max in ((2, 12), (3, 10), (5, 6), (7, 4), (11, 3))
                for d in range(1, d_max + 1)]
-    systems += [operator_matrix(p, d, m, max_order=d - 1) + (p,)
+    systems += [correction_system_with_degree_rows(p, d, m) + (p,)
                 for p, d in ((2, 5), (3, 5), (5, 3)) for m in range(3)]
     for _ in range(2000):
         p = rng.choice((2, 3, 5, 7))

@@ -12,6 +12,7 @@ from logdop.calculus import (
     TensorSection,
     is_global_section,
     operator_to_laurent,
+    standard_basis_keys,
     standard_operator_basis,
     tensor_to_operator,
     transform_term,
@@ -513,23 +514,32 @@ def test_a_forged_pascal_entry_fails_the_localdata_suite(monkeypatch):
 
 def test_operator_matrix_is_the_column_wise_build():
     # the closed-form columns against local_data_operator on each basis
-    # operator, at levels where a^(m) differs from a, over both ranges the
-    # callers read: verify_splitting's (d+1)^2 columns, correction_solver's d^2
+    # operator, at levels where a^(m) differs from a; an order-k column has
+    # no local data above degree k, so the order <= d-1 columns on the rows
+    # of degree <= d-1 are the correction solver's operator_matrix(p, d-1, m)
     for p in (2, 3, 5, 7, 11):
         for d in range(7):
             for m in range(3):
-                for max_order in (d, d - 1):
-                    mat, moduli = operator_matrix(p, d, m, max_order)
-                    assert (mat, moduli) == operator_matrix_by_columns(p, d, m, max_order)
-                    for row in mat.row_maps:
-                        assert 0 not in row.values() and list(row) == sorted(row)
+                mat, moduli = operator_matrix(p, d, m)
+                assert (mat, moduli) == operator_matrix_by_columns(p, d, m)
+                orders = [k for _, _, k in standard_basis_keys(d)]
+                for (_a, k, _i), row in zip(coords_le(p, d), mat.row_maps):
+                    assert 0 not in row.values() and list(row) == sorted(row)
+                    assert all(orders[col] >= k for col in row)
+                if d:
+                    low = [(row, e) for (_a, k, _i), row, e
+                           in zip(coords_le(p, d), mat.row_maps, moduli) if k < d]
+                    assert operator_matrix(p, d - 1, m) == (
+                        IntegerMatrix(d * d, [{c: x for c, x in row.items() if c < d * d}
+                                              for row, _ in low]),
+                        tuple(e for _, e in low))
 
 
 def test_a_wrong_operator_matrix_entry_fails_the_localdata_suite(monkeypatch):
     genuine = verify.operator_matrix
 
-    def forged(p, d, m=0, max_order=None):
-        mat, moduli = genuine(p, d, m, max_order)
+    def forged(p, d, m=0):
+        mat, moduli = genuine(p, d, m)
         if (p, d, m) == (3, 2, 1):
             row = next(row for row in mat.row_maps if row)
             col = next(iter(row))
