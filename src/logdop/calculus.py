@@ -14,7 +14,6 @@ basis throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -107,32 +106,46 @@ def check_operator_space(p: int, m: int, d: int) -> None:
         raise ValueError("degree bound must be >= 0")
 
 
-@dataclass(frozen=True)
+def _int_tuple(values, what: str) -> tuple:
+    """``values`` as a tuple of ints: a float, bool or string entry is
+    refused, not truncated or read as a number."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{what} {x!r} is not an integer")
+    return values
+
+
 class TensorSection:
     """Global section of the d-th tensor power of the tangent sheaf.
 
     A[s] multiplies y^s d_y^(x)d (0 <= s < d) and B[s'] multiplies
     x^{s'} d_x^(x)d (0 <= s' <= d); at level m the coefficients refer to the
     scaled basis (q_d!/d!) * monomial, so they are plain integers at every
-    level and the level only tags the section.
+    level and the level only tags the section.  Immutable after construction.
     """
 
-    p: int
-    d: int
-    m: int
-    A: tuple
-    B: tuple
+    __slots__ = ("p", "d", "m", "A", "B")
 
-    def __post_init__(self):
-        _check_pm(self.p, self.m)
-        if self.d < 1:
+    def __init__(self, p: int, d: int, m: int, A: tuple, B: tuple):
+        _check_pm(p, m)
+        if d < 1:
             raise ValueError("degree d must be >= 1")
-        object.__setattr__(self, "A", tuple(int(a) for a in self.A))
-        object.__setattr__(self, "B", tuple(int(b) for b in self.B))
-        if len(self.A) != self.d or len(self.B) != self.d + 1:
+        A = _int_tuple(A, "coefficient")
+        B = _int_tuple(B, "coefficient")
+        if len(A) != d or len(B) != d + 1:
             raise ValueError(
-                f"need {self.d} A-coefficients and {self.d + 1} B-coefficients, "
-                f"got {len(self.A)} and {len(self.B)}")
+                f"need {d} A-coefficients and {d + 1} B-coefficients, "
+                f"got {len(A)} and {len(B)}")
+        self.p = p
+        self.d = d
+        self.m = m
+        self.A = A
+        self.B = B
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TensorSection) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @classmethod
     def from_coordinates(cls, p: int, d: int, m: int, coords) -> "TensorSection":
@@ -181,7 +194,8 @@ class OperatorSection:
         self.d = d
         clean = {}
         for (chart, i, k), coeff in (terms or {}).items():
-            coeff = int(coeff)
+            if type(coeff) is not int:
+                raise ValueError(f"coefficient {coeff!r} is not an integer")
             if coeff == 0:
                 continue
             if chart not in CHARTS:
@@ -219,13 +233,15 @@ class OperatorSection:
         return f"OperatorSection(p={self.p}, m={self.m}, d={self.d}, {len(self.terms)} terms)"
 
 
-@dataclass
 class LaurentOperator:
     """One-chart operator with integer Laurent powers and integer
     coefficients; intermediate only."""
 
-    chart: str
-    coeffs: dict = field(default_factory=dict)  # (power i, order k) -> coeff
+    __slots__ = ("chart", "coeffs")
+
+    def __init__(self, chart: str, coeffs: dict = None):
+        self.chart = chart
+        self.coeffs = {} if coeffs is None else coeffs  # (power i, order k) -> coeff
 
     def add(self, i: int, k: int, c) -> None:
         key = (i, k)

@@ -32,7 +32,6 @@ maximal-order class follow from the group exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, log
@@ -126,16 +125,24 @@ def h1_tensor(p: int, d: int) -> AbelianPGroup:
     return cokernel_invariants(*tensor_presentation(p, d), p)
 
 
-@dataclass(frozen=True)
 class H1Report:
-    """Per-degree groups up to d, their direct sum, and the exponent bounds."""
+    """Per-degree groups up to d, their direct sum, and the exponent bounds.
+    Immutable after construction."""
 
-    p: int
-    d: int
-    per_degree: tuple  # AbelianPGroup for d' = 1..d
-    bounds: tuple      # exponent_lower_bound(p, d') per degree
-    bound_met: tuple   # max exponent >= bound
-    bound_equal: tuple  # max exponent == bound (observed, reported not asserted)
+    __slots__ = ("p", "d", "per_degree", "bounds", "bound_met", "bound_equal")
+
+    def __init__(self, p: int, d: int, per_degree: tuple, bounds: tuple,
+                 bound_met: tuple, bound_equal: tuple):
+        self.p = p
+        self.d = d
+        self.per_degree = per_degree    # AbelianPGroup for d' = 1..d
+        self.bounds = bounds            # exponent_lower_bound(p, d') per degree
+        self.bound_met = bound_met      # max exponent >= bound
+        self.bound_equal = bound_equal  # max exponent == bound (observed, reported not asserted)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, H1Report) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def total(self) -> AbelianPGroup:
@@ -241,7 +248,6 @@ SCHEDULES = {
 }
 
 
-@dataclass(frozen=True)
 class LevelRow:
     """One degree of the level-lowering diagnostic.
 
@@ -253,27 +259,38 @@ class LevelRow:
     max(0, max_exponent - vp_transition) and max(0, pushed - schedule_n).
     The analytic lower bound applies to the scheduled quantity and carries a
     log_p(d) term, so bound_satisfied is decided by exact power comparison.
+    Immutable after construction.
     """
 
-    d: int
-    max_exponent: int       # group exponent of the degree-d summand
-    schedule_n: int         # n_d
-    vp_transition: int      # v_p(d!/q_d!)
-    scheduled_exponent: int
-    pushed_exponent: int
-    bound_value: float
-    bound_nonnegative: bool
-    bound_satisfied: bool
+    __slots__ = ("d", "max_exponent", "schedule_n", "vp_transition",
+                 "scheduled_exponent", "pushed_exponent", "bound_value",
+                 "bound_nonnegative", "bound_satisfied")
+
+    def __init__(self, d: int, max_exponent: int, schedule_n: int,
+                 vp_transition: int, scheduled_exponent: int, pushed_exponent: int,
+                 bound_value: float, bound_nonnegative: bool, bound_satisfied: bool):
+        self.d = d
+        self.max_exponent = max_exponent    # group exponent of the degree-d summand
+        self.schedule_n = schedule_n        # n_d
+        self.vp_transition = vp_transition  # v_p(d!/q_d!)
+        self.scheduled_exponent = scheduled_exponent
+        self.pushed_exponent = pushed_exponent
+        self.bound_value = bound_value
+        self.bound_nonnegative = bound_nonnegative
+        self.bound_satisfied = bound_satisfied
 
 
-@dataclass(frozen=True)
 class LevelDiagnostic:
-    """Rows for d = 1..d_max; level_descent_diagnostic refuses d_max < 1."""
+    """Rows for d = 1..d_max; level_descent_diagnostic refuses d_max < 1.
+    Immutable after construction."""
 
-    p: int
-    m: int
-    schedule: str
-    rows: tuple
+    __slots__ = ("p", "m", "schedule", "rows")
+
+    def __init__(self, p: int, m: int, schedule: str, rows: tuple):
+        self.p = p
+        self.m = m
+        self.schedule = schedule
+        self.rows = rows
 
     def pushed_exponents(self) -> list:
         return [r.pushed_exponent for r in self.rows]

@@ -24,7 +24,6 @@ sparse too; only kernel_basis and solve hand out dense lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
@@ -143,23 +142,40 @@ def det(m: IntegerMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
 class AbelianPGroup:
     """Finite abelian p-group as its multiset of invariant-factor exponents.
 
     ``exponents`` is sorted ascending and contains no zeros; the trivial group
-    is the empty tuple.  Group = (+)_j Z/p^{n_j}.
+    is the empty tuple.  Group = (+)_j Z/p^{n_j}.  A value: equal and hashed
+    by (p, exponents), and attribute assignment is refused, since
+    engine.h1_tensor's memo hands out shared instances.
     """
 
-    p: int
-    exponents: tuple
+    __slots__ = ("p", "exponents")
 
-    def __post_init__(self):
-        require_prime(self.p)
-        exps = tuple(sorted(self.exponents))
+    def __init__(self, p: int, exponents: tuple):
+        require_prime(p)
+        exps = tuple(sorted(exponents))
         if any(n < 1 for n in exps):
             raise ValueError("invariant exponents must be >= 1")
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "exponents", exps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an AbelianPGroup")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an AbelianPGroup")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, AbelianPGroup)
+                and (self.p, self.exponents) == (other.p, other.exponents))
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.exponents))
+
+    def __repr__(self) -> str:
+        return f"AbelianPGroup(p={self.p}, exponents={self.exponents})"
 
     @property
     def is_trivial(self) -> bool:

@@ -34,7 +34,6 @@ matrices, vectors and serialized documents follow this order bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from operator import mul
@@ -43,6 +42,7 @@ from .calculus import (
     CHART_X,
     OperatorSection,
     TensorSection,
+    _int_tuple,
     _level_row,
     check_operator_space,
     standard_basis_keys,
@@ -71,22 +71,22 @@ def moduli_exponents(coords) -> tuple:
     return tuple(k - i for (_a, k, i) in coords)
 
 
-@dataclass(frozen=True)
 class PointLift:
-    """Integer lifts xi_a = lift of a, one per finite point; xi_a = a (mod p)."""
+    """Integer lifts xi_a = lift of a, one per finite point; xi_a = a (mod p).
+    Immutable after construction."""
 
-    p: int
-    lifts: tuple
+    __slots__ = ("p", "lifts")
 
-    def __post_init__(self):
-        require_prime(self.p)
-        lifts = tuple(int(x) for x in self.lifts)
-        if len(lifts) != self.p:
-            raise ValueError(f"need {self.p} lifts, got {len(lifts)}")
+    def __init__(self, p: int, lifts: tuple):
+        require_prime(p)
+        lifts = _int_tuple(lifts, "lift")
+        if len(lifts) != p:
+            raise ValueError(f"need {p} lifts, got {len(lifts)}")
         for a, xi in enumerate(lifts):
-            if (xi - a) % self.p:
-                raise ValueError(f"lift {xi} of {a} is not congruent mod {self.p}")
-        object.__setattr__(self, "lifts", lifts)
+            if (xi - a) % p:
+                raise ValueError(f"lift {xi} of {a} is not congruent mod {p}")
+        self.p = p
+        self.lifts = lifts
 
 
 def _lift_values(p: int, lifts: PointLift = None):
@@ -100,7 +100,6 @@ def _lift_values(p: int, lifts: PointLift = None):
     return lifts.lifts
 
 
-@dataclass
 class LocalDataVector:
     """Residues of one section/operator in the degree <= d quotient.
 
@@ -109,11 +108,19 @@ class LocalDataVector:
     k = d slice (the tensor case).
     """
 
-    p: int
-    d: int
-    m: int
-    entries: dict = field(default_factory=dict)
-    degree_only: bool = False
+    __slots__ = ("p", "d", "m", "entries", "degree_only")
+
+    def __init__(self, p: int, d: int, m: int, entries: dict = None,
+                 degree_only: bool = False):
+        self.p = p
+        self.d = d
+        self.m = m
+        self.entries = {} if entries is None else entries
+        self.degree_only = degree_only
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LocalDataVector) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def coords(self) -> list:
         return coords_degree(self.p, self.d) if self.degree_only else coords_le(self.p, self.d)

@@ -12,7 +12,6 @@ numbers; everything else must match exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from .engine import h1_filtered, summand_count
@@ -22,12 +21,16 @@ _DATA = resources.files("logdop").joinpath("data/appendix")
 TABLE_PRIMES = (2, 3, 5, 7, 11)  # one data file p<p>.json each; its rows are the table
 
 
-@dataclass(frozen=True)
 class GoldenRow:
-    p: int
-    d: int
-    group: AbelianPGroup
-    known_discrepancy: bool
+    """One printed row of a reference table.  Immutable after construction."""
+
+    __slots__ = ("p", "d", "group", "known_discrepancy")
+
+    def __init__(self, p: int, d: int, group: AbelianPGroup, known_discrepancy: bool):
+        self.p = p
+        self.d = d
+        self.group = group
+        self.known_discrepancy = known_discrepancy
 
 
 def _summands_to_group(p, summands) -> AbelianPGroup:
@@ -47,18 +50,26 @@ def load_golden(p: int) -> list:
             for row in doc["rows"]]
 
 
-@dataclass(frozen=True)
 class RowComparison:
-    p: int
-    d: int
-    printed: AbelianPGroup
-    computed: AbelianPGroup
-    known_discrepancy: bool
-    matches_printed: bool
-    splitting_ok: bool       # computed row contains printed row d-1
-    summand_count_ok: bool   # new summands number (p-1)d - 1
-    bound_met: bool
-    bound_equal: bool
+    """One table row, printed against computed.  Immutable after construction."""
+
+    __slots__ = ("p", "d", "printed", "computed", "known_discrepancy",
+                 "matches_printed", "splitting_ok", "summand_count_ok",
+                 "bound_met", "bound_equal")
+
+    def __init__(self, p: int, d: int, printed: AbelianPGroup, computed: AbelianPGroup,
+                 known_discrepancy: bool, matches_printed: bool, splitting_ok: bool,
+                 summand_count_ok: bool, bound_met: bool, bound_equal: bool):
+        self.p = p
+        self.d = d
+        self.printed = printed
+        self.computed = computed
+        self.known_discrepancy = known_discrepancy
+        self.matches_printed = matches_printed
+        self.splitting_ok = splitting_ok          # computed row contains printed row d-1
+        self.summand_count_ok = summand_count_ok  # new summands number (p-1)d - 1
+        self.bound_met = bound_met
+        self.bound_equal = bound_equal
 
     @property
     def accepted(self) -> bool:
@@ -102,9 +113,13 @@ def compare_row(p: int, d: int, cache=None) -> RowComparison:
     return _compare(golden, d, h1_filtered(p, d, cache=cache))
 
 
-@dataclass(frozen=True)
 class AppendixReport:
-    comparisons: tuple
+    """Every row of every reference table.  Immutable after construction."""
+
+    __slots__ = ("comparisons",)
+
+    def __init__(self, comparisons: tuple):
+        self.comparisons = comparisons
 
     @property
     def all_accepted(self) -> bool:

@@ -9,7 +9,6 @@ heavyweight exhaustive sweeps reserved for the CLI.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 
 from .calculus import (
@@ -55,11 +54,15 @@ ENUMERATION_BUDGET = 2000
 LIFT_SAMPLES = 100  # sampled sections per (p, d) in the lift suite
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list = field(default_factory=list)
+    """One suite's tally: checks run and the messages of those that failed."""
+
+    __slots__ = ("name", "checks", "failures")
+
+    def __init__(self, name: str, checks: int = 0, failures: list = None):
+        self.name = name
+        self.checks = checks
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

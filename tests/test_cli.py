@@ -5,7 +5,6 @@ import pkgutil
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -555,7 +554,8 @@ def test_a_flagged_row_must_split_against_the_printed_row_before_it(monkeypatch,
     real = tables.load_golden
 
     def forged(p):
-        return [replace(row, group=AbelianPGroup(p, row.group.exponents + (5,)))
+        return [tables.GoldenRow(row.p, row.d, AbelianPGroup(p, row.group.exponents + (5,)),
+                                 row.known_discrepancy)
                 if (p, row.d) == (3, 7) else row for row in real(p)]
 
     monkeypatch.setattr(tables, "load_golden", forged)
@@ -1016,6 +1016,14 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(logdop.__path__)
 def test_each_module_imports_first_in_a_fresh_interpreter(module):
     proc = run_python("-c", f"import logdop.{module}")
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    # each CLI run is a fresh process: dataclasses pulls in inspect, ast, dis
+    # and tokenize, and compiles its generated methods on every start
+    proc = run_python("-c", "import sys, logdop.cli; "
+                      "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr.decode()
 
 
 def test_the_package_binds_no_public_name_and_runs_as_a_module():

@@ -170,6 +170,20 @@ def test_order_checks_small_sweep():
             assert summand_count_check(p, d)
 
 
+def test_h1_tensor_groups_are_values():
+    # h1_tensor's memo hands out one shared instance per (p, d)
+    g = h1_tensor(5, 2)
+    assert g.exponents == (1, 1, 1, 1, 1, 1, 2)
+    same = AbelianPGroup(5, (2, 1, 1, 1, 1, 1, 1))
+    assert same.exponents == g.exponents
+    assert same is not g and same == g and hash(same) == hash(g)
+    assert g != AbelianPGroup(3, g.exponents) and g != AbelianPGroup(5, (1, 2))
+    assert len({g, same, AbelianPGroup(3, g.exponents)}) == 2
+    with pytest.raises(AttributeError):
+        g.exponents = (1,)
+    assert h1_tensor(5, 2).exponents == (1, 1, 1, 1, 1, 1, 2)
+
+
 def test_order_checks_reuse_the_filtered_groups():
     # one lru entry per (p, d): the checks and a second report ask for the
     # groups h1_filtered holds
@@ -418,6 +432,10 @@ ARGUMENT_CHECKS = {
                             "need 2d+1 = 3 coordinates"),
     "section-plus": (lambda: _section().plus(_section(m=1)),
                      "sections live in different spaces"),
+    "section-float": (lambda: calculus.TensorSection(3, 1, 0, (2.5,), (0.9, True)),
+                      "coefficient 2.5 is not an integer"),
+    "section-string": (lambda: calculus.TensorSection(3, 1, 0, ("12",), (0, 0)),
+                       "coefficient '12' is not an integer"),
     "operator-degree": (lambda: calculus.OperatorSection(3, 0, -1),
                         "degree bound must be >= 0"),
     "operator-chart": (lambda: calculus.OperatorSection(3, 0, 1, {("z", 0, 0): 1}),
@@ -426,6 +444,8 @@ ARGUMENT_CHECKS = {
                        "order 3 outside 0..1"),
     "operator-power": (lambda: calculus.OperatorSection(3, 0, 1, {("x", -1, 0): 1}),
                        "power -1 must be >= 0"),
+    "operator-float": (lambda: calculus.OperatorSection(3, 0, 1, {("x", 0, 1): 1.7}),
+                       "coefficient 1.7 is not an integer"),
     "operator-plus": (lambda: calculus.OperatorSection(3, 0, 1).plus(
                           calculus.OperatorSection(3, 1, 1)),
                       "operators live over different (p, m)"),
@@ -454,6 +474,8 @@ ARGUMENT_CHECKS = {
     "solve-length": (lambda: linalg.CokernelSolver(_unit_matrix(), (1,), 3).solve([0, 0]),
                      "vector has 2 coordinates, expected 1"),
     "point-lift-count": (lambda: localdata.PointLift(3, (0, 1)), "need 3 lifts, got 2"),
+    "point-lift-float": (lambda: localdata.PointLift(3, (0.0, 1.2, 2)),
+                         "lift 0.0 is not an integer"),
     "kernel-lattice-prime": (lambda: localdata.kernel_lattice(4, 2), "p = 4 is not prime"),
     "kernel-lattice-degree": (lambda: localdata.kernel_lattice(3, 0), "need d >= 1"),
     "operator-matrix-prime": (lambda: localdata.operator_matrix(4, 2), "p = 4 is not prime"),
