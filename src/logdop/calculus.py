@@ -10,6 +10,13 @@ divided power d^<k> = (q_k!/k!) d^k with q_k = floor(k/p^m); the transformation
 coefficients become a_{s,t}^(m) = C(s-1,t-1) q_s!/q_t!, still integers, and all
 stored coefficients stay integral because sections are kept in the scaled
 basis throughout.
+
+A one-chart aggregate is a plain {(power, order): coefficient} dict with no
+zero coefficient stored: transform_term moves one term to the other chart,
+operator_to_laurent sums an operator in one chart, and is_global_section
+asks that no power be negative in either.  They are the independent oracles
+of localdata.local_data_operator, which reads both charts in one pass, and
+of the coeffs suite's involution check.
 """
 
 from __future__ import annotations
@@ -233,69 +240,45 @@ class OperatorSection:
         return f"OperatorSection(p={self.p}, m={self.m}, d={self.d}, {len(self.terms)} terms)"
 
 
-class LaurentOperator:
-    """One-chart operator with integer Laurent powers and integer
-    coefficients; intermediate only."""
-
-    __slots__ = ("chart", "coeffs")
-
-    def __init__(self, chart: str, coeffs: dict = None):
-        self.chart = chart
-        self.coeffs = {} if coeffs is None else coeffs  # (power i, order k) -> coeff
-
-    def add(self, i: int, k: int, c) -> None:
-        key = (i, k)
-        new = self.coeffs.get(key, 0) + c
-        if new:
-            self.coeffs[key] = new
-        else:
-            self.coeffs.pop(key, None)
-
-    def min_power(self):
-        return min((i for (i, _k) in self.coeffs), default=0)
-
-    @property
-    def is_regular(self) -> bool:
-        return self.min_power() >= 0
-
-
 def transform_term(chart: str, i: int, k: int, p: int, m: int,
-                   coeff: int = 1) -> LaurentOperator:
-    """Rewrite coeff * power^i * d^<k> of one chart in the opposite chart.
+                   coeff: int = 1) -> dict:
+    """Rewrite coeff * power^i * d^<k> of one chart in the opposite chart, as
+    {(power, order): coefficient} with no zero coefficient stored.
 
     Order 0 maps by power negation; order k >= 1 picks up the a^(m)
     coefficients and the sign (-1)^k.  Laurent powers may come out negative.
     """
     if chart not in CHARTS:
         raise ValueError(f"unknown chart {chart!r}")
-    out = LaurentOperator(CHART_Y if chart == CHART_X else CHART_X)
+    if not coeff:
+        return {}
     if k == 0:
-        out.add(-i, 0, coeff)
-        return out
-    if coeff:
-        c = -coeff if k % 2 else coeff
-        out.coeffs = {(k + t - i, t): c * a
-                      for t, a in enumerate(_level_row(k, p, m), start=1)}
-    return out
+        return {(-i, 0): coeff}
+    c = -coeff if k % 2 else coeff
+    return {(k + t - i, t): c * a
+            for t, a in enumerate(_level_row(k, p, m), start=1)}
 
 
-def operator_to_laurent(op: OperatorSection, chart: str) -> LaurentOperator:
-    """Aggregate all terms of op into a single-chart Laurent operator."""
-    out = LaurentOperator(chart)
+def operator_to_laurent(op: OperatorSection, chart: str) -> dict:
+    """Aggregate all terms of op in one chart, as {(power, order): coefficient}
+    with integer Laurent powers and no zero coefficient stored."""
+    out = {}
     for (ch, i, k), coeff in op.terms.items():
-        if ch == chart:
-            out.add(i, k, coeff)
-        else:
-            moved = transform_term(ch, i, k, op.p, op.m, coeff)
-            for (ii, kk), c in moved.coeffs.items():
-                out.add(ii, kk, c)
+        moved = ({(i, k): coeff} if ch == chart
+                 else transform_term(ch, i, k, op.p, op.m, coeff))
+        for key, c in moved.items():
+            c += out.get(key, 0)
+            if c:
+                out[key] = c
+            else:
+                del out[key]
     return out
 
 
 def is_global_section(op: OperatorSection) -> bool:
-    """Whether op extends to all of P^1: both chart aggregates are regular."""
-    return (operator_to_laurent(op, CHART_X).is_regular
-            and operator_to_laurent(op, CHART_Y).is_regular)
+    """Whether op extends to all of P^1: no power is negative in either
+    chart's aggregate."""
+    return all(i >= 0 for chart in CHARTS for i, _k in operator_to_laurent(op, chart))
 
 
 def tensor_to_operator(delta: TensorSection) -> OperatorSection:

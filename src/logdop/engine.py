@@ -313,6 +313,23 @@ class LevelDiagnostic:
                 f"peak {verdict} the d=1 value")
 
 
+# the level diagnostic builds p^k for k <= this + bitlen(d(p^2-1)) only
+_LEVEL_CAP_BITS = 1100
+
+
+def _bound_sign(r0: Fraction, x: int, p: int, d: int, m: int, k: int) -> int:
+    """Sign of r_m - x - log_p(d), r_m = r0 + d/((p-1)p^m), read at a level
+    k <= m: it is the sign at k when k = m or when that is -1 (r_m < r_k),
+    +1 when r0 - x >= log_p(d) (r_m > r0), and only otherwise compared at
+    p^m itself."""
+    s = cmp_rational_logp(r0 - x + Fraction(d, (p - 1) * p ** k), p, d)
+    if k == m or s < 0:
+        return s
+    if cmp_rational_logp(r0 - x, p, d) >= 0:
+        return 1
+    return cmp_rational_logp(r0 - x + Fraction(d, (p - 1) * p ** m), p, d)
+
+
 def level_descent_diagnostic(p: int, m: int, d_max: int,
                              schedule: str = "sqrt", cache=None) -> LevelDiagnostic:
     """Track orders of maximal-torsion classes pushed from level 0 to level m.
@@ -323,7 +340,15 @@ def level_descent_diagnostic(p: int, m: int, d_max: int,
     v_p(lam) and stops at 0, so the exact order exponents are
     max(0, e - v_p(lam)) and max(0, e - v_p(lam) - n_d); no class or
     transform is materialized.  The bound column is the analytic expression
-    ((p^2-3p)/(p^2-1) + 1/((p-1)p^m)) d - n_d - log_p(d) - 2.
+    r_m - log_p(d), r_m = ((p^2-3p)/(p^2-1) + 1/((p-1)p^m)) d - n_d - 2.
+
+    Write r_m = r0 + d/((p-1)p^m).  p^k is built only up to the level
+    k = min(m, _LEVEL_CAP_BITS + bitlen(d(p^2-1))); for m <= k that is r_m
+    itself.  Past it, d/((p-1)p^k) < 2^-1075/(p^2-1), while r0's denominator
+    divides p^2-1 and every double and rounding midpoint is a multiple of
+    2^-1075, so no rounding boundary lies in (r0, r_k] and float(r_m) =
+    float(r_k).  The two signs come from _bound_sign, which compares at p^m
+    only when log_p(d) lies within 2^-1075 above r0 - x.
     """
     require_prime(p)
     if m < 0 or d_max < 1:
@@ -331,7 +356,7 @@ def level_descent_diagnostic(p: int, m: int, d_max: int,
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
     n_of = SCHEDULES[schedule]
-    coeff = Fraction(p * p - 3 * p, p * p - 1) + Fraction(1, (p - 1) * p ** m)
+    slope = Fraction(p * p - 3 * p, p * p - 1)
     groups = h1_filtered(p, d_max, cache=cache).per_degree
     rows = []
     for d, group in enumerate(groups, start=1):
@@ -340,10 +365,11 @@ def level_descent_diagnostic(p: int, m: int, d_max: int,
         vp_lam = legendre_vp(d, p) - legendre_vp(q_level(d, p, m), p)
         pushed = max(0, max_exp - vp_lam)
         scheduled = max(0, pushed - n_d)
-        r = coeff * d - n_d - 2
-        nonneg = cmp_rational_logp(r, p, d) >= 0
-        satisfied = (not nonneg) or cmp_rational_logp(
-            r - scheduled, p, d) <= 0
+        r0 = slope * d - n_d - 2
+        k = min(m, _LEVEL_CAP_BITS + (d * (p * p - 1)).bit_length())
+        nonneg = _bound_sign(r0, 0, p, d, m, k) >= 0
+        satisfied = (not nonneg) or _bound_sign(r0, scheduled, p, d, m, k) <= 0
+        r = r0 + Fraction(d, (p - 1) * p ** k)
         rows.append(LevelRow(
             d=d, max_exponent=max_exp, schedule_n=n_d, vp_transition=vp_lam,
             scheduled_exponent=scheduled, pushed_exponent=pushed,

@@ -217,9 +217,14 @@ def local_data_operator(op: OperatorSection) -> LocalDataVector:
     At a finite point the (a, k, i) residue is sum_n c_n C(n, i) xi_a^{n-i}
     mod p^{k-i} for the order-k polynomial sum_n c_n x^n, a dot product of
     its coefficients (reduced mod p^k) with the Pascal column i of xi_a
-    (reduced mod p^d), both exact reductions.  Divided-power bases at level
-    m are identified with the level-0 coordinates, so residues land in the
-    same Z/p^{k-i} lattice at every level.
+    (reduced mod p^d), both exact reductions.  The Pascal rows 0..2d are
+    enough: in a global operator the order-t polynomial has degree at most
+    t + d <= 2d.  By induction down from the top order, a degree D > t + d
+    would put the power 2t - D < t - d at order t of the y chart, below the
+    least power t - d that any higher order reaches there, so nothing would
+    cancel it.  Divided-power bases at level m are identified with the
+    level-0 coordinates, so residues land in the same Z/p^{k-i} lattice at
+    every level.
     """
     p, d, m = op.p, op.d, op.m
     at_x = [{} for _ in range(d + 1)]   # order k: x power -> coefficient
@@ -256,8 +261,6 @@ def local_data_operator(op: OperatorSection) -> LocalDataVector:
         if below[k]:
             _store(entries, INF, k, [below[k].get(i, 0) for i in range(k)], p)
     polys = []
-    # a global operator's x powers stay <= 2d, but the columns follow the real degree
-    top = 2 * d
     for k in range(1, d + 1):
         pk = p ** k
         poly = [0] * (max(at_x[k], default=-1) + 1)
@@ -266,11 +269,10 @@ def local_data_operator(op: OperatorSection) -> LocalDataVector:
                 poly[n] = c % pk
         if any(poly):
             polys.append((k, poly))
-            top = max(top, len(poly) - 1)
     if polys:
         pd = p ** d
         for a in range(p):
-            columns = _pascal_columns(a, top, d, pd)
+            columns = _pascal_columns(a, d, pd)
             for k, poly in polys:
                 mod = p ** k
                 for i in range(min(k, len(poly))):
@@ -282,17 +284,20 @@ def local_data_operator(op: OperatorSection) -> LocalDataVector:
 
 
 @lru_cache(maxsize=256)
-def _pascal_columns(xi: int, top: int, width: int, mod: int) -> tuple:
-    """Columns i < width of the Pascal rows of xi, reduced mod ``mod``.
+def _pascal_columns(xi: int, width: int, mod: int) -> tuple:
+    """Columns i < width of the Pascal rows 0..2*width of xi, reduced mod
+    ``mod``.
 
-    Column i lists C(n, i) xi^{n-i} for n = i..top, so its dot product with
-    the coefficients c_i, c_{i+1}, ... of a polynomial of degree <= top is
-    that polynomial's i-th Taylor coefficient at xi.  Row n comes from row
-    n-1 by Pascal's rule: its first entry is xi times the previous first
-    entry, the middle ones xi*prev[i] + prev[i-1], and while i = n is inside
-    the width the last entry is C(n, n) = 1.  Trailing zeros are cut (for
-    xi = 0 each column is the single entry 1): a product with them is zero,
-    so a dot product may stop where the column does.  local_data_operator,
+    Column i lists C(n, i) xi^{n-i} for n = i..2*width, so its dot product
+    with the coefficients c_i, c_{i+1}, ... of a polynomial of degree
+    <= 2*width is that polynomial's i-th Taylor coefficient at xi; at width
+    d every reader's polynomials have degree <= 2d (local_data_operator
+    says why for a global operator's).  Row n comes from row n-1 by Pascal's
+    rule: its first entry is xi times the previous first entry, the middle
+    ones xi*prev[i] + prev[i-1], and while i = n is inside the width the
+    last entry is C(n, n) = 1.  Trailing zeros are cut (for xi = 0 each
+    column is the single entry 1): a product with them is zero, so a dot
+    product may stop where the column does.  local_data_operator,
     q_d_matrix and operator_matrix read each point's columns once for all
     orders, rows and columns;
     the memo is bounded like calculus._level_row's, and keyed by the reduced
@@ -300,14 +305,14 @@ def _pascal_columns(xi: int, top: int, width: int, mod: int) -> tuple:
     """
     row = [1]
     rows = [row]
-    for _n in range(top):
+    for _n in range(2 * width):
         nxt = [xi * row[0]] + [xi * row[i] + row[i - 1] for i in range(1, len(row))]
         if len(nxt) < width:
             nxt.append(1)
         rows.append(nxt)
         row = nxt
     columns = []
-    for i in range(min(width, top + 1)):
+    for i in range(width):
         column = [row[i] % mod for row in rows[i:]]
         while column[-1] == 0:
             column.pop()
@@ -341,7 +346,7 @@ def q_d_matrix(p: int, d: int, lifts: PointLift = None):
     sgn = -1 if d % 2 else 1
     rows = []
     for xi in _lift_values(p, lifts):
-        columns = _pascal_columns(xi % pd, 2 * d, d, pd)
+        columns = _pascal_columns(xi % pd, d, pd)
         for i, (column, mod) in enumerate(zip(columns, mods)):
             cut = i + len(column)  # column[n - i] is C(n, i) xi^{n-i} for i <= n < cut
             row = {}
@@ -469,7 +474,7 @@ def operator_matrix(p: int, d: int, m: int = 0):
     (matrix, moduli exponents).
 
     Each column is written in closed form off the memoized Pascal columns
-    C(n, i) a^{n-i} of each finite point (_pascal_columns(a, 2d, d, p^d)) and
+    C(n, i) a^{n-i} of each finite point (_pascal_columns(a, d, p^d)) and
     the level rows a^(m)_{k,t} (_level_row), as q_d_matrix writes its rows,
     without building or evaluating an operator:
 
@@ -494,7 +499,7 @@ def operator_matrix(p: int, d: int, m: int = 0):
     coords = coords_le(p, d)
     rows = [{} for _ in coords]
     per_point = d * (d + 1) // 2  # (a, k, i) is row a * per_point + k(k-1)/2 + i
-    pascal = [_pascal_columns(a, 2 * d, d, p ** d) for a in range(p)]
+    pascal = [_pascal_columns(a, d, p ** d) for a in range(p)]
     mods = [p ** e for e in range(d + 1)]
 
     def finite(col, t, n, c):

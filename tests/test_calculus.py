@@ -7,7 +7,6 @@ from logdop import calculus
 from logdop.calculus import (
     CHART_X,
     CHART_Y,
-    LaurentOperator,
     OperatorSection,
     TensorSection,
     coeff_a,
@@ -150,21 +149,19 @@ def test_a_lift_builds_each_row_once():
 
 def test_transform_d_y_once():
     out = transform_term(CHART_Y, 0, 1, 5, 0)
-    assert out.chart == CHART_X
-    assert out.coeffs == {(2, 1): -1}  # d_y = -x^2 d_x
+    assert out == {(2, 1): -1}  # d_y = -x^2 d_x
 
 
 def test_transform_order_zero():
     out = transform_term(CHART_Y, 0, 0, 5, 0, coeff=7)
-    assert out.coeffs == {(0, 0): 7}
+    assert out == {(0, 0): 7}
     out = transform_term(CHART_X, 2, 0, 5, 0, coeff=1)
-    assert out.coeffs == {(-2, 0): 1}
+    assert out == {(-2, 0): 1}
 
 
 def test_transform_x_del_x():
     out = transform_term(CHART_X, 1, 1, 3, 0)
-    assert out.chart == CHART_Y
-    assert out.coeffs == {(1, 1): -1}  # x d_x = -y d_y
+    assert out == {(1, 1): -1}  # x d_x = -y d_y
 
 
 def test_transform_involution_on_single_terms():
@@ -172,17 +169,25 @@ def test_transform_involution_on_single_terms():
         for k in range(0, 12):
             for i in range(0, k + 2):
                 once = transform_term(CHART_Y, i, k, p, m)
-                back = LaurentOperator(CHART_Y)
-                for (ii, kk), c in once.coeffs.items():
+                back = {}
+                for (ii, kk), c in once.items():
                     if ii < 0:
                         # single-term transforms of non-global monomials fall
                         # outside OperatorSection; fold manually
                         again = transform_term(CHART_X, ii, kk, p, m, c)
                     else:
                         again = transform_term(CHART_X, ii, kk, p, m, c)
-                    for key, cc in again.coeffs.items():
-                        back.add(*key, cc)
-                assert back.coeffs == {(i, k): 1}
+                    for key, cc in again.items():
+                        back[key] = back.get(key, 0) + cc
+                assert {key: c for key, c in back.items() if c} == {(i, k): 1}
+
+
+def test_transform_term_is_a_dict_with_no_zero_coefficient():
+    for chart in (CHART_X, CHART_Y):
+        for k in (0, 1, 4):
+            assert transform_term(chart, 2, k, 5, 1, coeff=0) == {}
+        for i, c in ((0, 3), (2, -5), (7, 1)):
+            assert transform_term(chart, i, 0, 5, 1, coeff=c) == {(-i, 0): c}
 
 
 # ---------------------------------------------------------------------------
@@ -273,4 +278,4 @@ def test_operator_to_laurent_aggregates_cancellation():
     # x d_x + y d_y = 0 as a global operator identity
     op = OperatorSection(3, 0, 1, {(CHART_X, 1, 1): 1, (CHART_Y, 1, 1): 1})
     agg = operator_to_laurent(op, CHART_Y)
-    assert agg.coeffs == {}
+    assert agg == {}

@@ -1207,6 +1207,13 @@ def test_diagnose_at_a_high_level_answers_at_once():
     assert proc.returncode == 0 and proc.stderr == b""
 
 
+def test_diagnose_at_a_huge_level_never_builds_p_to_the_m():
+    proc = run_module("diagnose", "--p", "5", "--m", "1000000000", "--dmax", "3",
+                      "--format", "json", timeout=20)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert b'"m": 1000000000,' in proc.stdout
+
+
 def test_output_is_utf8_under_an_ascii_locale(tmp_path):
     # the table text holds a non-ASCII "×"; under the C locale, with locale
     # coercion and UTF-8 mode off, stdout, --out and the stderr note must

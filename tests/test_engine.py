@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, isqrt, log
 
 import pytest
 
@@ -407,6 +407,63 @@ def test_diagnostic_orders_against_tracked_solver(p, m):
 def test_diagnostic_schedule_values():
     diag = level_descent_diagnostic(3, 1, 10, "sqrt")
     assert [r.schedule_n for r in diag.rows] == [isqrt(d) for d in range(1, 11)]
+
+
+def _exact_bound_row(p, m, row):
+    # (bound, nonnegative, satisfied) from r_m with p^m built, as before the cap
+    r = ((Fraction(p * p - 3 * p, p * p - 1) + Fraction(1, (p - 1) * p ** m)) * row.d
+         - row.schedule_n - 2)
+    nonneg = cmp_rational_logp(r, p, row.d) >= 0
+    satisfied = not nonneg or cmp_rational_logp(r - row.scheduled_exponent, p, row.d) <= 0
+    return float(r) - log(row.d, p), nonneg, satisfied
+
+
+def _bound_rows(diag):
+    return [(r.bound_value, r.bound_nonnegative, r.bound_satisfied) for r in diag.rows]
+
+
+@pytest.mark.parametrize("p, d_max", [(2, 30), (3, 30), (5, 20), (7, 12), (11, 8)])
+def test_diagnostic_past_the_level_cap_matches_the_exact_bound(p, d_max):
+    # the cap k = 1100 + bitlen(d(p^2-1)) lies between 1101 and 1114 here:
+    # levels on both sides of it give the float and flags of r_m itself
+    for schedule in engine.SCHEDULES:
+        for m in [*range(4), *range(1100, 1120, 3), 1150]:
+            diag = level_descent_diagnostic(p, m, d_max, schedule)
+            assert _bound_rows(diag) == [_exact_bound_row(p, m, r) for r in diag.rows], \
+                (p, m, schedule)
+
+
+def test_bound_sign_read_below_the_level_is_the_sign_at_the_level():
+    # every k <= m, with r0 shifted by n so that all three ways out occur:
+    # the sign at k, +1 off r0, and the comparison at p^m itself
+    exact_needed = 0
+    for p in (2, 3, 5, 7):
+        slope = Fraction(p * p - 3 * p, p * p - 1)
+        for d in range(1, 13):
+            for n in range(-6, 4):
+                r0 = slope * d - n - 2
+                for x in range(3):
+                    for m in range(7):
+                        want = cmp_rational_logp(r0 - x + Fraction(d, (p - 1) * p ** m), p, d)
+                        for k in range(m + 1):
+                            assert engine._bound_sign(r0, x, p, d, m, k) == want, (p, d, n, x, m, k)
+                            r_k = r0 + Fraction(d, (p - 1) * p ** k)
+                            exact_needed += (k < m and cmp_rational_logp(r0 - x, p, d) < 0
+                                             <= cmp_rational_logp(r_k - x, p, d))
+    assert exact_needed
+
+
+def test_diagnostic_flags_with_the_level_cap_at_zero(monkeypatch):
+    # with no cap bits k = bitlen(d(p^2-1)), below m on most cells, so the
+    # flags come from the shortcuts of _bound_sign at levels where the exact
+    # reference is cheap
+    monkeypatch.setattr(engine, "_LEVEL_CAP_BITS", 0)
+    for p in (2, 3, 5, 7):
+        for schedule in engine.SCHEDULES:
+            for m in range(0, 40, 3):
+                diag = level_descent_diagnostic(p, m, 40 if p < 5 else 16, schedule)
+                assert ([r[1:] for r in _bound_rows(diag)]
+                        == [_exact_bound_row(p, m, r)[1:] for r in diag.rows]), (p, m)
 
 
 # ---------------------------------------------------------------------------

@@ -240,10 +240,10 @@ def operator_oracle(op):
     p, d = op.p, op.d
     ly = operator_to_laurent(op, CHART_Y)
     pairs = [((INF, k, i), c % p ** (k - i))
-             for (i, k), c in ly.coeffs.items() if 1 <= k <= d and i < k]
+             for (i, k), c in ly.items() if 1 <= k <= d and i < k]
     lx = operator_to_laurent(op, CHART_X)
     for k in range(1, d + 1):
-        terms = [(n, c) for (n, kk), c in lx.coeffs.items() if kk == k]
+        terms = [(n, c) for (n, kk), c in lx.items() if kk == k]
         for a in range(p):
             pairs += [((a, k, i), r)
                       for i, r in enumerate(binomial_residues(terms, a, k, p))]
@@ -282,7 +282,7 @@ def mixed_global_terms(rng, p, d, m):
         if k and rng.random() < 0.5:
             other = CHART_Y if chart == CHART_X else CHART_X
             moved = {(other, i, t): v
-                     for (i, t), v in transform_term(chart, s, k, p, m, c).coeffs.items()}
+                     for (i, t), v in transform_term(chart, s, k, p, m, c).items()}
         else:
             moved = {(chart, s, k): c}
         for key, v in moved.items():
@@ -298,6 +298,21 @@ def test_operator_local_data_matches_binomial_sums(p):
             for _ in range(3):
                 op = OperatorSection(p, m, d, mixed_global_terms(rng, p, d, m))
                 assert local_data_operator(op).entries == operator_oracle(op)
+
+
+def test_a_global_operators_x_chart_stays_within_the_pascal_rows():
+    # local_data_operator reads Pascal rows 0..2d only: each order of a
+    # global operator's x-chart aggregate has degree <= 2d, and 2d occurs
+    rng = random.Random(4000)
+    for p in (2, 3, 5, 7, 11):
+        for m in range(3):
+            for d in range(1, 7):
+                tops = []
+                for _ in range(3):
+                    op = OperatorSection(p, m, d, mixed_global_terms(rng, p, d, m))
+                    assert is_global_section(op)
+                    tops.append(max(n for n, _k in operator_to_laurent(op, CHART_X)))
+                assert max(tops) == 2 * d, (p, m, d)
 
 
 def test_cancelling_monomials_are_global_at_one_level_only():
@@ -497,8 +512,8 @@ def test_a_forged_pascal_entry_fails_the_localdata_suite(monkeypatch):
     # forgery runs the memo's body, so no genuine memo entry is served
     genuine = localdata._pascal_columns
 
-    def forged(xi, top, width, mod):
-        columns = genuine.__wrapped__(xi, top, width, mod)
+    def forged(xi, width, mod):
+        columns = genuine.__wrapped__(xi, width, mod)
         if xi != 1:
             return columns
         first = list(columns[0])
