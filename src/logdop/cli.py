@@ -10,7 +10,8 @@ entry that cannot be written) and each failed self-check of any command
 (an InvariantViolation, exit 1).  A --cache ends with its command:
 the handler passes its DiskCache down as an argument, and no module keeps it.
 Standard output, output files and standard error are UTF-8 whatever the
-locale (_emit and _stderr).
+locale (_emit and _stderr, both through _write), and a caller may swap
+either standard stream for one without a byte buffer.
 """
 
 from __future__ import annotations
@@ -89,25 +90,34 @@ def _require_at_least(flag: str, value: int, low: int) -> None:
         raise _Refusal(f"{flag} {value} is out of range (need {flag} >= {low})")
 
 
+def _write(stream, text: str) -> None:
+    """Write ``text`` to a standard stream as UTF-8, whatever the locale's
+    encoding: to its byte buffer once its text layer is flushed, or as text
+    to a stream that has no buffer (a caller's io.StringIO, say)."""
+    stream.flush()
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(text)
+    else:
+        buffer.write(text.encode("utf-8"))
+        buffer.flush()
+
+
 def _emit(text: str, out) -> None:
-    """Write ``text`` as UTF-8 to the file ``out``, or to stdout, whatever the
-    locale's encoding."""
+    """Write ``text`` as UTF-8 to the file ``out``, or to stdout."""
     if out:
         try:
             Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise _Refusal(f"cannot write {out}: {exc.strerror}") from exc
     else:
-        sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
+        _write(sys.stdout, text)
 
 
 def _stderr(line: str) -> None:
-    """Write one line to stderr as UTF-8, whatever the locale's encoding;
-    every ``note:`` and ``error:`` line goes through here."""
-    sys.stderr.flush()
-    sys.stderr.buffer.write(f"{line}\n".encode("utf-8"))
-    sys.stderr.buffer.flush()
+    """Write one line to stderr as UTF-8; every ``note:`` and ``error:`` line
+    goes through here."""
+    _write(sys.stderr, f"{line}\n")
 
 
 def _install_cache(args):
@@ -206,7 +216,7 @@ def cmd_verify(args) -> int:
         if not result.passed:
             failed = True
             lines.append(f"  first counterexample: {result.failures[0]}")
-    print("\n".join(lines))  # once every suite has finished
+    _emit("\n".join(lines) + "\n", None)  # once every suite has finished
     return EXIT_FAILED if failed else EXIT_OK
 
 

@@ -118,6 +118,15 @@ def graded_piece_dim(p: int, d: int, i: int) -> int:
     return max(0, 2 * d - i * (p + 1) + 1)
 
 
+def h1_order_vp(p: int, d: int) -> int:
+    """v_p of the order of the degree-d group: v_p|Q_d| = (p+1)d(d+1)/2 less
+    the graded kernel index d(2d+1) - sum_i graded_piece_dim(p, d, i), as
+    lattice_order_check holds each computed group and the disk cache each
+    entry to."""
+    graded = sum(graded_piece_dim(p, d, i) for i in range(1, d + 1))
+    return (p + 1) * d * (d + 1) // 2 - d * (2 * d + 1) + graded
+
+
 @lru_cache(maxsize=None)
 def h1_tensor(p: int, d: int) -> AbelianPGroup:
     """Degree-d summand: cokernel of the 2d+1 tensor sections inside Q_d, read
@@ -213,10 +222,9 @@ def lattice_order_check(p: int, d: int) -> bool:
     only, which a wrong sign in C keeps: kernel_section_check sees that.
     """
     idx = kernel_index_vp(p, d)
-    group = h1_tensor(p, d)
-    total_vp = (p + 1) * d * (d + 1) // 2
-    graded = sum(graded_piece_dim(p, d, i) for i in range(1, d + 1))
-    return idx + group.order_vp == total_vp and idx == d * (2 * d + 1) - graded
+    order_vp = h1_order_vp(p, d)  # v_p|Q_d| less the graded index of (b)
+    return (idx == (p + 1) * d * (d + 1) // 2 - order_vp  # (b)
+            and h1_tensor(p, d).order_vp == order_vp)     # (a), given (b)
 
 
 def kernel_section_check(p: int, d: int) -> bool:

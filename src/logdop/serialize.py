@@ -35,7 +35,9 @@ FORMAT_APPENDIX_REPORT = "appendix-report/1"
 
 
 def parse_json_document(text: str) -> dict:
-    """json.loads with position-carrying errors for malformed input files."""
+    """json.loads with position-carrying errors for malformed input files:
+    the package's one JSON decoder, for input files, cache entries and the
+    reference tables."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -43,6 +45,8 @@ def parse_json_document(text: str) -> dict:
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal past int's digit limit
         raise SectionFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # fixed text: the message varies by Python version
+        raise SectionFormatError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise SectionFormatError("document root must be an object")
     return doc
@@ -356,4 +360,5 @@ def diagnostic_to_csv(diag: LevelDiagnostic) -> str:
 
 
 def dump_json(doc: dict) -> str:
+    """The package's one JSON encoder: documents, reports and cache entries."""
     return json.dumps(doc, indent=1, sort_keys=False) + "\n"

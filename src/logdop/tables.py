@@ -2,7 +2,8 @@
 
 The repository embeds the published tables as data files, one per prime, with
 summands stored as [multiplicity, exponent] pairs and a known_discrepancy
-flag per row.  One row (p = 3, d = 8) is internally inconsistent as printed:
+flag per row; load_golden reads a file through serialize's JSON decoder as
+{degree: printed group} and the set of flagged degrees.  One row (p = 3, d = 8) is internally inconsistent as printed:
 its second entry breaks both the degree-splitting against row d = 7 and the
 new-summand count 2d-1.  Flagged rows are reported with both values and
 validated against those two structural properties instead of the printed
@@ -11,43 +12,28 @@ numbers; everything else must match exactly.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 from .engine import h1_filtered, summand_count
 from .linalg import AbelianPGroup
+from .serialize import parse_json_document
 
 _DATA = resources.files("logdop").joinpath("data/appendix")
 TABLE_PRIMES = (2, 3, 5, 7, 11)  # one data file p<p>.json each; its rows are the table
 
 
-class GoldenRow:
-    """One printed row of a reference table.  Immutable after construction."""
-
-    __slots__ = ("p", "d", "group", "known_discrepancy")
-
-    def __init__(self, p: int, d: int, group: AbelianPGroup, known_discrepancy: bool):
-        self.p = p
-        self.d = d
-        self.group = group
-        self.known_discrepancy = known_discrepancy
-
-
-def _summands_to_group(p, summands) -> AbelianPGroup:
-    exps = []
-    for mult, n in summands:
-        exps.extend([n] * mult)
-    return AbelianPGroup(p, tuple(exps))
-
-
-def load_golden(p: int) -> list:
-    """Reference rows for one prime, ascending d."""
-    doc = json.loads(_DATA.joinpath(f"p{p}.json").read_text(encoding="utf-8"))
+def load_golden(p: int) -> tuple:
+    """(groups, flagged) of one prime's reference table: groups maps each
+    printed d, in the file's ascending order, to its AbelianPGroup, and
+    flagged is the set of degrees marked known_discrepancy."""
+    doc = parse_json_document(_DATA.joinpath(f"p{p}.json").read_text(encoding="utf-8"))
     if doc.get("p") != p:
         raise ValueError(f"corpus file for p={p} declares p={doc.get('p')}")
-    return [GoldenRow(p, row["d"], _summands_to_group(p, row["summands"]),
-                      row.get("known_discrepancy", False))
-            for row in doc["rows"]]
+    rows = doc["rows"]
+    groups = {row["d"]: AbelianPGroup(p, tuple(n for mult, n in row["summands"]
+                                                for _ in range(mult)))
+              for row in rows}
+    return groups, {row["d"] for row in rows if row["known_discrepancy"]}
 
 
 class RowComparison:
@@ -86,19 +72,18 @@ class RowComparison:
         return "MISMATCH"
 
 
-def _compare(golden: dict, d: int, report) -> RowComparison:
-    """Row d of one prime's table (golden: d -> GoldenRow): the direct sum of
-    the first d groups of an h1_filtered report.  The splitting check reads
-    the printed row d-1, so it can fail even where the computed rows agree."""
-    printed = golden[d]
-    p = printed.p
-    previous = golden[d - 1].group if d > 1 else AbelianPGroup(p, ())
+def _compare(p: int, groups: dict, flagged, d: int, report) -> RowComparison:
+    """Row d of one prime's table (groups, flagged: as load_golden returns
+    them): the direct sum of the first d groups of an h1_filtered report.
+    The splitting check reads the printed row d-1, so it can fail even where
+    the computed rows agree."""
+    printed = groups[d]
     computed = AbelianPGroup(p, tuple(n for g in report.per_degree[:d] for n in g.exponents))
     return RowComparison(
-        p=p, d=d, printed=printed.group, computed=computed,
-        known_discrepancy=printed.known_discrepancy,
-        matches_printed=computed == printed.group,
-        splitting_ok=computed.contains_multiset(previous),
+        p=p, d=d, printed=printed, computed=computed,
+        known_discrepancy=d in flagged,
+        matches_printed=computed == printed,
+        splitting_ok=computed.contains_multiset(groups.get(d - 1, AbelianPGroup(p, ()))),
         summand_count_ok=report.per_degree[d - 1].num_factors == summand_count(p, d),
         bound_met=report.bound_met[d - 1],
         bound_equal=report.bound_equal[d - 1],
@@ -107,10 +92,10 @@ def _compare(golden: dict, d: int, report) -> RowComparison:
 
 def compare_row(p: int, d: int, cache=None) -> RowComparison:
     """One table row against its reference; ``cache`` as in h1_filtered."""
-    golden = {row.d: row for row in load_golden(p)}
-    if d not in golden:
+    groups, flagged = load_golden(p)
+    if d not in groups:
         raise ValueError(f"no reference row for p={p}, d={d}")
-    return _compare(golden, d, h1_filtered(p, d, cache=cache))
+    return _compare(p, groups, flagged, d, h1_filtered(p, d, cache=cache))
 
 
 class AppendixReport:
@@ -135,7 +120,7 @@ def verify_appendix(cache=None) -> AppendixReport:
     ``cache`` is as in h1_filtered."""
     comparisons = []
     for p in TABLE_PRIMES:
-        golden = {row.d: row for row in load_golden(p)}
-        report = h1_filtered(p, max(golden), cache=cache)
-        comparisons.extend(_compare(golden, d, report) for d in golden)
+        groups, flagged = load_golden(p)
+        report = h1_filtered(p, max(groups), cache=cache)
+        comparisons.extend(_compare(p, groups, flagged, d, report) for d in groups)
     return AppendixReport(tuple(comparisons))

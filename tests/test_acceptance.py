@@ -60,7 +60,7 @@ def test_criterion_2_exponent_bound(capsys):
     checked = equal = 0
     ok = True
     for p in TABLE_PRIMES:
-        for d in (row.d for row in load_golden(p)):
+        for d in load_golden(p)[0]:
             bound = exponent_lower_bound(p, d)
             top = h1_tensor(p, d).max_exponent
             ok &= top >= bound

@@ -171,12 +171,7 @@ def test_transform_involution_on_single_terms():
                 once = transform_term(CHART_Y, i, k, p, m)
                 back = {}
                 for (ii, kk), c in once.items():
-                    if ii < 0:
-                        # single-term transforms of non-global monomials fall
-                        # outside OperatorSection; fold manually
-                        again = transform_term(CHART_X, ii, kk, p, m, c)
-                    else:
-                        again = transform_term(CHART_X, ii, kk, p, m, c)
+                    again = transform_term(CHART_X, ii, kk, p, m, c)
                     for key, cc in again.items():
                         back[key] = back.get(key, 0) + cc
                 assert {key: c for key, c in back.items() if c} == {(i, k): 1}

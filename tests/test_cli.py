@@ -1,10 +1,12 @@
 import hashlib
+import io
 import json
 import os
 import pkgutil
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -347,6 +349,11 @@ REFUSAL_FILES = {
     "typed-d/h1-p3-d1.json": serialize.dump_json(
         {"format": "h1-group/2", "p": 3, "d": True, "exponents": [1]}),
     "not-utf8.json": b"\xff\xfe{",
+    # an array nested past the decoder's recursion limit
+    **{name: "[" * 100_000 + "]" * 100_000 for name in ("deep.json", "deep/h1-p3-d1.json")},
+    # count, floor and max <= d all hold, but the order is 3^4 where it is 3^3
+    "order/h1-p3-d2.json": serialize.dump_json(
+        {"format": "h1-group/2", "p": 3, "d": 2, "exponents": [1, 1, 2]}),
     # documents that int() would have read: each field must be what its schema says
     **{f"strict/{name}.json": serialize.dump_json(
         {"format": "tensor-section/1", "p": 3, "d": 2, "m": 0,
@@ -422,7 +429,7 @@ REFUSALS = {
                    "error: cannot use {tmp}/file as the cache directory: File exists"),
     "cache-corrupt": (("h1", "--p", "3", "--d", "2", "--cache", "{tmp}/cache"), None, 2,
                       "error: corrupt cache entry {tmp}/cache/h1-p3-d1.json: "
-                      "Expecting value: line 1 column 1 (char 0)"),
+                      "invalid JSON at line 1, column 1: Expecting value"),
     "cache-out-of-bounds": (("h1", "--p", "3", "--d", "2", "--cache", "{tmp}/bounds"),
                             None, 2, "error: corrupt cache entry "
                             "{tmp}/bounds/h1-p3-d2.json: exponent 99 exceeds d = 2"),
@@ -434,6 +441,12 @@ REFUSALS = {
                                "--cache", "{tmp}/floor"), None, 2,
                               "error: corrupt cache entry {tmp}/floor/h1-p3-d3.json: "
                               "exponent 1 is below floor((p-1)(d+1)/(p+1)) = 2"),
+    "cache-order": (("h1", "--p", "3", "--d", "2", "--cache", "{tmp}/order"), None, 2,
+                    "error: corrupt cache entry {tmp}/order/h1-p3-d2.json: "
+                    "the exponents sum to 4, but the degree-2 group has order p^3"),
+    "cache-deep": (("h1", "--p", "3", "--d", "1", "--cache", "{tmp}/deep"), None, 2,
+                   "error: corrupt cache entry {tmp}/deep/h1-p3-d1.json: "
+                   "invalid JSON: nested too deeply"),
     **{f"cache-{name}": (("h1", "--p", "3", "--d", "1", "--cache", f"{{tmp}}/{name}"),
                          None, 2, f"error: corrupt cache entry {{tmp}}/{name}/h1-p3-d1.json")
        for name in ("typed-p", "typed-d")},
@@ -465,6 +478,10 @@ REFUSALS = {
     "data-bad-json": (("data", "--input", "{tmp}/bad-json.json"), None, 2,
                       "error: {tmp}/bad-json.json: invalid JSON at line 1, "
                       "column 12: Expecting value"),
+    "data-deep": (("data", "--input", "{tmp}/deep.json"), None, 2,
+                  "error: {tmp}/deep.json: invalid JSON: nested too deeply"),
+    "lift-deep": (("lift", "--input", "{tmp}/deep.json"), None, 2,
+                  "error: {tmp}/deep.json: invalid JSON: nested too deeply"),
     "data-array-root": (("data", "--input", "{tmp}/array.json"), None, 2,
                         "error: {tmp}/array.json: document root must be an object"),
     "data-wrong-tag": (("data", "--input", "{tmp}/group.json"), None, 2,
@@ -554,9 +571,10 @@ def test_a_flagged_row_must_split_against_the_printed_row_before_it(monkeypatch,
     real = tables.load_golden
 
     def forged(p):
-        return [tables.GoldenRow(row.p, row.d, AbelianPGroup(p, row.group.exponents + (5,)),
-                                 row.known_discrepancy)
-                if (p, row.d) == (3, 7) else row for row in real(p)]
+        groups, flagged = real(p)
+        if p == 3:
+            groups = {**groups, 7: AbelianPGroup(p, groups[7].exponents + (5,))}
+        return groups, flagged
 
     monkeypatch.setattr(tables, "load_golden", forged)
     row = tables.compare_row(3, 8)
@@ -1233,3 +1251,22 @@ def test_output_is_utf8_under_an_ascii_locale(tmp_path):
     assert utf8.stderr.startswith("note: printed row differs: 28 × 3 ".encode())
     proc = run_module(*argv, env=ascii_env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, utf8.stdout, utf8.stderr)
+
+
+def test_streams_without_a_byte_buffer(tmp_path):
+    # a caller may swap stdout or stderr for a text-only stream such as
+    # io.StringIO: each command still answers with its exit code, and its
+    # text lands in the stream in place of an AttributeError
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["h1", "--p", "3", "--d", "2"]) == 0
+    assert out.getvalue() == ("H^1 for p=3, degrees <= 2, level m=0:\n"
+                              "  total: 4 × 3\n")
+    with redirect_stderr(io.StringIO()) as err:
+        assert main(["h1", "--p", "4", "--d", "2"]) == 2
+    assert err.getvalue() == "error: p = 4 is not prime\n"
+    section = tmp_path / "section.json"
+    assert main(["lift", "--sample", "--p", "3", "--d", "3", "--out", str(section)]) == 0
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        assert main(["lift", "--input", str(section), "--method", "both"]) == 0
+    assert json.loads(out.getvalue())["format"] == "operator/1"
+    assert err.getvalue() == "solve/schedule outputs differ by a lift of zero: True\n"

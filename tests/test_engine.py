@@ -13,6 +13,7 @@ from logdop.engine import (
     exponent_lower_bound,
     graded_piece_dim,
     h1_filtered,
+    h1_order_vp,
     h1_tensor,
     kernel_index_vp,
     lattice_order_check,
@@ -123,6 +124,15 @@ def test_h1_tensor_matches_the_graded_profile(p, d_max):
         for k in range(1, d + 2):
             want = max(0, (d + 1 - k) * (p + 1) - 2 * d - 1)
             assert sum(e >= k for e in exps) == want, (p, d, k)
+
+
+
+@pytest.mark.parametrize("p, d_max", [(2, 60), (3, 60), (5, 40), (7, 30), (11, 20),
+                                      (13, 18), (17, 12), (19, 10), (23, 8)])
+def test_h1_order_vp_is_the_order_of_the_computed_group(p, d_max):
+    # v_p|Q_d| less the graded kernel index, as a DiskCache entry is held to
+    for d in range(1, d_max + 1):
+        assert h1_order_vp(p, d) == h1_tensor(p, d).order_vp, (p, d)
 
 
 # ---------------------------------------------------------------------------
