@@ -23,9 +23,8 @@ class DiskCache:
     that is not a JSON object is refused with the decoder's message.  An
     entry that cannot be a degree-d group is corrupt too: the group is a
     quotient of the (p+1)d coordinates Z/p^{d-i}, so no invariant factor is
-    above p^d and its order divides p^{(p+1)d(d+1)/2}; it has
-    engine.summand_count factors, its exponent is at least the paper's
-    exponent_lower_bound, and its order is p^engine.h1_order_vp.
+    above p^d; it has engine.summand_count factors, its exponent is at least
+    the paper's exponent_lower_bound, and its order is p^engine.h1_order_vp.
     Entries are written atomically, so an interrupted write leaves no
     truncated entry behind; a write the directory refuses raises
     CacheWriteError.  An instance keeps no memo: engine.h1_filtered, its one
@@ -57,12 +56,8 @@ class DiskCache:
                 and all(type(n) is int and n >= 1 for n in doc["exponents"])):
             raise SectionFormatError(f"corrupt cache entry {path}")
         exponents = doc["exponents"]
-        rows = (p + 1) * d
         if max(exponents, default=0) > d:
             why = f"exponent {max(exponents)} exceeds d = {d}"
-        elif sum(exponents) > rows * (d + 1) // 2:
-            why = (f"the exponents sum to {sum(exponents)}, "
-                   f"above (p+1)d(d+1)/2 = {rows * (d + 1) // 2}")
         elif len(exponents) != summand_count(p, d):
             why = f"factor count {len(exponents)}, not (p-1)d - 1 = {summand_count(p, d)}"
         elif max(exponents, default=0) < exponent_lower_bound(p, d):

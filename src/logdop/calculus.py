@@ -48,9 +48,8 @@ def coeff_a_recurrence(s: int, t: int) -> int:
     for cur in range(1, s):
         nxt = [0] * (cur + 2)
         for tt in range(1, cur + 2):
-            prev_t = row[tt - 1] if tt - 1 <= cur else 0
             prev = row[tt] if tt <= cur else 0
-            nxt[tt] = prev_t + (cur + tt) * prev
+            nxt[tt] = row[tt - 1] + (cur + tt) * prev
         row = nxt
     return row[t]
 
@@ -73,7 +72,7 @@ def _level_row(s: int, p: int, m: int) -> tuple:
     """Row (a^(m)_{s,1}, ..., a^(m)_{s,s}), each entry checked once, here.
 
     Each integer C(s-1,t-1) q_s!/q_t! is compared with the equivalent rational
-    form C(s,t)(s-1)!/(t-1)! * (q_s!/s!)/(q_t!/t!); a mismatch or residual
+    form coeff_a(s, t) * (q_s!/s!)/(q_t!/t!); a mismatch or residual
     denominator signals an implementation bug, never a data error.
     """
     qs = q_level(s, p, m)
@@ -81,8 +80,7 @@ def _level_row(s: int, p: int, m: int) -> tuple:
     for t in range(1, s + 1):
         qt = q_level(t, p, m)
         value = comb(s - 1, t - 1) * factorial(qs) // factorial(qt)
-        rational = (Fraction(comb(s, t)) * factorial(s - 1) / factorial(t - 1)
-                    * Fraction(factorial(qs), factorial(s))
+        rational = (coeff_a(s, t) * Fraction(factorial(qs), factorial(s))
                     / Fraction(factorial(qt), factorial(t)))
         if rational.denominator != 1 or rational.numerator != value:
             raise InvariantViolation(
@@ -203,6 +201,10 @@ class OperatorSection:
         for (chart, i, k), coeff in (terms or {}).items():
             if type(coeff) is not int:
                 raise ValueError(f"coefficient {coeff!r} is not an integer")
+            if type(i) is not int:
+                raise ValueError(f"power {i!r} is not an integer")
+            if type(k) is not int:
+                raise ValueError(f"order {k!r} is not an integer")
             if coeff == 0:
                 continue
             if chart not in CHARTS:

@@ -253,14 +253,10 @@ def cmd_lift(args) -> int:
         else:
             lift, check = lift_by_solve(delta)
             if args.method == "both":
-                # Each path's _assert_lift has checked that its symbol is the
-                # input's and that its local data is zero.  Local data is
-                # Z-linear modulo each p^(k-i), so lift - other has zero symbol
-                # and zero local data: a lift of zero whenever both checks
-                # passed, and the two checked vectors already say so.
-                _, other = lift_by_schedule(delta)
-                _stderr("solve/schedule outputs differ by a lift of zero: "
-                        f"{check.is_zero and other.is_zero}")
+                # lift_by_schedule raises unless its lift has the input's symbol
+                # and zero local data, so the two lifts differ by a lift of zero
+                lift_by_schedule(delta)
+                _stderr("solve/schedule outputs differ by a lift of zero: True")
     except NonvanishingLocalData as exc:
         data = exc.data
         _stderr("error: input section has nonvanishing degree-d local data at:")
@@ -331,7 +327,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on the first main() call, not at import: the
+    handlers it binds are looked up then, and a process running many commands
+    builds it once."""
     parser = _Parser(
         prog="logdop",
         description="Exact H^1 computations for logarithmic differential "
@@ -402,15 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # built on the first main() call, not at import: the handlers it binds are
-    # looked up then, and a process running many commands builds it once
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (_Refusal, SectionFormatError, CacheWriteError) as exc:  # the latter two: --cache

@@ -64,8 +64,11 @@ def is_prime(n: int) -> bool:
 
 def require_prime(p: int) -> None:
     """The package's one refusal of a p that is not prime: raises
-    ValueError("p = N is not prime").  is_prime's own ValueError for a p too
-    large to test passes through unchanged."""
+    ValueError("p = N is not prime"), or "p = N is not an integer" for a p
+    whose type is not int.  is_prime's own ValueError for a p too large to
+    test passes through unchanged."""
+    if type(p) is not int:
+        raise ValueError(f"p = {p} is not an integer")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
 
@@ -500,8 +503,7 @@ def cyclic_quotient_dominates(group: AbelianPGroup, quotient: AbelianPGroup) -> 
     """Postcondition of quotient_by_cyclic: ``quotient``, some group/<a>,
     surjects onto the direct sum of all invariant factors of the group
     except one largest."""
-    target = sorted(group.exponents[:-1], reverse=True)
-    return dominates(sorted(quotient.exponents, reverse=True), target)
+    return dominates(quotient.exponents[::-1], group.exponents[-2::-1])
 
 
 def rank_mod_p(m: IntegerMatrix, p: int) -> int:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import io
 import json
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .calculus import CHARTS, OperatorSection, TensorSection
@@ -272,9 +273,9 @@ def h1_report_to_csv(report: H1Report, per_degree: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 def appendix_report_to_doc(report: AppendixReport) -> dict:
-    tables = {}
-    for c in report.comparisons:
-        tables.setdefault(c.p, []).append({
+    tables = []
+    for p, rows in groupby(report.comparisons, key=attrgetter("p")):  # (p, d) order
+        tables.append({"p": p, "rows": [{
             "d": c.d,
             "printed": [[mult, n] for n, mult in c.printed.summands()],
             "computed": [[mult, n] for n, mult in c.computed.summands()],
@@ -284,19 +285,19 @@ def appendix_report_to_doc(report: AppendixReport) -> dict:
             "summand_count_ok": c.summand_count_ok,
             "bound_met": c.bound_met,
             "bound_equal": c.bound_equal,
-        })
+        } for c in rows]})
     return {
         "format": FORMAT_APPENDIX_REPORT,
-        "tables": [{"p": p, "rows": rows} for p, rows in sorted(tables.items())],
+        "tables": tables,
         "all_accepted": report.all_accepted,
     }
 
 
 def appendix_report_to_text(report: AppendixReport) -> str:
     out = io.StringIO()
-    for p in sorted({c.p for c in report.comparisons}):
+    for p, rows in groupby(report.comparisons, key=attrgetter("p")):
         out.write(f"p = {p}\n")
-        for c in report.rows_for(p):
+        for c in rows:
             out.write(f"  d={c.d:<3} {c.computed.table_text():<60} {c.status()}\n")
             if not c.matches_printed:
                 out.write(f"        printed:  {c.printed.table_text()}\n")

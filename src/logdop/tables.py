@@ -99,7 +99,8 @@ def compare_row(p: int, d: int, cache=None) -> RowComparison:
 
 
 class AppendixReport:
-    """Every row of every reference table.  Immutable after construction."""
+    """Every row of every reference table, in (p, d) order, which serialize's
+    writers group by p.  Immutable after construction."""
 
     __slots__ = ("comparisons",)
 
@@ -109,9 +110,6 @@ class AppendixReport:
     @property
     def all_accepted(self) -> bool:
         return all(c.accepted for c in self.comparisons)
-
-    def rows_for(self, p: int) -> list:
-        return [c for c in self.comparisons if c.p == p]
 
 
 def verify_appendix(cache=None) -> AppendixReport:

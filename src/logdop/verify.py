@@ -87,7 +87,7 @@ def _torsion_profile_to_invariants(torsion_vp, n_max):
     for k in range(1, n_max + 1):
         mult = ge_counts[k - 1] - (ge_counts[k] if k < n_max else 0)
         out.extend([k] * mult)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def quotient_invariants_by_counting(p, exponents, a):

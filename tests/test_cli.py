@@ -354,6 +354,9 @@ REFUSAL_FILES = {
     # count, floor and max <= d all hold, but the order is 3^4 where it is 3^3
     "order/h1-p3-d2.json": serialize.dump_json(
         {"format": "h1-group/2", "p": 3, "d": 2, "exponents": [1, 1, 2]}),
+    # order 3^14, above the 3^12 of all of Q_2: the factor count refuses it first
+    "over-count/h1-p3-d2.json": serialize.dump_json(
+        {"format": "h1-group/2", "p": 3, "d": 2, "exponents": [2] * 7}),
     # documents that int() would have read: each field must be what its schema says
     **{f"strict/{name}.json": serialize.dump_json(
         {"format": "tensor-section/1", "p": 3, "d": 2, "m": 0,
@@ -444,6 +447,10 @@ REFUSALS = {
     "cache-order": (("h1", "--p", "3", "--d", "2", "--cache", "{tmp}/order"), None, 2,
                     "error: corrupt cache entry {tmp}/order/h1-p3-d2.json: "
                     "the exponents sum to 4, but the degree-2 group has order p^3"),
+    "cache-over-count": (("h1", "--p", "3", "--d", "2", "--cache", "{tmp}/over-count"),
+                         None, 2, "error: corrupt cache entry "
+                         "{tmp}/over-count/h1-p3-d2.json: "
+                         "factor count 7, not (p-1)d - 1 = 3"),
     "cache-deep": (("h1", "--p", "3", "--d", "1", "--cache", "{tmp}/deep"), None, 2,
                    "error: corrupt cache entry {tmp}/deep/h1-p3-d1.json: "
                    "invalid JSON: nested too deeply"),
@@ -582,6 +589,14 @@ def test_a_flagged_row_must_split_against_the_printed_row_before_it(monkeypatch,
     assert row.status() == "MISMATCH"
     code, _, err = run(capsys, "appendix", "--p", "3", "--d", "8")
     assert code == 1 and "[MISMATCH]" in err
+
+
+def test_a_data_file_that_declares_another_prime_is_refused(monkeypatch, tmp_path):
+    (tmp_path / "p3.json").write_text(serialize.dump_json({"p": 5, "rows": []}))
+    monkeypatch.setattr(tables, "_DATA", tmp_path)
+    with pytest.raises(ValueError) as exc:
+        tables.load_golden(3)
+    assert str(exc.value) == "corpus file for p=3 declares p=5"
 
 
 def test_appendix_json_round_trips(capsys):
@@ -1042,6 +1057,12 @@ def test_the_cli_starts_without_dataclasses_or_inspect():
     proc = run_python("-c", "import sys, logdop.cli; "
                       "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr.decode()
+
+
+def test_the_module_runs_a_command():
+    proc = run_module("h1", "--p", "3", "--d", "2")
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode()
+    assert proc.stdout == "H^1 for p=3, degrees <= 2, level m=0:\n  total: 4 × 3\n".encode()
 
 
 def test_the_package_binds_no_public_name_and_runs_as_a_module():

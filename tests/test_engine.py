@@ -194,6 +194,13 @@ def test_h1_tensor_groups_are_values():
     assert h1_tensor(5, 2).exponents == (1, 1, 1, 1, 1, 1, 2)
 
 
+def test_group_fields_cannot_be_deleted():
+    g = AbelianPGroup(3, (1, 2))
+    with pytest.raises(AttributeError, match="cannot delete field 'p'"):
+        del g.p
+    assert g.p == 3
+
+
 def test_order_checks_reuse_the_filtered_groups():
     # one lru entry per (p, d): the checks and a second report ask for the
     # groups h1_filtered holds
@@ -550,6 +557,19 @@ ARGUMENT_CHECKS = {
                               "level m must be >= 0"),
     "operator-matrix-degree": (lambda: localdata.operator_matrix(3, -1),
                                "degree bound must be >= 0"),
+    # a float p equal to a prime: refused at the one primality gate, not
+    # carried into a result or stopped by a TypeError further down
+    "prime-float": (lambda: linalg.require_prime(3.0), "p = 3.0 is not an integer"),
+    "group-float-p": (lambda: AbelianPGroup(3.0, (1,)), "p = 3.0 is not an integer"),
+    "section-float-p": (lambda: calculus.TensorSection(3.0, 1, 0, (1,), (1, 2)),
+                        "p = 3.0 is not an integer"),
+    "q-d-matrix-float-p": (lambda: q_d_matrix(3.0, 2), "p = 3.0 is not an integer"),
+    "operator-float-power": (lambda: calculus.OperatorSection(3, 0, 2, {("x", 1.5, 2): 1}),
+                             "power 1.5 is not an integer"),
+    "operator-bool-power": (lambda: calculus.OperatorSection(3, 0, 2, {("x", True, 2): 1}),
+                            "power True is not an integer"),
+    "operator-float-order": (lambda: calculus.OperatorSection(3, 0, 1, {("y", 0, 1.0): 1}),
+                             "order 1.0 is not an integer"),
 }
 
 
